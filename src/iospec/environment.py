@@ -1,14 +1,14 @@
-"""Variable environments with chronological value histories.
+"""Term evaluation over variable histories.
 
-Environments are persistent: :func:`store` returns a successor and never
-mutates, because acceptance checking threads the same environment through
-alternative matching branches.
+An environment maps each variable to all values read into it, oldest
+first; a variable never read has the empty history.  The interpreter keeps
+one mutable history per variable and appends as it reads, so evaluation
+hands out copies wherever a history escapes into a registry function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .syntax import (
     AllVar,
@@ -30,8 +30,9 @@ class EvalError(Exception):
 class UnboundCurrentError(EvalError):
     """A current-value access on a variable that was never read.
 
-    Unreachable for specifications that pass the static checks; hitting it
-    elsewhere indicates an internal invariant breach.
+    The static use-before-read check counts a read anywhere earlier in
+    traversal order, even in a sibling branch, so a well-formed
+    specification can still hit this on a run that takes the other branch.
     """
 
     def __init__(self, name: str):
@@ -39,42 +40,21 @@ class UnboundCurrentError(EvalError):
         self.name = name
 
 
-@dataclass(frozen=True, eq=True)
-class Environment:
-    """Maps each variable to all values read into it, oldest first."""
-
-    histories: Mapping[str, tuple[int, ...]]
-
-    @classmethod
-    def initial(cls, variables: Iterable[str] = ()) -> "Environment":
-        return cls({name: () for name in variables})
-
-    def history(self, name: str) -> tuple[int, ...]:
-        return self.histories.get(name, ())
-
-
-def store(name: str, value: int, env: Environment) -> Environment:
-    """Successor environment with `value` appended to `name`'s history."""
-    histories = dict(env.histories)
-    histories[name] = histories.get(name, ()) + (value,)
-    return Environment(histories)
-
-
 def eval_term(
     term: Term,
-    env: Environment,
+    env: Mapping[str, Sequence[int]],
     registry: FunctionRegistry = DEFAULT_REGISTRY,
 ):
     """Evaluate a sort-correct term to an int, list of ints, or bool."""
     if isinstance(term, IntConst):
         return term.value
     if isinstance(term, CurrentVar):
-        history = env.history(term.name)
+        history = env.get(term.name)
         if not history:
             raise UnboundCurrentError(term.name)
         return history[-1]
     if isinstance(term, AllVar):
-        return list(env.history(term.name))
+        return list(env.get(term.name, ()))
     if isinstance(term, Apply):
         fn = registry.lookup(term.fn)
         if fn is None:
@@ -86,7 +66,7 @@ def eval_term(
 
 def eval_output_set(
     write: WriteOutput,
-    env: Environment,
+    env: Mapping[str, Sequence[int]],
     registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> OutputWordSet:
     """All words the write may emit now: one-value words per term, and the

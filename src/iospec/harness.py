@@ -26,7 +26,6 @@ from .semantics import (
     GenerationFailureError,
     GenerationLimits,
     SamplingPolicy,
-    extract_inputs,
     sample_generalized_trace,
 )
 from .syntax import DEFAULT_REGISTRY, FunctionRegistry, Spec
@@ -149,7 +148,7 @@ def run_test_suite(
                     f"{last_failure}"
                 ),
             )
-        inputs = extract_inputs(gt)
+        inputs = gt.inputs()
         outcome = _run_target(target, inputs)
         result = covers(gt, normalize(outcome.trace))
         if not isinstance(result, Covered) or not outcome.clean:

@@ -1,18 +1,20 @@
-"""Interpreters over specifications: trace acceptance and trace generation.
+"""Interpreters over specifications: trace generation and trace acceptance.
 
-Both walk a specification left to right with an explicit stack of
-iteration frames standing in for continuations.  A frame remembers the
-loop body (to re-run when the body's sequence ends, the `End` signal) and
-the actions following the whole loop (to resume on an exit marker, the
-`Exit` signal, which discards whatever else was queued inside the loop).
-The explicit stack keeps iteration counts inspectable so runaway loops hit
-a configurable limit instead of spinning forever.
-
-:func:`accept` decides whether an ordinary trace is a valid run.
 :func:`interpret` runs a specification on a fixed input sequence and
 returns the one generalized trace describing every valid run on those
 inputs.  :func:`sample_generalized_trace` does the same with randomly
-drawn inputs, which is what the test harness feeds on.
+drawn inputs, which is what the test harness feeds on.  Both share one
+walk over the specification, which keeps an explicit stack of iteration
+frames standing in for continuations: a frame remembers the loop body (to
+re-run when the body's sequence ends) and the actions following the whole
+loop (to resume on an exit marker, which discards whatever else was queued
+inside the loop).  The explicit stack keeps iteration counts inspectable
+so runaway loops hit a configurable limit instead of spinning forever.
+
+:func:`accept` decides whether an ordinary trace is a valid run.  Writes
+never change the environment, so a run's inputs alone fix the control
+flow: the run is valid iff it is covered by the generalized trace its
+inputs produce.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .environment import Environment, eval_output_set, eval_term, store
+from .environment import eval_output_set, eval_term
 from .syntax import (
     Branch,
     DEFAULT_REGISTRY,
@@ -34,15 +36,16 @@ from .syntax import (
     TillExit,
     WriteOutput,
     normalize_spec,
-    variables_of,
 )
 from .traces import (
+    Covered,
     GeneralizedTrace,
     GenStep,
     In,
-    Out,
     OutputWordSet,
     Trace,
+    covers,
+    normalize,
 )
 
 
@@ -120,98 +123,6 @@ def _ordinal(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trace acceptance
-
-
-def accept(
-    spec: Spec,
-    trace: Trace,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
-    limits: GenerationLimits = GenerationLimits(),
-) -> bool:
-    """True iff the trace is a valid run of the specification.
-
-    A read step must face a matching input inside its domain; a write step
-    must face an output evaluating into its term set, except that a write
-    allowing epsilon may also be skipped outright, so both readings are
-    explored.  Branches choose by the current environment, loops re-run
-    their body when it ends and resume after themselves on an exit marker,
-    and the run is valid when specification and trace are exhausted
-    together.
-
-    Raises LimitExceededError when some reading re-enters a loop more than
-    `limits.max_loop_iterations` times, and propagates evaluation errors.
-    """
-    spec = normalize_spec(spec)
-    steps = trace.steps
-    env0 = Environment.initial(variables_of(spec))
-    # Alternatives stack: depth-first over the skippable-write choices.
-    alternatives = [(spec.actions, (), 0, env0)]
-    while alternatives:
-        cur, frames, pos, env = alternatives.pop()
-        while True:
-            if not cur:
-                if not frames:
-                    if pos == len(steps):
-                        return True
-                    break
-                body, rest, rounds = frames[-1]
-                if rounds + 1 > limits.max_loop_iterations:
-                    raise LimitExceededError(
-                        f"loop ran more than {limits.max_loop_iterations} rounds"
-                    )
-                frames = frames[:-1] + ((body, rest, rounds + 1),)
-                cur = body
-                continue
-            head = cur[0]
-            if isinstance(head, ReadInput):
-                if (
-                    pos < len(steps)
-                    and isinstance(steps[pos], In)
-                    and head.domain.contains(steps[pos].value)
-                ):
-                    env = store(head.var, steps[pos].value, env)
-                    pos += 1
-                    cur = cur[1:]
-                    continue
-                break
-            if isinstance(head, WriteOutput):
-                allowed = {eval_term(t, env, registry) for t in head.terms}
-                if head.includes_epsilon:
-                    alternatives.append((cur[1:], frames, pos, env))
-                if (
-                    pos < len(steps)
-                    and isinstance(steps[pos], Out)
-                    and steps[pos].value in allowed
-                ):
-                    pos += 1
-                    cur = cur[1:]
-                    continue
-                break
-            if isinstance(head, Branch):
-                taken = (
-                    head.true_branch
-                    if eval_term(head.condition, env, registry)
-                    else head.false_branch
-                )
-                cur = taken.actions + cur[1:]
-                continue
-            if isinstance(head, TillExit):
-                frames = frames + ((head.body.actions, cur[1:], 1),)
-                cur = head.body.actions
-                continue
-            if isinstance(head, Exit):
-                if not frames:
-                    raise SpecStructureError("exit marker outside any loop")
-                _, rest, _ = frames[-1]
-                frames = frames[:-1]
-                cur = rest
-                continue
-            raise TypeError(f"not an action: {head!r}")
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Generalized trace generation
 
 
@@ -227,7 +138,7 @@ def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
     """
     cur = spec.actions
     frames: list[list] = []  # [body, rest-after-loop, rounds]
-    env = Environment.initial(variables_of(spec))
+    env: dict[str, list[int]] = {}
     steps: list[GenStep] = []
     pending: frozenset | None = None
     inputs_used = 0
@@ -260,7 +171,7 @@ def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
             value = draw(inputs_used, head.domain)
             flush()
             steps.append(In(value))
-            env = store(head.var, value, env)
+            env.setdefault(head.var, []).append(value)
             inputs_used += 1
             cur = cur[1:]
         elif isinstance(head, WriteOutput):
@@ -347,6 +258,38 @@ def sample_generalized_trace(
         raise GenerationFailureError(str(err)) from err
 
 
-def extract_inputs(gt: GeneralizedTrace) -> list[int]:
-    """The input values of a generalized trace, in order."""
-    return gt.inputs()
+# ---------------------------------------------------------------------------
+# Trace acceptance
+
+
+def accept(
+    spec: Spec,
+    trace: Trace,
+    registry: FunctionRegistry = DEFAULT_REGISTRY,
+    limits: GenerationLimits = GenerationLimits(),
+) -> bool:
+    """True iff the trace is a valid run of the specification.
+
+    The specification is interpreted on the trace's inputs and the
+    normalized trace must be covered by the resulting generalized trace.
+    An input outside its read's domain, a missing input and a surplus input
+    make the trace invalid.
+
+    Because the whole specification runs on the inputs before any output
+    is compared, errors that `interpret` raises on those inputs propagate
+    even when the trace's outputs go wrong earlier:
+
+    * LimitExceededError when a loop runs more than
+      `limits.max_loop_iterations` rounds, e.g. a runaway loop after an
+      output mismatch, or when the generalized trace grows past
+      `limits.max_trace_length` steps, e.g. on a trace with more inputs
+      than that;
+    * evaluation errors such as UnboundCurrentError when the inputs lead to
+      a current-value use of a variable not read on that path, even if
+      the trace mismatches before reaching it.
+    """
+    try:
+        gt = interpret(spec, trace.inputs(), registry, limits)
+    except InterpretError:
+        return False
+    return isinstance(covers(gt, normalize(trace)), Covered)

@@ -335,7 +335,6 @@ class ViolationKind(enum.Enum):
     MISSING_EXIT = "missing-exit"
     ORPHAN_EXIT = "orphan-exit"
     SORT_ERROR = "sort-error"
-    EMPTY_WRITE = "empty-write"
 
 
 # A path addresses a node: integer items index into a Spec's actions,
@@ -396,8 +395,7 @@ def well_formed(
     * every iteration body contains an exit marker of its own;
     * no exit marker occurs outside all iterations;
     * every term sort-checks against the registry (write terms must be
-      integers, branch conditions booleans);
-    * every write action keeps at least one non-epsilon term.
+      integers, branch conditions booleans).
     """
     violations: list[Violation] = []
     reads_seen: set[str] = set()
@@ -431,10 +429,6 @@ def well_formed(
             if isinstance(action, ReadInput):
                 reads_seen.add(action.var)
             elif isinstance(action, WriteOutput):
-                if not action.terms:
-                    violations.append(
-                        Violation(ViolationKind.EMPTY_WRITE, here, "no real term")
-                    )
                 for t in action.terms:
                     check_term(t, Sort.INT, here, "output term")
             elif isinstance(action, Branch):

@@ -33,7 +33,6 @@ from iospec import (
     accept,
     concretize,
     covers,
-    extract_inputs,
     format_feedback,
     interpret,
     normalize,
@@ -52,6 +51,7 @@ from conftest import (
     SUM_SPEC_TEXT,
     fixture_command,
 )
+import oracle
 import programs
 from randgen import (
     concretization_as_trace,
@@ -145,7 +145,7 @@ def test_criterion_04_equivalence_property():
                     SurplusInputsError, UnboundCurrentError):
                 skipped += 1
                 continue
-            accepted = accept(spec, trace)
+            accepted = oracle.accept(spec, trace)
             covered = covers(gt, normalize(trace)) == Covered()
             assert accepted == covered, (
                 f"disagreement: accept={accepted} covers={covered}\n"
@@ -154,7 +154,7 @@ def test_criterion_04_equivalence_property():
             checked += 1
     report_pass(
         4,
-        f"acceptance and interpret-then-cover agree on {checked} pairs "
+        f"backtracking acceptance and interpret-then-cover agree on {checked} pairs "
         f"({skipped} skipped)",
     )
 
@@ -255,7 +255,7 @@ def test_criterion_08_sampling_policy(sum_spec):
     with time_budget(10.0):
         for seed in range(1000):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
-            inputs = extract_inputs(gt)
+            inputs = gt.inputs()
             n, summands = inputs[0], inputs[1:]
             assert 0 <= n <= 10
             assert len(summands) == n
@@ -353,7 +353,7 @@ def test_criterion_12_subprocess_smoke(sum_spec):
     with time_budget(60.0):
         for seed in range(25):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
-            outcome = run_subprocess(cfg, extract_inputs(gt))
+            outcome = run_subprocess(cfg, gt.inputs())
             assert outcome.exit_kind is ExitKind.CLEAN_HALT
             assert covers(gt, normalize(outcome.trace)) == Covered(), (
                 f"seed {seed}: {render_trace(outcome.trace)}"

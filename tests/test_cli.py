@@ -107,6 +107,19 @@ class TestAccept:
         )
         assert code == 2
 
+    def test_runaway_loop_exit_2(self, capsys, tmp_path):
+        # accept interprets the whole spec on the trace's inputs, so the
+        # loop runs away although the first output already mismatches
+        runaway = tmp_path / "runaway.iospec"
+        runaway.write_text(
+            "write { 1 }\n"
+            "loop { if 0 == 1 then { exit } else { write { 1 } } }\n"
+        )
+        code, out, err = run_cli(capsys, "accept", str(runaway), "--trace", "!2 stop")
+        assert code == 2
+        assert out == ""
+        assert "loop ran more than 1000 rounds" in err
+
 
 def sum_program_argv() -> list[str]:
     return [sys.executable, str(FIXTURES_DIR / "sum_prog.py")]

@@ -8,7 +8,6 @@ from iospec import (
     SamplingPolicy,
     SpawnError,
     SubprocessConfig,
-    extract_inputs,
     normalize,
     parse_trace,
     render_trace,
@@ -137,7 +136,7 @@ class TestRunSubprocess:
         ]
         for seed in range(4):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
-            inputs = extract_inputs(gt)
+            inputs = gt.inputs()
             for scripted, cfg in pairs:
                 expected = run_scripted(scripted, inputs)
                 actual = run_subprocess(cfg, inputs)

@@ -31,15 +31,17 @@ from iospec import (
     WriteOutput,
     accept,
     covers,
-    extract_inputs,
     interpret,
     normalize,
+    normalize_spec,
     parse_spec,
     parse_trace,
     render_trace,
     sample_generalized_trace,
+    well_formed,
 )
 
+import oracle
 from conftest import STUCK_SPEC
 from randgen import concretization_as_trace, mutate_trace, random_spec
 
@@ -47,32 +49,37 @@ ALWAYS = Apply("==", (IntConst(0), IntConst(0)))
 
 
 class TestAccept:
+    """Golden verdicts of the library `accept`; TestOracleAccept reruns
+    them against the backtracking oracle."""
+
+    accept = staticmethod(accept)
+
     def test_golden_valid_run(self, sum_spec):
-        assert accept(sum_spec, parse_trace("?2 ?5 ?3 !8 stop")) is True
+        assert self.accept(sum_spec, parse_trace("?2 ?5 ?3 !8 stop")) is True
 
     def test_empty_spec_accepts_only_stop(self):
-        assert accept(EMPTY, Trace(())) is True
-        assert accept(EMPTY, parse_trace("?1 stop")) is False
-        assert accept(EMPTY, parse_trace("!1 stop")) is False
+        assert self.accept(EMPTY, Trace(())) is True
+        assert self.accept(EMPTY, parse_trace("?1 stop")) is False
+        assert self.accept(EMPTY, parse_trace("!1 stop")) is False
 
     def test_golden_invalid_run(self, sum_spec):
-        assert accept(sum_spec, parse_trace("?3 !4 ?-1 !2 ?7 !1 ?4 !10 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?3 !4 ?-1 !2 ?7 !1 ?4 !10 stop")) is False
 
     def test_optional_output_both_ways(self, sum_spec):
-        assert accept(sum_spec, parse_trace("?1 ?4 !4 stop")) is True
-        assert accept(sum_spec, parse_trace("?1 !1 ?4 !4 stop")) is True
-        assert accept(sum_spec, parse_trace("?1 !2 ?4 !4 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?1 ?4 !4 stop")) is True
+        assert self.accept(sum_spec, parse_trace("?1 !1 ?4 !4 stop")) is True
+        assert self.accept(sum_spec, parse_trace("?1 !2 ?4 !4 stop")) is False
 
     def test_domain_respected(self, sum_spec):
         # the first read wants a natural number
-        assert accept(sum_spec, parse_trace("?-1 !0 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?-1 !0 stop")) is False
 
     def test_incomplete_run_rejected(self, sum_spec):
-        assert accept(sum_spec, parse_trace("?2 ?5 stop")) is False
-        assert accept(sum_spec, parse_trace("?2 ?5 ?3 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?2 ?5 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?2 ?5 ?3 stop")) is False
 
     def test_surplus_trace_rejected(self, sum_spec):
-        assert accept(sum_spec, parse_trace("?0 !0 !0 stop")) is False
+        assert self.accept(sum_spec, parse_trace("?0 !0 !0 stop")) is False
 
     def test_trace_length_limit(self):
         # a loop allowed to run long enough must trip the length bound first
@@ -100,15 +107,51 @@ class TestAccept:
             ))),
         ))
         with pytest.raises(LimitExceededError):
-            accept(spec, Trace(()), limits=GenerationLimits(max_loop_iterations=50))
+            self.accept(spec, Trace(()), limits=GenerationLimits(max_loop_iterations=50))
 
     def test_eval_error_propagates(self):
         bad = Spec((WriteOutput((CurrentVar("x"),)),))
         with pytest.raises(UnboundCurrentError):
-            accept(bad, parse_trace("!1 stop"))
+            self.accept(bad, parse_trace("!1 stop"))
+
+
+class TestAcceptInterpretsFirst:
+    """The library `accept` interprets the whole specification on the
+    run's inputs before it compares outputs, so errors of `interpret`
+    surface even past an early output mismatch, where the oracle stops."""
+
+    def test_runaway_loop_after_mismatch_hits_limit(self):
+        spec = parse_spec(
+            "write { 1 } loop { if 0 == 1 then { exit } else { write { eps, 1 } } }"
+        )
+        with pytest.raises(LimitExceededError):
+            accept(spec, parse_trace("!2 stop"),
+                   limits=GenerationLimits(max_loop_iterations=50))
+
+    def test_trace_longer_than_length_limit(self, sum_spec):
+        trace = Trace((In(60),) + (In(1),) * 60 + (Out(60),))
+        with pytest.raises(LimitExceededError):
+            accept(sum_spec, trace, limits=GenerationLimits(max_trace_length=50))
+
+    def test_unbound_current_on_a_path_the_run_never_reaches(self):
+        spec = parse_spec(
+            "read n : nats write { n_C }"
+            " if n_C == 0 then { write { x_C } } else { read x : ints }"
+        )
+        assert well_formed(normalize_spec(spec)) == []
+        with pytest.raises(UnboundCurrentError):
+            accept(spec, parse_trace("?0 !1 stop"))
+
+    def test_input_errors_reject(self):
+        spec = parse_spec("read x : nats write { x_C }")
+        assert accept(spec, parse_trace("?1 !1 ?2 stop")) is False  # surplus
+        assert accept(spec, parse_trace("?-1 !-1 stop")) is False  # domain
+        assert accept(spec, parse_trace("!1 stop")) is False  # missing
 
 
 class TestExitDiscard:
+    accept = staticmethod(accept)
+
     def test_exit_discards_rest_of_loop_round(self):
         # exit reached through two nested satisfied branches skips the
         # trailing write of the same round
@@ -118,8 +161,8 @@ class TestExitDiscard:
                 WriteOutput((IntConst(1),)),
             ))),
         ))
-        assert accept(spec, Trace(())) is True
-        assert accept(spec, parse_trace("!1 stop")) is False
+        assert self.accept(spec, Trace(())) is True
+        assert self.accept(spec, parse_trace("!1 stop")) is False
         assert render_trace(interpret(spec, [])) == "stop"
 
     def test_trailing_actions_run_until_the_exit_round(self):
@@ -140,8 +183,8 @@ class TestExitDiscard:
         # rounds: read a, write 7; read b, write 7; exit; then write 9,
         # where the last 7 and the 9 fuse into one word
         assert render_trace(interpret(spec, [4, -2])) == "?4 !{7} ?-2 !{<7 9>} stop"
-        assert accept(spec, parse_trace("?4 !7 ?-2 !7 !9 stop")) is True
-        assert accept(spec, parse_trace("?4 !7 ?-2 !9 stop")) is False
+        assert self.accept(spec, parse_trace("?4 !7 ?-2 !7 !9 stop")) is True
+        assert self.accept(spec, parse_trace("?4 !7 ?-2 !9 stop")) is False
 
     def test_direct_exit_discards_trailing_writes(self):
         spec = Spec((
@@ -149,8 +192,16 @@ class TestExitDiscard:
             WriteOutput((IntConst(3),)),
         ))
         assert render_trace(interpret(spec, [])) == "!{3} stop"
-        assert accept(spec, parse_trace("!3 stop")) is True
-        assert accept(spec, parse_trace("!5 !3 stop")) is False
+        assert self.accept(spec, parse_trace("!3 stop")) is True
+        assert self.accept(spec, parse_trace("!5 !3 stop")) is False
+
+
+class TestOracleAccept(TestAccept):
+    accept = staticmethod(oracle.accept)
+
+
+class TestOracleExitDiscard(TestExitDiscard):
+    accept = staticmethod(oracle.accept)
 
 
 class TestInterpret:
@@ -208,7 +259,7 @@ class TestSample:
     def test_shape_and_ranges(self, sum_spec):
         for seed in range(300):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
-            inputs = extract_inputs(gt)
+            inputs = gt.inputs()
             n, summands = inputs[0], inputs[1:]
             assert 0 <= n <= 10
             assert len(summands) == n
@@ -220,16 +271,14 @@ class TestSample:
     def test_custom_ranges(self, sum_spec):
         policy = SamplingPolicy(integer_range=(5, 5), natural_range=(2, 2), seed=0)
         gt = sample_generalized_trace(sum_spec, policy=policy)
-        assert extract_inputs(gt) == [2, 5, 5]
+        assert gt.inputs() == [2, 5, 5]
 
     def test_explicit_domain_ignores_ranges(self):
         spec = Spec((ReadInput("x", ExplicitSet(frozenset({77, 78}))),))
         policy = SamplingPolicy(integer_range=(0, 1), seed=3)
         values = {
-            extract_inputs(
-                sample_generalized_trace(spec, policy=SamplingPolicy(
-                    integer_range=(0, 1), seed=s))
-            )[0]
+            sample_generalized_trace(spec, policy=SamplingPolicy(
+                integer_range=(0, 1), seed=s)).inputs()[0]
             for s in range(50)
         }
         assert values == {77, 78}
@@ -245,7 +294,7 @@ class TestSample:
     def test_reproduced_by_interpret(self, sum_spec):
         for seed in range(50):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
-            assert interpret(sum_spec, extract_inputs(gt)) == gt
+            assert interpret(sum_spec, gt.inputs()) == gt
 
 
 class TestConfigTypes:
@@ -263,7 +312,7 @@ class TestConfigTypes:
 
 
 class TestEquivalence:
-    """accept agrees with interpret-then-cover on random spec/trace pairs."""
+    """The backtracking oracle agrees with interpret-then-cover."""
 
     def test_equivalence_on_random_pairs(self):
         rng = random.Random(20240817)
@@ -283,7 +332,7 @@ class TestEquivalence:
             except (InputRejectedError, InputsExhaustedError, SurplusInputsError,
                     UnboundCurrentError):
                 continue
-            accepted = accept(spec, trace)
+            accepted = oracle.accept(spec, trace)
             covered = covers(gt, normalize(trace)) == Covered()
             assert accepted == covered, (
                 f"disagreement on {spec} with {render_trace(trace)}"
@@ -313,7 +362,7 @@ class TestEquivalence:
                 except (InputRejectedError, InputsExhaustedError,
                         SurplusInputsError):
                     continue
-                accepted = accept(spec, trace)
+                accepted = oracle.accept(spec, trace)
                 covered = covers(gt, normalize(trace)) == Covered()
                 assert accepted == covered, render_trace(trace)
                 agreed += 1
@@ -327,4 +376,5 @@ class TestEquivalence:
                 spec, policy=SamplingPolicy(seed=rng.getrandbits(32))
             )
             trace = concretization_as_trace(rng, gt)
+            assert oracle.accept(spec, trace) is True
             assert accept(spec, trace) is True
