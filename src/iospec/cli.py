@@ -95,7 +95,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     test.add_argument("--tests", type=int, default=100)
     test.add_argument("--seed", type=int, default=0)
     test.add_argument("--timeout", type=int, default=5000, metavar="MS")
-    test.add_argument("--quiescence", type=int, default=50, metavar="MS")
+    test.add_argument("--quiescence", type=int, default=50, metavar="MS",
+                      help="fallback window: where /proc cannot show the program "
+                           "waiting for input, its turn ends after MS without output")
     test.add_argument("--int-range", type=_parse_range, default=(-10, 10),
                       metavar="LO..HI")
     test.add_argument("--nat-range", type=_parse_range, default=(0, 10),

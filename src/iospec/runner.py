@@ -14,19 +14,31 @@ request the next integer (delivered as the value of the yield) and
         yield Write(total)
 
 External executables speak a line protocol on stdin/stdout (one decimal
-integer per line) and are observed best-effort: after writing an input the
-runner collects output lines until none arrive for a quiescence window,
-then sends the next input.  Programs that delay flushing may get outputs
-attributed one input late; trace normalization makes the coverage check
-insensitive to exactly that kind of regrouping.
+integer per line) and take turns with the runner: an input is written only
+once the program's previous turn is over, that is when its stdout has
+closed, or when no task of it or its descendants can run, one of them
+sleeps reading stdin (read on fd 0, or a poll-family call), nothing written
+to stdin is left unread and all its output has been taken (proc(5),
+/proc/pid/syscall).  Output must still be flushed before the program reads
+again.  Timed sleeps never end a turn, so slow answers are attributed to
+the right input.  Where /proc cannot tell (no /proc, or a machine whose
+syscall numbers are not known here), a turn ends instead once no output
+has arrived for the quiescence window, and output flushed later than that
+is attributed to the next input.  A program that waits for input after
+the last one ends its run with an input underflow, as a scripted program
+does; one that prints more than MAX_OUTPUT_BYTES or MAX_OUTPUT_LINES ends
+it with an output overflow.
 """
 
 from __future__ import annotations
 
+import array
 import enum
-import queue
+import fcntl
+import os
+import selectors
 import subprocess
-import threading
+import termios
 import time
 from dataclasses import dataclass
 from typing import Callable, Generator
@@ -144,20 +156,234 @@ class SpawnError(Exception):
     """The program under test could not be started at all."""
 
 
-def _pump(stream, sink: queue.Queue) -> None:
-    try:
-        for line in stream:
-            sink.put(line)
-    except ValueError:  # stream closed during shutdown
-        pass
-    sink.put(None)
+# A run that prints more than this ends as a protocol error, so a program
+# printing forever cannot fill memory until the timeout.
+MAX_OUTPUT_BYTES = 1 << 20
+MAX_OUTPUT_LINES = 100_000
+
+# Bounds on the pause between two /proc probes within one turn.
+_PROBE_MIN_S = 0.0002
+_PROBE_MAX_S = 0.005
+
+# Syscall numbers (asm/unistd.h) by machine: read and readv, whose first
+# argument is the descriptor, and the poll family, mapped to the index of
+# the argument counting the descriptors watched (None for epoll, which
+# keeps its set in the kernel).  A poll-family call watching no descriptor
+# is a sleep: Python before 3.11 sleeps in select(0, ...).
+_WaitCalls = tuple[frozenset[int], dict[int, int | None]]
+_STDIN_WAITS: dict[str, _WaitCalls] = {
+    # read readv / poll select epoll_wait pselect6 ppoll epoll_pwait
+    "x86_64": (frozenset({0, 19}), {7: 1, 23: 0, 232: None, 270: 0, 271: 1, 281: None}),
+    # read readv / epoll_pwait pselect6 ppoll
+    "aarch64": (frozenset({63, 65}), {22: None, 72: 0, 73: 1}),
+}
+
+
+def _tree_waits(pid: int, calls: _WaitCalls) -> bool | None:
+    """Whether the process tree under `pid` waits for input, per /proc.
+
+    True when no task of the process or its descendants is runnable and at
+    least one sleeps reading fd 0 or in a poll-family call; None when /proc
+    cannot tell (see proc(5), /proc/pid/syscall).
+    """
+    reads, polls = calls
+    waiting = False
+    pending = [pid]
+    while pending:
+        proc_pid = pending.pop()
+        try:
+            for tid in os.listdir(f"/proc/{proc_pid}/task"):
+                with open(f"/proc/{proc_pid}/task/{tid}/syscall", "rb") as f:
+                    fields = f.read().split()
+                if fields[0] == b"running":
+                    return False
+                number = int(fields[0])
+                if number in reads:
+                    waiting = waiting or int(fields[1], 16) == 0
+                elif number in polls:
+                    count_arg = polls[number]
+                    waiting = waiting or count_arg is None or int(fields[1 + count_arg], 16) > 0
+                with open(f"/proc/{proc_pid}/task/{tid}/children", "rb") as f:
+                    pending.extend(int(child) for child in f.read().split())
+        except (FileNotFoundError, ProcessLookupError):
+            if proc_pid == pid:  # the child itself stays until reaped
+                return None
+            return False  # a descendant ended while we looked: probe again
+        except OSError:
+            return None
+    return waiting
+
+
+def _unread_bytes(fd: int) -> int:
+    count = array.array("i", [0])
+    fcntl.ioctl(fd, termios.FIONREAD, count)
+    return count[0]
+
+
+class _Abort(Exception):
+    """Ends a run early with the given exit kind."""
+
+    def __init__(self, kind: ExitKind, detail: str) -> None:
+        super().__init__(detail)
+        self.kind = kind
+        self.detail = detail
+
+
+class _Run:
+    """One run of an external program: its pipes, buffered output and trace.
+
+    Output is read in the calling thread by one selector loop over the raw
+    stdout and stderr pipes.
+    """
+
+    def __init__(self, cfg: SubprocessConfig, proc: subprocess.Popen) -> None:
+        self.cfg = cfg
+        self.proc = proc
+        self.deadline = time.monotonic() + cfg.per_run_timeout_ms / 1000.0
+        self.calls = _STDIN_WAITS.get(os.uname().machine)  # None: use the window
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(proc.stdout, selectors.EVENT_READ)
+        self.selector.register(proc.stderr, selectors.EVENT_READ)
+        self.steps: list[TraceStep] = []
+        self.consumed = 0
+        self.eof = False
+        self.partial = b""  # stdout bytes after the last complete line
+        self.out_bytes = 0
+        self.out_lines = 0
+        self.stderr = bytearray()
+
+    def until_deadline(self, wanted: float) -> float:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise _Abort(ExitKind.TIMED_OUT, "per-run timeout hit")
+        return min(wanted, left)
+
+    def pump(self, timeout: float) -> bool:
+        """Wait up to `timeout` for output and take what came; True if
+        stdout had any."""
+        if timeout < 0.001:  # epoll waits whole milliseconds at least
+            time.sleep(timeout)
+            timeout = 0
+        got = False
+        for key, _ in self.selector.select(timeout):
+            data = os.read(key.fd, 65536)
+            if not data:
+                self.selector.unregister(key.fileobj)
+                if key.fileobj is self.proc.stdout:
+                    self.eof = True
+                    if self.partial:
+                        self.take_line(self.partial)
+            elif key.fileobj is self.proc.stdout:
+                got = True
+                self.take_stdout(data)
+            else:
+                self.stderr += data[: MAX_OUTPUT_BYTES - len(self.stderr)]
+        return got
+
+    def take_stdout(self, data: bytes) -> None:
+        self.out_bytes += len(data)
+        if self.out_bytes > MAX_OUTPUT_BYTES:
+            raise _Abort(ExitKind.PROTOCOL_ERROR,
+                         f"OutputOverflow: more than {MAX_OUTPUT_BYTES} bytes")
+        *lines, self.partial = (self.partial + data).split(b"\n")
+        self.out_lines += len(lines)
+        if self.out_lines > MAX_OUTPUT_LINES:
+            raise _Abort(ExitKind.PROTOCOL_ERROR,
+                         f"OutputOverflow: more than {MAX_OUTPUT_LINES} lines")
+        for line in lines:
+            self.take_line(line)
+
+    def take_line(self, line: bytes) -> None:
+        text = line.decode(errors="replace").removesuffix("\r")
+        if not text.strip():
+            if self.cfg.output_parse_mode is OutputParseMode.SKIP_BLANK:
+                return
+            raise _Abort(ExitKind.PROTOCOL_ERROR, "UnparsableOutput: blank line")
+        try:
+            self.steps.append(Out(int(text.strip())))
+        except ValueError:
+            raise _Abort(ExitKind.PROTOCOL_ERROR, f"UnparsableOutput: {text!r}") from None
+
+    def waits_for_input(self) -> bool:
+        """The program's turn is over: it sleeps on stdin, nothing we wrote
+        is left unread and nothing it wrote is left untaken."""
+        waits = _tree_waits(self.proc.pid, self.calls)
+        if waits is None:
+            self.calls = None
+            return False
+        return (waits and _unread_bytes(self.proc.stdin.fileno()) == 0
+                and _unread_bytes(self.proc.stdout.fileno()) == 0)
+
+    def await_turn(self) -> None:
+        """Take output until stdout closes or the program waits for input."""
+        wait = _PROBE_MIN_S
+        quiet_since = time.monotonic()
+        while not self.eof:
+            if self.calls is None:  # no /proc signal: wait for a silent window
+                silent_for = quiet_since + self.cfg.quiescence_window_ms / 1000.0 - time.monotonic()
+                if silent_for <= 0:
+                    return
+                if self.pump(self.until_deadline(silent_for)):
+                    quiet_since = time.monotonic()
+                continue
+            got = self.pump(self.until_deadline(wait))
+            if self.waits_for_input():
+                return
+            wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
+
+    def await_exit(self) -> None:
+        """Take output until the program exits; waiting for more input
+        after the last one is an input underflow."""
+        wait = _PROBE_MIN_S
+        while not self.eof:
+            got = self.pump(self.until_deadline(wait))
+            if not self.eof and self.calls is not None and self.waits_for_input():
+                raise _Abort(ExitKind.PROTOCOL_ERROR,
+                             "InputUnderflow: program wants more input")
+            wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
+        while self.selector.get_map() and self.proc.poll() is None:
+            self.pump(self.until_deadline(_PROBE_MAX_S))  # stderr is still open
+        try:
+            self.proc.wait(self.until_deadline(float("inf")))
+        except subprocess.TimeoutExpired:
+            raise _Abort(ExitKind.TIMED_OUT, "per-run timeout hit") from None
+
+    def send(self, value: int) -> bool:
+        try:
+            os.write(self.proc.stdin.fileno(), f"{value}\n".encode())
+        except OSError:  # the program closed stdin or exited
+            return False
+        self.steps.append(In(value))
+        self.consumed += 1
+        return True
+
+    def finish(self, kind: ExitKind, detail: str = "") -> RunOutcome:
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+        if not self.eof:
+            self.selector.unregister(self.proc.stdout)
+        drain_until = time.monotonic() + 0.25  # a descendant may hold stderr
+        while self.selector.get_map() and time.monotonic() < drain_until:
+            self.pump(max(0.0, drain_until - time.monotonic()))
+        self.selector.close()
+        for f in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            f.close()
+        code = self.proc.returncode
+        if kind is ExitKind.CLEAN_HALT and code != 0:
+            kind, detail = ExitKind.CRASHED, f"exit code {code}"
+        return RunOutcome(
+            Trace(tuple(self.steps)), kind, self.consumed, detail=detail,
+            exit_code=code, stderr=self.stderr.decode(errors="replace"),
+        )
 
 
 def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
     """Run an external program on the inputs over the line protocol.
 
-    Inputs are written one per line; every stdout line is parsed as a
-    decimal integer output.  The child is always reaped, also on timeout.
+    Inputs are written one per line, each once the program's previous turn
+    is over; every stdout line is parsed as a decimal integer output.  The
+    child is always reaped, also on timeout.
     """
     try:
         proc = subprocess.Popen(
@@ -165,107 +391,21 @@ def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+            bufsize=0,
         )
     except OSError as err:
         raise SpawnError(f"cannot start {cfg.executable!r}: {err}") from err
 
-    out_lines: queue.Queue = queue.Queue()
-    err_chunks: queue.Queue = queue.Queue()
-    threading.Thread(target=_pump, args=(proc.stdout, out_lines), daemon=True).start()
-    threading.Thread(target=_pump, args=(proc.stderr, err_chunks), daemon=True).start()
-
-    deadline = time.monotonic() + cfg.per_run_timeout_ms / 1000.0
-    quiescence = cfg.quiescence_window_ms / 1000.0
-    steps: list[TraceStep] = []
-    consumed = 0
-    eof_seen = False
-
-    def finish(kind: ExitKind, detail: str = "") -> RunOutcome:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-        for f in (proc.stdin, proc.stdout, proc.stderr):
-            if f is not None:
-                try:
-                    f.close()
-                except OSError:
-                    pass
-        stderr_parts = []
-        while True:  # the pump always follows EOF with a sentinel
-            try:
-                chunk = err_chunks.get(timeout=0.25)
-            except queue.Empty:
-                break
-            if chunk is None:
-                break
-            stderr_parts.append(chunk)
-        stderr = "".join(stderr_parts)
-        code = proc.returncode
-        if kind is ExitKind.CLEAN_HALT and code != 0:
-            kind, detail = ExitKind.CRASHED, f"exit code {code}"
-        return RunOutcome(
-            Trace(tuple(steps)), kind, consumed,
-            detail=detail, exit_code=code, stderr=stderr,
-        )
-
-    def take_output(line: str) -> str | None:
-        # returns an error detail, or None if the line was handled
-        text = line.rstrip("\n")
-        if not text.strip():
-            if cfg.output_parse_mode is OutputParseMode.SKIP_BLANK:
-                return None
-            return "UnparsableOutput: blank line"
-        try:
-            steps.append(Out(int(text.strip())))
-        except ValueError:
-            return f"UnparsableOutput: {text!r}"
-        return None
-
-    def collect(until_exit: bool) -> RunOutcome | None:
-        # pull output lines until quiescence (or process exit when asked);
-        # returns an outcome only to abort the whole run
-        nonlocal eof_seen
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return finish(ExitKind.TIMED_OUT, "per-run timeout hit")
-            if eof_seen:
-                if not until_exit:
-                    return None
-                try:
-                    proc.wait(timeout=remaining)
-                    return None
-                except subprocess.TimeoutExpired:
-                    return finish(ExitKind.TIMED_OUT, "per-run timeout hit")
-            try:
-                line = out_lines.get(timeout=min(quiescence, remaining))
-            except queue.Empty:
-                if until_exit:
-                    continue
-                return None
-            if line is None:
-                eof_seen = True
-                continue
-            error = take_output(line)
-            if error is not None:
-                return finish(ExitKind.PROTOCOL_ERROR, error)
-
-    for value in list(inputs):
-        aborted = collect(until_exit=False)
-        if aborted is not None:
-            return aborted
-        if eof_seen:
-            break  # output closed: the observable interaction is over
-        try:
-            proc.stdin.write(f"{value}\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            break
-        steps.append(In(value))
-        consumed += 1
-    aborted = collect(until_exit=True)
-    if aborted is not None:
-        return aborted
-    return finish(ExitKind.CLEAN_HALT)
+    run = _Run(cfg, proc)
+    try:
+        for value in list(inputs):
+            run.await_turn()
+            if run.eof or not run.send(value):
+                break  # output or input closed: the observable interaction is over
+        run.await_exit()
+    except _Abort as abort:
+        return run.finish(abort.kind, abort.detail)
+    except BaseException:
+        run.finish(ExitKind.CRASHED)  # reap the child, then propagate
+        raise
+    return run.finish(ExitKind.CLEAN_HALT)

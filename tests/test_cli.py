@@ -228,6 +228,16 @@ class TestTest:
         assert code == 1
         assert "is not covered by" in out
 
+    def test_slow_program_passes_at_default_timings(self, capsys):
+        # answers 80 ms after each input, longer than the fallback window
+        code, out, _ = run_cli(
+            capsys, "test", SUM_SPEC_FILE,
+            "--program", sys.executable, "--args", str(FIXTURES_DIR / "slow_echo.py"),
+            "--tests", "3", "--seed", "0", "--format", "machine",
+        )
+        assert code == 0
+        assert "verdict=AllPassed" in out.strip().splitlines()
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "test", SUM_SPEC_FILE)
         assert code == 2

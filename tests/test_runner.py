@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -15,8 +17,9 @@ from iospec import (
     run_subprocess,
     sample_generalized_trace,
 )
+from iospec import runner
 
-from conftest import fixture_command
+from conftest import FIXTURES_DIR, fixture_command
 import programs
 
 FAST = dict(per_run_timeout_ms=5000, quiescence_window_ms=40)
@@ -82,6 +85,11 @@ def _cfg(name: str, **kwargs) -> SubprocessConfig:
     return SubprocessConfig(executable, (script,), **options)
 
 
+def _default_cfg(name: str) -> SubprocessConfig:
+    executable, script = fixture_command(name)
+    return SubprocessConfig(executable, (script,))
+
+
 class TestRunSubprocess:
     def test_sum_binary_golden(self):
         outcome = run_subprocess(_cfg("sum_prog.py"), [2, 5, 3])
@@ -90,11 +98,7 @@ class TestRunSubprocess:
         assert outcome.consumed_inputs == 3
 
     def test_immediate_exit_consumes_nothing(self):
-        # the quiescence window must cover interpreter startup so the exit
-        # is seen before the first input would be written
-        cfg = _cfg("quit_now.py", quiescence_window_ms=2000,
-                   per_run_timeout_ms=10000)
-        outcome = run_subprocess(cfg, [1])
+        outcome = run_subprocess(_default_cfg("quit_now.py"), [1])
         assert outcome.trace == parse_trace("stop")
         assert outcome.consumed_inputs == 0
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
@@ -144,3 +148,70 @@ class TestRunSubprocess:
                     f"seed {seed}: {render_trace(actual.trace)} "
                     f"!= {render_trace(expected.trace)}"
                 )
+
+
+class TestTurnTaking:
+    """Each turn ends when the program waits for input, at default timings."""
+
+    @pytest.mark.parametrize("sleep_in", [(), ("select",)])
+    def test_slow_answers_attributed_to_their_input(self, sleep_in):
+        executable, script = fixture_command("slow_echo.py")
+        cfg = SubprocessConfig(executable, (script, *sleep_in))
+        outcome = run_subprocess(cfg, [3, 1, 2, 3])
+        assert render_trace(outcome.trace) == "?3 !3 ?1 !2 ?2 !1 ?3 !6 stop"
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+
+    def test_output_written_during_probe_is_taken_first(self, monkeypatch):
+        # a slow probe lets the program print and block on stdin after the
+        # runner last looked at stdout; that output must not lag an input
+        probe = runner._tree_waits
+
+        def slow_probe(pid, calls):
+            time.sleep(0.02)
+            return probe(pid, calls)
+
+        monkeypatch.setattr(runner, "_tree_waits", slow_probe)
+        outcome = run_subprocess(_default_cfg("slow_echo.py"), [3, 1, 2, 3])
+        assert render_trace(outcome.trace) == "?3 !3 ?1 !2 ?2 !1 ?3 !6 stop"
+
+    def test_grandchild_behind_wrapper_shell(self):
+        cfg = SubprocessConfig("sh", (str(FIXTURES_DIR / "sum_wrapper.sh"), sys.executable))
+        outcome = run_subprocess(cfg, [3, 1, 2, 3])
+        assert render_trace(outcome.trace) == "?3 !3 ?1 !2 ?2 !1 ?3 !6 stop"
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+
+    @pytest.mark.parametrize("idle", [(), ("idle",)])
+    def test_select_before_read(self, idle):
+        executable, script = fixture_command("select_sum.py")
+        outcome = run_subprocess(SubprocessConfig(executable, (script, *idle)), [3, 1, 2, 3])
+        assert render_trace(outcome.trace) == "?3 !3 ?1 !2 ?2 !1 ?3 !6 stop"
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+
+    def test_waiting_after_last_input_is_underflow(self):
+        start = time.monotonic()
+        outcome = run_subprocess(_default_cfg("sum_prog.py"), [3, 1])
+        assert time.monotonic() - start < 2.0
+        assert outcome.exit_kind is ExitKind.PROTOCOL_ERROR
+        assert "InputUnderflow" in outcome.detail
+        assert render_trace(outcome.trace) == "?3 ?1 stop"
+
+    def test_endless_output_is_cut(self):
+        start = time.monotonic()
+        outcome = run_subprocess(_default_cfg("print_forever.py"), [])
+        assert time.monotonic() - start < 2.0
+        assert outcome.exit_kind is ExitKind.PROTOCOL_ERROR
+        assert "OutputOverflow" in outcome.detail
+        assert len(outcome.trace.steps) <= runner.MAX_OUTPUT_LINES
+
+    def test_quiescence_fallback_without_proc(self, monkeypatch):
+        probes = []
+
+        def unknown(pid, calls):
+            probes.append(pid)
+            return None
+
+        monkeypatch.setattr(runner, "_tree_waits", unknown)
+        outcome = run_subprocess(_default_cfg("sum_prog.py"), [2, 5, 3])
+        assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+        assert len(probes) == 1
