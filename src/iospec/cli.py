@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or AllPassed / trace accepted), 1 check failure
 (violations, Falsified, trace rejected, run-level errors), 2 usage,
-parse, or configuration errors and GenerationStuck.
+parse, configuration or evaluation errors and generation giving up (a
+generation limit hit, GenerationStuck).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _cmd_interpret(args) -> int:
     spec = _load_spec(args.spec_file)
     try:
         print(render_trace(interpret(spec, args.inputs)))
-    except (InterpretError, LimitExceededError) as err:
+    except InterpretError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0
@@ -139,8 +140,7 @@ def _cmd_sample(args) -> int:
         try:
             gt = sample_generalized_trace(spec, policy=SamplingPolicy(seed=args.seed + i))
         except GenerationFailureError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+            return _diag(str(err))
         print(render_trace(gt))
     return 0
 
@@ -155,8 +155,6 @@ def _cmd_test(args) -> int:
                 natural_range=args.nat_range,
                 seed=args.seed,
             ),
-            report_format=ReportFormat(args.format),
-            feedback_mode=FeedbackMode(args.feedback),
         )
         target = SubprocessConfig(
             executable=args.program,
@@ -170,7 +168,7 @@ def _cmd_test(args) -> int:
         report = run_test_suite(spec, target, cfg)
     except SpawnError as err:
         return _diag(str(err))
-    print(format_feedback(report, cfg.report_format, cfg.feedback_mode))
+    print(format_feedback(report, ReportFormat(args.format), FeedbackMode(args.feedback)))
     if report.verdict is Verdict.ALL_PASSED:
         return 0
     if report.verdict is Verdict.FALSIFIED:

@@ -68,8 +68,6 @@ class TestConfig:
     policy: SamplingPolicy = SamplingPolicy()
     limits: GenerationLimits = GenerationLimits()
     max_generation_attempts: int = 10
-    report_format: ReportFormat = ReportFormat.HUMAN
-    feedback_mode: FeedbackMode = FeedbackMode.FULL
 
     def __post_init__(self) -> None:
         if self.num_tests < 1:

@@ -46,7 +46,6 @@ from .syntax import (
     TillExit,
     Violation,
     WriteOutput,
-    normalize_spec,
     well_formed,
 )
 
@@ -350,7 +349,7 @@ class _Parser:
 def parse_spec(
     text: str, registry: FunctionRegistry = DEFAULT_REGISTRY
 ) -> Spec:
-    """Parse a specification; normalized and statically checked on success.
+    """Parse a specification; statically checked on success.
 
     Raises ParseError on syntax errors and StaticError with the violation
     list when the parsed tree fails :func:`well_formed`.
@@ -359,7 +358,6 @@ def parse_spec(
     spec = parser.spec()
     if not parser.at("eof"):
         parser.fail("expected a statement or end of input")
-    spec = normalize_spec(spec)
     violations = well_formed(spec, registry)
     if violations:
         raise StaticError(violations)
@@ -406,7 +404,7 @@ def _render_term(term: Term, level: int) -> str:
 
 
 def render_spec(spec: Spec) -> str:
-    """Deterministic text for a normalized spec; re-parses to the same tree."""
+    """Deterministic text for a spec; re-parses to the same tree."""
     lines = _render_actions(spec, 0)
     if not lines:
         return "skip\n"

@@ -4,12 +4,12 @@
 returns the one generalized trace describing every valid run on those
 inputs.  :func:`sample_generalized_trace` does the same with randomly
 drawn inputs, which is what the test harness feeds on.  Both share one
-walk over the specification, which keeps an explicit stack of iteration
-frames standing in for continuations: a frame remembers the loop body (to
-re-run when the body's sequence ends) and the actions following the whole
-loop (to resume on an exit marker, which discards whatever else was queued
-inside the loop).  The explicit stack keeps iteration counts inspectable
-so runaway loops hit a configurable limit instead of spinning forever.
+walk that follows the tree's structure: a sequence runs its actions in
+order, a branch runs the arm its condition picks, and a loop re-runs its
+body until an exit marker inside it fires.  An exit cuts short every
+enclosing sequence up to its loop, which discards whatever else was left
+of that round.  Each loop counts its rounds, so a runaway loop hits a
+configurable limit instead of spinning forever.
 
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
@@ -35,7 +35,6 @@ from .syntax import (
     Spec,
     TillExit,
     WriteOutput,
-    normalize_spec,
 )
 from .traces import (
     Covered,
@@ -130,70 +129,76 @@ def _concat_words(v1: frozenset, v2: frozenset) -> frozenset:
     return frozenset(a + b for a in v1 for b in v2)
 
 
-def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
-    """Run the specification, pulling each input from `draw(position, domain)`.
+class _Walk:
+    """One run of a specification, pulling inputs from `draw`.
 
     Output sets of back-to-back writes are fused into word sets by
-    concatenation, so the result never holds two output steps in a row.
+    concatenation, so the trace never holds two output steps in a row.
     """
-    cur = spec.actions
-    frames: list[list] = []  # [body, rest-after-loop, rounds]
-    env: dict[str, list[int]] = {}
-    steps: list[GenStep] = []
-    pending: frozenset | None = None
-    inputs_used = 0
 
-    def flush() -> None:
-        nonlocal pending
-        if pending is not None:
-            steps.append(OutputWordSet(pending))
-            pending = None
+    def __init__(self, draw, registry, limits) -> None:
+        self.draw = draw
+        self.registry = registry
+        self.limits = limits
+        self.env: dict[str, list[int]] = {}
+        self.steps: list[GenStep] = []
+        self.pending: frozenset | None = None
+        self.inputs_used = 0
 
-    while True:
-        if len(steps) > limits.max_trace_length:
-            raise LimitExceededError(
-                f"trace grew past {limits.max_trace_length} steps"
-            )
-        if not cur:
-            if not frames:
-                flush()
-                return GeneralizedTrace(tuple(steps))
-            frame = frames[-1]
-            frame[2] += 1
-            if frame[2] > limits.max_loop_iterations:
-                raise LimitExceededError(
-                    f"loop ran more than {limits.max_loop_iterations} rounds"
+    def flush(self) -> None:
+        if self.pending is not None:
+            self.steps.append(OutputWordSet(self.pending))
+            self.pending = None
+
+    def run(self, actions) -> bool:
+        """Run `actions` in order; True when an exit cut them short."""
+        for action in actions:
+            if isinstance(action, ReadInput):
+                value = self.draw(self.inputs_used, action.domain)
+                self.flush()
+                self.steps.append(In(value))
+                if len(self.steps) > self.limits.max_trace_length:
+                    raise LimitExceededError(
+                        f"trace grew past {self.limits.max_trace_length} steps"
+                    )
+                self.env.setdefault(action.var, []).append(value)
+                self.inputs_used += 1
+            elif isinstance(action, WriteOutput):
+                words = eval_output_set(action, self.env, self.registry).words
+                self.pending = (
+                    words if self.pending is None
+                    else _concat_words(self.pending, words)
                 )
-            cur = frame[0]
-            continue
-        head = cur[0]
-        if isinstance(head, ReadInput):
-            value = draw(inputs_used, head.domain)
-            flush()
-            steps.append(In(value))
-            env.setdefault(head.var, []).append(value)
-            inputs_used += 1
-            cur = cur[1:]
-        elif isinstance(head, WriteOutput):
-            words = eval_output_set(head, env, registry).words
-            pending = words if pending is None else _concat_words(pending, words)
-            cur = cur[1:]
-        elif isinstance(head, Branch):
-            taken = (
-                head.true_branch
-                if eval_term(head.condition, env, registry)
-                else head.false_branch
-            )
-            cur = taken.actions + cur[1:]
-        elif isinstance(head, TillExit):
-            frames.append([head.body.actions, cur[1:], 1])
-            cur = head.body.actions
-        elif isinstance(head, Exit):
-            if not frames:
-                raise SpecStructureError("exit marker outside any loop")
-            cur = frames.pop()[1]
-        else:
-            raise TypeError(f"not an action: {head!r}")
+            elif isinstance(action, Branch):
+                taken = (
+                    action.true_branch
+                    if eval_term(action.condition, self.env, self.registry)
+                    else action.false_branch
+                )
+                if self.run(taken.actions):
+                    return True
+            elif isinstance(action, TillExit):
+                rounds = 1
+                while not self.run(action.body.actions):
+                    rounds += 1
+                    if rounds > self.limits.max_loop_iterations:
+                        raise LimitExceededError(
+                            f"loop ran more than {self.limits.max_loop_iterations} rounds"
+                        )
+            elif isinstance(action, Exit):
+                return True
+            else:
+                raise TypeError(f"not an action: {action!r}")
+        return False
+
+
+def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
+    """Run the specification, pulling each input from `draw(position, domain)`."""
+    walk = _Walk(draw, registry, limits)
+    if walk.run(spec.actions):
+        raise SpecStructureError("exit marker outside any loop")
+    walk.flush()
+    return GeneralizedTrace(tuple(walk.steps))
 
 
 def interpret(
@@ -219,7 +224,7 @@ def interpret(
             raise InputRejectedError(position, value, domain)
         return value
 
-    gt = _generate(normalize_spec(spec), draw, registry, limits)
+    gt = _generate(spec, draw, registry, limits)
     used = len(gt.inputs())
     if used < len(values):
         raise SurplusInputsError(len(values) - used)
@@ -253,7 +258,7 @@ def sample_generalized_trace(
         return rng.randint(lo, hi)
 
     try:
-        return _generate(normalize_spec(spec), draw, registry, limits)
+        return _generate(spec, draw, registry, limits)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
 

@@ -170,16 +170,22 @@ Action = Union[ReadInput, WriteOutput, Branch, TillExit, Exit]
 class Spec:
     """A sequence of actions; the empty sequence is the empty specification.
 
-    The canonical form (as produced by :func:`normalize_spec` and the
-    parser) contains only actions.  Freshly built trees may contain nested
-    ``Spec`` items standing for parenthesized sub-sequences; normalization
-    splices them out.
+    Always flat: a ``Spec`` item given to the constructor stands for a
+    parenthesized sub-sequence, and its actions are spliced in place (an
+    empty one contributes nothing).  Every walk over the tree relies on this.
     """
 
     actions: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
+        # One level suffices: an inner Spec was flattened when it was built.
+        actions: list[Action] = []
+        for item in self.actions:
+            if isinstance(item, Spec):
+                actions.extend(item.actions)
+            else:
+                actions.append(item)
+        object.__setattr__(self, "actions", tuple(actions))
 
     def __iter__(self) -> Iterator:
         return iter(self.actions)
@@ -192,27 +198,8 @@ EMPTY = Spec(())
 
 
 def normalize_spec(spec: Spec) -> Spec:
-    """Canonical flat form: nested sequences spliced, empty segments dropped.
-
-    Idempotent, and trace acceptance is invariant under it.
-    """
-    out: list[Action] = []
-    for item in spec.actions:
-        if isinstance(item, Spec):
-            out.extend(normalize_spec(item).actions)
-        elif isinstance(item, Branch):
-            out.append(
-                Branch(
-                    item.condition,
-                    normalize_spec(item.false_branch),
-                    normalize_spec(item.true_branch),
-                )
-            )
-        elif isinstance(item, TillExit):
-            out.append(TillExit(normalize_spec(item.body)))
-        else:
-            out.append(item)
-    return Spec(tuple(out))
+    """The specification itself: every ``Spec`` is flat once built."""
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +225,6 @@ class FunctionRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._table
-
-    def names(self) -> frozenset[str]:
-        return frozenset(self._table)
 
     def extended(self, *functions: FunctionSpec) -> "FunctionRegistry":
         """A new registry with `functions` added (overriding same names)."""
@@ -385,7 +369,7 @@ def _binds_exit(spec: Spec) -> bool:
 def well_formed(
     spec: Spec, registry: FunctionRegistry = DEFAULT_REGISTRY
 ) -> list[Violation]:
-    """Static checks on a normalized specification; empty result means OK.
+    """Static checks on a specification; empty result means OK.
 
     Checks, in one left-to-right pre-order pass:
 

@@ -15,6 +15,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_runaway_spec(tmp_path) -> str:
+    # a loop body of `write { eps, 1 }` would grow a fused word set that
+    # takes seconds to reach the round limit; `write { 1 }` stays fast
+    runaway = tmp_path / "runaway.iospec"
+    runaway.write_text(
+        "write { 1 }\n"
+        "loop { if 0 == 1 then { exit } else { write { 1 } } }\n"
+    )
+    return str(runaway)
+
+
 class TestCheck:
     def test_ok(self, capsys):
         code, out, _ = run_cli(capsys, "check", SUM_SPEC_FILE)
@@ -62,8 +73,22 @@ class TestInterpret:
         assert code == 1
         assert "outside the domain" in err
 
+    def test_runaway_loop_exit_2(self, capsys, tmp_path):
+        runaway = write_runaway_spec(tmp_path)
+        code, out, err = run_cli(capsys, "interpret", runaway, "--inputs", "")
+        assert code == 2
+        assert out == ""
+        assert "loop ran more than 1000 rounds" in err
+
 
 class TestSample:
+    def test_generation_giving_up_exit_2(self, capsys, tmp_path):
+        runaway = write_runaway_spec(tmp_path)
+        code, out, err = run_cli(capsys, "sample", runaway)
+        assert code == 2
+        assert out == ""
+        assert "loop ran more than 1000 rounds" in err
+
     def test_count_and_determinism(self, capsys):
         code, out1, _ = run_cli(
             capsys, "sample", SUM_SPEC_FILE, "--seed", "3", "--count", "4"

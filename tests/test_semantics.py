@@ -41,6 +41,8 @@ from iospec import (
     well_formed,
 )
 
+from iospec.semantics import SpecStructureError
+
 import oracle
 from conftest import STUCK_SPEC
 from randgen import concretization_as_trace, mutate_trace, random_spec
@@ -247,6 +249,18 @@ class TestInterpret:
         a = interpret(sum_spec, [3, 1, 2, 3])
         b = interpret(sum_spec, [3, 1, 2, 3])
         assert a == b
+
+
+class TestExitOutsideLoop:
+    # hand-built trees only: well_formed rejects these as orphan exits
+    def test_top_level_exit(self):
+        with pytest.raises(SpecStructureError):
+            interpret(Spec((Exit(),)), [])
+
+    def test_exit_inside_top_level_branch(self):
+        spec = Spec((Branch(ALWAYS, EMPTY, Spec((Exit(),))),))
+        with pytest.raises(SpecStructureError):
+            interpret(spec, [])
 
 
 class TestSample:

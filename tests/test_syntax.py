@@ -33,7 +33,7 @@ from iospec.syntax import sort_of
 
 from conftest import SUM_SPEC_TEXT
 from randgen import random_spec
-from iospec import parse_spec
+from iospec import parse_spec, render_spec
 
 READ_X = ReadInput("x", Integers())
 WRITE_XC = WriteOutput((CurrentVar("x"),))
@@ -109,6 +109,30 @@ class TestNormalize:
             for _ in range(3):
                 messy = normalize_spec(reassociate(rng, spec))
                 assert accept(messy, trace) == verdict
+
+
+class TestHandBuiltNesting:
+    """Nested ``Spec`` items are spliced when built, so every walk sees them."""
+
+    def test_constructor_splices_nested_sequences(self):
+        nested = Spec((READ_X, Spec((WRITE_XC, Spec(()))), Spec(())))
+        assert nested.actions == (READ_X, WRITE_XC)
+
+    def test_use_before_read_inside_nested_sequence(self):
+        violations = well_formed(Spec((Spec((WRITE_XC,)),)))
+        assert [v.kind for v in violations] == [ViolationKind.USE_BEFORE_READ]
+
+    def test_exit_in_nested_sequence_binds_the_loop(self):
+        loop = TillExit(Spec((READ_X, Spec((Exit(),)))))
+        kinds = [v.kind for v in well_formed(Spec((loop,)))]
+        assert ViolationKind.MISSING_EXIT not in kinds
+
+    def test_variables_of_nested_sequence(self):
+        assert variables_of(Spec((Spec((WRITE_XC,)),))) == {"x"}
+
+    def test_render_nested_sequence_reparses_flat(self):
+        nested = Spec((READ_X, Spec((WRITE_XC,))))
+        assert parse_spec(render_spec(nested)) == Spec((READ_X, WRITE_XC))
 
 
 class TestWellFormed:
