@@ -4,6 +4,9 @@ An environment maps each variable to all values read into it, oldest
 first; a variable never read has the empty history.  The interpreter keeps
 one mutable history per variable and appends as it reads, so evaluation
 hands out copies wherever a history escapes into a registry function.
+The default registry's own `len` and `sum` only read their argument, so
+they get the stored history itself: aggregating over a history that grows
+by one value a round then costs no copy each round.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ from .syntax import (
     WriteOutput,
 )
 from .traces import EPSILON, OutputWordSet, Word
+
+
+# Registry entries known not to mutate a history; compared by identity, so
+# a user's override of the same name still gets a copy.
+_LEN = DEFAULT_REGISTRY.lookup("len")
+_SUM = DEFAULT_REGISTRY.lookup("sum")
 
 
 class EvalError(Exception):
@@ -59,6 +68,8 @@ def eval_term(
         fn = registry.lookup(term.fn)
         if fn is None:
             raise EvalError(f"unknown function {term.fn!r}")
+        if (fn is _LEN or fn is _SUM) and isinstance(term.args[0], AllVar):
+            return fn.fn(env.get(term.args[0].name, ()))
         args = [eval_term(a, env, registry) for a in term.args]
         return fn.fn(*args)
     raise EvalError(f"not a term: {term!r}")
@@ -69,8 +80,10 @@ def eval_output_set(
     env: Mapping[str, Sequence[int]],
     registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> OutputWordSet:
-    """All words the write may emit now: one-value words per term, and the
-    empty word when the write is skippable.  Equal values collapse."""
+    """All words the write may emit now, as a one-factor set: one-value
+    words per term, and the empty word when the write is skippable.  Equal
+    values collapse.  Back-to-back writes fuse by concatenating these
+    factors (`OutputWordSet.concat`), never by enumerating their words."""
     words: set[Word] = {(eval_term(t, env, registry),) for t in write.terms}
     if write.includes_epsilon:
         words.add(EPSILON)

@@ -189,7 +189,7 @@ def _example_run(gt: GeneralizedTrace) -> Trace:
     steps = []
     for step in gt.steps:
         if isinstance(step, OutputWordSet):
-            steps.extend(Out(v) for v in step.non_epsilon()[0])
+            steps.extend(Out(v) for v in step.smallest_word())
         else:
             steps.append(step)
     return Trace(tuple(steps))

@@ -21,6 +21,13 @@ then ``not``, then ``&&``, then ``||``.  Arithmetic is left-associative;
 comparison chaining is a parse error.  ``if c then {A} else {B}`` puts the
 satisfied-condition branch first, while the tree keeps the false branch in
 the first position.
+
+Nesting is limited to MAX_NESTING levels, and a deeper specification is a
+parse error.  A construct's level is the number of ``if``/``loop`` blocks
+and of operators and function calls of the syntax tree that enclose it, so
+``write { (a_C + 1) * 2 }`` reaches level 2 at ``a_C``.  While the text is
+read, each open parenthesis and prefix operator counts as a level too;
+text printed by :func:`render_spec` never nests deeper than its tree.
 """
 
 from __future__ import annotations
@@ -83,6 +90,12 @@ class StaticError(Exception):
         self.violations = violations
 
 
+# The parser, the static checks, the pretty-printer and both interpreters
+# recurse over the tree, using up to about a dozen stack frames a level, so
+# this keeps every one of them well inside Python's default recursion limit
+# of 1000 frames, with room for the callers' own frames.
+MAX_NESTING = 50
+
 KEYWORDS = {
     "read", "write", "if", "then", "else", "loop", "exit", "skip",
     "ints", "nats", "eps", "not",
@@ -143,6 +156,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # blocks, parentheses and prefix operators open at the current token
+        self.depth = 0
 
     @property
     def here(self) -> Token:
@@ -164,6 +179,19 @@ class _Parser:
     def fail(self, message: str, expected: list[str] = None):
         got = self.here.text or "end of input"
         raise ParseError(self.here.span, f"{message}, got {got!r}", expected)
+
+    def check_depth(self, tok: Token, height: int) -> int:
+        """`height` more levels below the current depth, or a ParseError at
+        `tok` when that passes MAX_NESTING."""
+        if self.depth + height > MAX_NESTING:
+            raise ParseError(
+                tok.span, f"nested more than {MAX_NESTING} levels deep"
+            )
+        return height
+
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        self.check_depth(tok, 0)
 
     # -- specifications ------------------------------------------------
 
@@ -222,9 +250,10 @@ class _Parser:
         self.fail("expected a statement", list(self._STMT_START))
 
     def block(self) -> Spec:
-        self.expect("{", "expected '{'")
+        self.enter(self.expect("{", "expected '{'"))
         inner = self.spec()
         self.expect("}", "expected '}'")
+        self.depth -= 1
         return inner
 
     def domain(self):
@@ -254,96 +283,107 @@ class _Parser:
         return -value if negative else value
 
     # -- terms (precedence climbing) -------------------------------------
+    #
+    # Below `term`, each method returns the term and its height: the
+    # levels of operators and calls in its tree.  Parsing a prefix operator
+    # or an argument list already counted that level when it opened, so only
+    # binary operators check the height.
 
     _COMPARISONS = ("==", "<", "<=", ">", ">=")
+    _FUNCTION_OF = {"||": "or", "&&": "and"}
 
     def term(self) -> Term:
-        return self.or_term()
+        return self.or_term()[0]
 
-    def or_term(self) -> Term:
-        left = self.and_term()
-        while self.at("||"):
-            self.advance()
-            left = Apply("or", (left, self.and_term()))
-        return left
+    def or_term(self) -> tuple[Term, int]:
+        return self.chain(("||",), self.and_term)
 
-    def and_term(self) -> Term:
-        left = self.not_term()
-        while self.at("&&"):
-            self.advance()
-            left = Apply("and", (left, self.not_term()))
-        return left
+    def and_term(self) -> tuple[Term, int]:
+        return self.chain(("&&",), self.not_term)
 
-    def not_term(self) -> Term:
+    def chain(self, ops, operand) -> tuple[Term, int]:
+        """A left-associative run of `operand`s joined by any of `ops`."""
+        left, height = operand()
+        while self.here.kind in ops:
+            tok = self.advance()
+            right, right_height = operand()
+            fn = self._FUNCTION_OF.get(tok.kind, tok.kind)
+            left = Apply(fn, (left, right))
+            height = self.check_depth(tok, 1 + max(height, right_height))
+        return left, height
+
+    def not_term(self) -> tuple[Term, int]:
         if self.at("not"):
-            self.advance()
-            return Apply("not", (self.not_term(),))
+            self.enter(self.advance())
+            operand, height = self.not_term()
+            self.depth -= 1
+            return Apply("not", (operand,)), height + 1
         return self.comparison()
 
-    def comparison(self) -> Term:
-        left = self.additive()
+    def comparison(self) -> tuple[Term, int]:
+        left, height = self.additive()
         if self.here.kind in self._COMPARISONS:
-            op = self.advance().kind
-            right = self.additive()
+            tok = self.advance()
+            right, right_height = self.additive()
             if self.here.kind in self._COMPARISONS:
                 self.fail("comparisons cannot be chained")
-            return Apply(op, (left, right))
-        return left
+            height = self.check_depth(tok, 1 + max(height, right_height))
+            return Apply(tok.kind, (left, right)), height
+        return left, height
 
-    def additive(self) -> Term:
-        left = self.multiplicative()
-        while self.at("+", "-"):
-            op = self.advance().kind
-            left = Apply(op, (left, self.multiplicative()))
-        return left
+    def additive(self) -> tuple[Term, int]:
+        return self.chain(("+", "-"), self.multiplicative)
 
-    def multiplicative(self) -> Term:
-        left = self.unary()
-        while self.at("*"):
-            self.advance()
-            left = Apply("*", (left, self.unary()))
-        return left
+    def multiplicative(self) -> tuple[Term, int]:
+        return self.chain(("*",), self.unary)
 
-    def unary(self) -> Term:
+    def unary(self) -> tuple[Term, int]:
         if self.at("-"):
-            self.advance()
-            operand = self.unary()
+            self.enter(self.advance())
+            operand, height = self.unary()
+            self.depth -= 1
             if isinstance(operand, IntConst):
-                return IntConst(-operand.value)
+                return IntConst(-operand.value), height
             # sugar: -t is 0 - t
-            return Apply("-", (IntConst(0), operand))
+            return Apply("-", (IntConst(0), operand)), height + 1
         return self.atom()
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         tok = self.here
         if tok.kind == "int":
             self.advance()
-            return IntConst(int(tok.text))
+            return IntConst(int(tok.text)), 0
         if tok.kind == "(":
-            self.advance()
-            inner = self.term()
+            self.enter(self.advance())
+            inner, height = self.or_term()
             self.expect(")", "expected ')'")
-            return inner
+            self.depth -= 1
+            return inner, height
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if self.at("("):
-                self.advance()
-                args = [self.term()]
-                while self.at(","):
-                    self.advance()
-                    args.append(self.term())
-                self.expect(")", "expected ')' closing the argument list")
-                return Apply(name, tuple(args))
+                self.enter(self.advance())
+                args, heights = zip(*self.arguments())
+                self.depth -= 1
+                return Apply(name, args), max(heights) + 1
             if name.endswith("_C") and len(name) > 2:
-                return CurrentVar(name[:-2])
+                return CurrentVar(name[:-2]), 0
             if name.endswith("_A") and len(name) > 2:
-                return AllVar(name[:-2])
+                return AllVar(name[:-2]), 0
             raise ParseError(
                 tok.span,
                 f"{name!r} is not a term: use {name}_C, {name}_A or a function call",
             )
         self.fail("expected a term", ["int", "ident", "(", "-", "not"])
+
+    def arguments(self) -> list[tuple[Term, int]]:
+        args = [self.or_term()]
+        while self.at(","):
+            self.advance()
+            args.append(self.or_term())
+        self.expect(")", "expected ')' closing the argument list")
+        return args
 
 
 def parse_spec(

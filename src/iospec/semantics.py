@@ -125,15 +125,11 @@ def _ordinal(n: int) -> str:
 # Generalized trace generation
 
 
-def _concat_words(v1: frozenset, v2: frozenset) -> frozenset:
-    return frozenset(a + b for a in v1 for b in v2)
-
-
 class _Walk:
     """One run of a specification, pulling inputs from `draw`.
 
-    Output sets of back-to-back writes are fused into word sets by
-    concatenation, so the trace never holds two output steps in a row.
+    Output sets of back-to-back writes are fused into one word set, the
+    product of theirs, so the trace never holds two output steps in a row.
     """
 
     def __init__(self, draw, registry, limits) -> None:
@@ -142,13 +138,13 @@ class _Walk:
         self.limits = limits
         self.env: dict[str, list[int]] = {}
         self.steps: list[GenStep] = []
-        self.pending: frozenset | None = None
+        self.pending: list[OutputWordSet] = []
         self.inputs_used = 0
 
     def flush(self) -> None:
-        if self.pending is not None:
-            self.steps.append(OutputWordSet(self.pending))
-            self.pending = None
+        if self.pending:
+            self.steps.append(OutputWordSet.concat(self.pending))
+            self.pending = []
 
     def run(self, actions) -> bool:
         """Run `actions` in order; True when an exit cut them short."""
@@ -164,10 +160,8 @@ class _Walk:
                 self.env.setdefault(action.var, []).append(value)
                 self.inputs_used += 1
             elif isinstance(action, WriteOutput):
-                words = eval_output_set(action, self.env, self.registry).words
-                self.pending = (
-                    words if self.pending is None
-                    else _concat_words(self.pending, words)
+                self.pending.append(
+                    eval_output_set(action, self.env, self.registry)
                 )
             elif isinstance(action, Branch):
                 taken = (
@@ -192,13 +186,14 @@ class _Walk:
         return False
 
 
-def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
-    """Run the specification, pulling each input from `draw(position, domain)`."""
+def _generate(spec, draw, registry, limits) -> tuple[GeneralizedTrace, int]:
+    """Run the specification, pulling each input from `draw(position, domain)`;
+    returns the trace and the number of inputs drawn."""
     walk = _Walk(draw, registry, limits)
     if walk.run(spec.actions):
         raise SpecStructureError("exit marker outside any loop")
     walk.flush()
-    return GeneralizedTrace(tuple(walk.steps))
+    return GeneralizedTrace(tuple(walk.steps)), walk.inputs_used
 
 
 def interpret(
@@ -224,8 +219,7 @@ def interpret(
             raise InputRejectedError(position, value, domain)
         return value
 
-    gt = _generate(spec, draw, registry, limits)
-    used = len(gt.inputs())
+    gt, used = _generate(spec, draw, registry, limits)
     if used < len(values):
         raise SurplusInputsError(len(values) - used)
     return gt
@@ -258,7 +252,7 @@ def sample_generalized_trace(
         return rng.randint(lo, hi)
 
     try:
-        return _generate(spec, draw, registry, limits)
+        return _generate(spec, draw, registry, limits)[0]
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
 

@@ -6,6 +6,13 @@ the *set* of output words a correct program may produce there (the empty
 word meaning "may print nothing"); consecutive outputs are always fused
 into words, since a black-box observer cannot tell where one print ended
 and the next began.
+
+The set of back-to-back writes is the concatenation of each write's set,
+which grows exponentially in the number of writes.  An `OutputWordSet`
+therefore keeps the factors of that concatenation and answers membership
+with a pass over them; only `words` builds the whole set, and so do what
+reads it: hashing, `concretize`, and equality between differently
+factored sets.
 """
 
 from __future__ import annotations
@@ -60,34 +67,130 @@ def _word_key(word: Word):
     return (len(word), word)
 
 
-@dataclass(frozen=True)
+# A set of at most this many words prints as one brace group; a larger one
+# prints one brace group per factor, so its text grows linearly in the
+# number of fused writes rather than with the number of words.
+RENDER_LIMIT = 64
+
+
+def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
+    """The concatenation of `factors`, or None once it holds more than
+    `limit` words.  Appending a factor never shrinks the set (a fixed
+    suffix maps words one-to-one), so an early prefix over the limit
+    decides it."""
+    if len(factors) == 1:
+        return factors[0]
+    words = {EPSILON}
+    for factor in factors:
+        words = {a + b for a in words for b in factor}
+        if limit is not None and len(words) > limit:
+            return None
+    return frozenset(words)
+
+
 class OutputWordSet:
-    """Words allowed at one output position; must allow some real output."""
+    """Words allowed at one output position; must allow some real output.
 
-    words: frozenset[Word]
+    The set is kept as a product: a tuple of factors, each a non-empty
+    frozenset of words (the empty word included), whose concatenation is
+    the set.  An explicit set is one factor, ``OutputWordSet(words)``;
+    ``OutputWordSet(f1, f2, ...)`` is the product of several.  Fusing k
+    writes of a few values each keeps k small factors where the
+    concatenated set has exponentially many words, so membership,
+    `includes_epsilon` and `smallest_word` work on the factors.  `words`
+    is the materialized set, built on first use and kept; equality and
+    hashing compare languages, whatever the factors.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "words", frozenset(tuple(w) for w in self.words)
-        )
-        if not self.words - {EPSILON}:
+    __slots__ = ("factors", "includes_epsilon", "_words", "_hash")
+
+    def __init__(self, *factors) -> None:
+        factors = tuple([frozenset(map(tuple, f)) for f in factors])
+        if not all(factors):
+            raise ValueError("output word set needs non-empty factors")
+        if not any(w for f in factors for w in f):
             raise ValueError("output word set needs a non-empty word")
+        self._set(factors, all(EPSILON in f for f in factors))
+
+    def _set(self, factors: tuple, includes_epsilon: bool) -> None:
+        self.factors = factors
+        self.includes_epsilon = includes_epsilon
+        self._words = factors[0] if len(factors) == 1 else None
+        self._hash = None
+
+    @classmethod
+    def concat(cls, sets) -> "OutputWordSet":
+        """The words of `sets` written back to back, as one product."""
+        if len(sets) == 1:
+            return sets[0]
+        fused = cls.__new__(cls)
+        fused._set(
+            tuple(f for s in sets for f in s.factors),
+            all(s.includes_epsilon for s in sets),
+        )
+        return fused
 
     @property
-    def includes_epsilon(self) -> bool:
-        return EPSILON in self.words
+    def words(self) -> frozenset[Word]:
+        if self._words is None:
+            self._words = _language(self.factors)
+        return self._words
 
-    def non_epsilon(self) -> list[Word]:
-        return sorted(self.words - {EPSILON}, key=_word_key)
+    def smallest_word(self) -> Word:
+        """The least non-empty word, ordered by length and then by value.
+
+        Every factor without the empty word must contribute, and at its
+        least word; when every factor may be empty, the least word is one
+        factor's least non-empty word with all others empty.
+        """
+        needed = [min(f, key=_word_key) for f in self.factors if EPSILON not in f]
+        if needed:
+            return tuple(itertools.chain.from_iterable(needed))
+        return min((w for f in self.factors for w in f if w), key=_word_key)
 
     def __contains__(self, word: Word) -> bool:
-        return tuple(word) in self.words
+        word = tuple(word)
+        if len(self.factors) == 1:
+            return word in self.factors[0]
+        # A dynamic program over the positions of `word`, all at once: bit i
+        # of `ends` is set when the factors so far can spell word[:i], and
+        # bit i of at[w] when w occurs in `word` starting at position i.
+        at: dict[Word, int] = {}
+        ends = 1
+        for factor in self.factors:
+            spelled = 0
+            for w in factor:
+                if w not in at:
+                    at[w] = sum(
+                        1 << i for i in range(len(word) - len(w) + 1)
+                        if word[i:i + len(w)] == w
+                    )
+                spelled |= (ends & at[w]) << len(w)
+            ends = spelled
+            if not ends:
+                return False
+        return bool(ends >> len(word) & 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OutputWordSet):
+            return NotImplemented
+        return self.factors == other.factors or (
+            self.includes_epsilon == other.includes_epsilon
+            and self.words == other.words
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.words)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"OutputWordSet({', '.join(repr(f) for f in self.factors)})"
 
     def __str__(self) -> str:
-        items = (["eps"] if self.includes_epsilon else []) + [
-            _render_word(w) for w in self.non_epsilon()
-        ]
-        return "!{" + ", ".join(items) + "}"
+        words = _language(self.factors, RENDER_LIMIT)
+        groups = self.factors if words is None else (words,)
+        return "!" + "".join(_render_group(g) for g in groups)
 
 
 GenStep = Union[In, OutputWordSet]
@@ -230,6 +333,7 @@ def concretize(
 
     One word is chosen per output set; choosing the empty word drops the
     step.  Raises BoundExceededError when more than `bound` choices exist.
+    It materializes every output set's `words`, so it suits small traces.
     """
     choice_points = [
         sorted(s.words, key=_word_key)
@@ -265,9 +369,21 @@ def _render_word(word: Word) -> str:
     return "<" + " ".join(str(v) for v in word) + ">"
 
 
+def _render_group(words: frozenset) -> str:
+    items = (["eps"] if EPSILON in words else []) + [
+        _render_word(w) for w in sorted(words - {EPSILON}, key=_word_key)
+    ]
+    return "{" + ", ".join(items) + "}"
+
+
 def render_trace(trace: Trace | GeneralizedTrace) -> str:
     """`?v` inputs, `!v` outputs, `!{...}` output sets with `eps` for the
-    empty word and `<v1 v2>` for fused multi-value words; ends in `stop`."""
+    empty word and `<v1 v2>` for fused multi-value words; ends in `stop`.
+
+    An output set of more than RENDER_LIMIT words prints in product form,
+    one brace group per factor: `!{eps, 3, 4}{eps, 3, 4}` is every word of
+    the first group followed by any of the second.
+    """
     parts = [str(step) for step in trace.steps]
     parts.append("stop")
     return " ".join(parts)
@@ -281,7 +397,7 @@ _TRACE_TOKEN_RE = re.compile(
     | (?P<out>!-?\d+)
     | (?P<int>-?\d+)
     | (?P<word>stop|eps)
-    | (?P<punct>[<>,}])
+    | (?P<punct>[<>,{}])
     """,
     re.VERBOSE,
 )
@@ -334,6 +450,17 @@ class _TraceParser:
             self.fail("expected end of input after 'stop'")
 
     def word_set(self) -> OutputWordSet:
+        """The rest of `!{...}`, and any further `{...}` factors after it."""
+        factors = [self.factor()]
+        while self.here[0] == "{":
+            self.advance()
+            factors.append(self.factor())
+        try:
+            return OutputWordSet(*factors)
+        except ValueError as err:
+            self.fail(str(err))
+
+    def factor(self) -> frozenset[Word]:
         words: set[Word] = set()
         while True:
             kind, lexeme, _ = self.here
@@ -361,10 +488,7 @@ class _TraceParser:
                 continue
             if self.here[0] == "}":
                 self.advance()
-                try:
-                    return OutputWordSet(frozenset(words))
-                except ValueError as err:
-                    self.fail(str(err))
+                return frozenset(words)
             self.fail("expected ',' or '}'")
 
 
@@ -381,7 +505,8 @@ def parse_trace(text: str) -> Trace:
 
 
 def parse_generalized_trace(text: str) -> GeneralizedTrace:
-    """Parse a generalized trace such as `?1 !{eps, 1} ?4 !{4} stop`."""
+    """Parse a generalized trace such as `?1 !{eps, 1} ?4 !{4} stop`,
+    output sets in product form (`!{eps, 1}{eps, 1}`) included."""
     parser = _TraceParser(text)
     steps: list[GenStep] = []
     while parser.here[0] in ("in", "outset"):

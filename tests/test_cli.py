@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 from iospec.cli import main
 
@@ -15,15 +16,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_runaway_spec(tmp_path) -> str:
-    # a loop body of `write { eps, 1 }` would grow a fused word set that
-    # takes seconds to reach the round limit; `write { 1 }` stays fast
+def write_runaway_spec(tmp_path, body: str = "write { 1 }") -> str:
+    # the loop never exits, so every round fuses one more write into the
+    # output set until the round limit stops it
     runaway = tmp_path / "runaway.iospec"
     runaway.write_text(
         "write { 1 }\n"
-        "loop { if 0 == 1 then { exit } else { write { 1 } } }\n"
+        f"loop {{ if 0 == 1 then {{ exit }} else {{ {body} }} }}\n"
     )
     return str(runaway)
+
+
+def run_cli_timed(capsys, *argv):
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    return result, time.perf_counter() - start
 
 
 class TestCheck:
@@ -79,6 +86,26 @@ class TestInterpret:
         assert code == 2
         assert out == ""
         assert "loop ran more than 1000 rounds" in err
+
+
+    def test_runaway_skippable_loop_exit_2(self, capsys, tmp_path):
+        # a thousand fused `write { eps, 1 }` sets stay a product of factors
+        runaway = write_runaway_spec(tmp_path, "write { eps, 1 }")
+        (code, out, err), elapsed = run_cli_timed(
+            capsys, "interpret", runaway, "--inputs", ""
+        )
+        assert code == 2
+        assert out == ""
+        assert "loop ran more than 1000 rounds" in err
+        assert elapsed < 1.0
+
+    def test_too_deep_spec_exit_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.iospec"
+        deep.write_text("read x : ints\nwrite { " + "(" * 150 + "x_C" + ")" * 150 + " }\n")
+        code, out, err = run_cli(capsys, "interpret", str(deep), "--inputs", "1")
+        assert code == 2
+        assert out == ""
+        assert "levels deep" in err
 
 
 class TestSample:
@@ -144,6 +171,17 @@ class TestAccept:
         assert code == 2
         assert out == ""
         assert "loop ran more than 1000 rounds" in err
+
+
+    def test_runaway_skippable_loop_exit_2(self, capsys, tmp_path):
+        runaway = write_runaway_spec(tmp_path, "write { eps, 1 }")
+        (code, out, err), elapsed = run_cli_timed(
+            capsys, "accept", runaway, "--trace", "!2 stop"
+        )
+        assert code == 2
+        assert out == ""
+        assert "loop ran more than 1000 rounds" in err
+        assert elapsed < 1.0
 
 
 def sum_program_argv() -> list[str]:

@@ -79,6 +79,26 @@ def test_mutating_function_leaves_history_alone():
     assert eval_term(CurrentVar("x"), env, registry) == 3
 
 
+def test_overriding_len_still_gets_a_copy():
+    # the default len reads the stored history in place; an override of the
+    # same name is another function and must not see the history itself
+    calls = []
+
+    def clearing_len(xs):
+        calls.append(list(xs))
+        xs.clear()
+        return 0
+
+    registry = DEFAULT_REGISTRY.extended(
+        FunctionSpec("len", (Sort.INT_LIST,), Sort.INT, clearing_len)
+    )
+    env = {"x": [5, 3]}
+    assert eval_term(Apply("len", (AllVar("x"),)), env, registry) == 0
+    assert calls == [[5, 3]]
+    assert env == {"x": [5, 3]}
+    assert eval_term(Apply("len", (AllVar("x"),)), env) == 2
+
+
 class TestOutputSet:
     def test_optional_countdown(self):
         env = {"n": [3]}

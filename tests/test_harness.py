@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from iospec import (
@@ -111,6 +113,34 @@ class TestFormatFeedback:
         assert format_feedback(report, ReportFormat.MACHINE_LINES) == (
             "verdict=AllPassed\ntests=100\nseed=7"
         )
+
+    def test_wide_output_set_stays_linear(self):
+        def falsified_feedback(k):
+            spec = parse_spec("read x : ints\n" + "write { eps, x_C, x_C + 1 }\n" * k)
+            expected = interpret(spec, [3])
+            actual = parse_trace("?3 !3 !9 stop")
+            error = covers(expected, normalize(actual))
+            assert isinstance(error, OutputMismatch)
+            report = make_report(
+                Counterexample((3,), expected, actual, error, ExitKind.CLEAN_HALT)
+            )
+            return [
+                format_feedback(report),
+                format_feedback(report, feedback_mode=FeedbackMode.EXAMPLE),
+                format_feedback(report, ReportFormat.MACHINE_LINES),
+            ]
+
+        start = time.perf_counter()
+        human, example, machine = falsified_feedback(20)
+        assert time.perf_counter() - start < 1.0
+        groups = "{eps, 3, 4}" * 20
+        assert f"Expected run (generalized): ?3 !{groups} stop" in human
+        assert f"the value 3 9 is not covered by {groups}" in human
+        assert "Expected run (example): ?3 !3 stop" in example
+        assert f"allowed={groups}" in machine.splitlines()
+        # twice the writes, at most twice the text: linear, not exponential
+        for short, long in zip((human, example, machine), falsified_feedback(40)):
+            assert len(long) <= 2 * len(short)
 
     def test_abnormal_exit_block(self):
         ce = Counterexample(

@@ -10,22 +10,26 @@ from iospec import (
     EMPTY,
     ExplicitSet,
     Exit,
+    In,
     IntConst,
     Integers,
     Naturals,
     ParseError,
     ReadInput,
+    Trace,
     Spec,
     StaticError,
     TillExit,
     ViolationKind,
     WriteOutput,
+    accept,
+    interpret,
     parse_spec,
     render_spec,
     render_term,
 )
 
-from iospec.parser import _Parser, _scan
+from iospec.parser import MAX_NESTING, _Parser, _scan
 
 from conftest import SUM_SPEC_TEXT
 from randgen import random_spec
@@ -199,3 +203,85 @@ class TestRendering:
         for _ in range(300):
             spec = random_spec(rng)
             assert parse_spec(render_spec(spec)) == spec
+
+
+# Specifications whose deepest construct sits `levels` levels deep.
+
+
+def nested_parentheses(levels: int) -> str:
+    # parentheses count while reading; `x_C + 1` adds the last level
+    inner = "(" * (levels - 1) + "x_C + 1" + ")" * (levels - 1)
+    return f"read x : ints\nwrite {{ {inner} }}\n"
+
+
+def operator_chain(levels: int) -> str:
+    return "read x : ints\nwrite { " + " + ".join(["x_C"] * (levels + 1)) + " }\n"
+
+
+def prefix_operators(levels: int) -> str:
+    return "read x : ints\nwrite { " + "- " * levels + "x_C }\n"
+
+
+def nested_ifs(levels: int) -> str:
+    return (
+        "read x : ints\n"
+        + "if x_C == 1 then { " * levels
+        + "write { x_C }"
+        + " } else { skip }" * levels
+        + "\n"
+    )
+
+
+def nested_loops(levels: int) -> str:
+    body = "write { x_C } exit"
+    for _ in range(levels):
+        body = f"loop {{ {body} }} exit"
+    return "read x : ints\n" + body[: -len(" exit")] + "\n"
+
+
+def terms_in_blocks(levels: int) -> str:
+    blocks = levels // 2
+    chain = " + ".join(["x_C"] * (levels - blocks + 1))
+    return (
+        "read x : ints\n"
+        + "if x_C == 1 then { " * blocks
+        + f"write {{ {chain} }}"
+        + " } else { skip }" * blocks
+        + "\n"
+    )
+
+
+NESTINGS = [
+    nested_parentheses,
+    operator_chain,
+    prefix_operators,
+    nested_ifs,
+    nested_loops,
+    terms_in_blocks,
+]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("make", NESTINGS, ids=lambda f: f.__name__)
+    def test_at_the_limit(self, make):
+        # every layer that recurses over the tree copes at the limit
+        spec = parse_spec(make(MAX_NESTING))
+        assert parse_spec(render_spec(spec)) == spec
+        interpret(spec, [1])
+        assert accept(spec, Trace((In(1),))) is False
+
+    @pytest.mark.parametrize("make", NESTINGS, ids=lambda f: f.__name__)
+    def test_one_past_the_limit(self, make):
+        text = make(MAX_NESTING + 1)
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert f"nested more than {MAX_NESTING} levels deep" in str(exc.value)
+        # the span points at the block brace or operator one level too deep
+        span = exc.value.span
+        line = text.splitlines()[span.start_line - 1]
+        assert line[span.start_column - 1] in "{+-="
+
+    def test_far_past_the_limit_is_still_a_parse_error(self):
+        for make in NESTINGS:
+            with pytest.raises(ParseError):
+                parse_spec(make(2000))

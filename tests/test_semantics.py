@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -249,6 +250,35 @@ class TestInterpret:
         a = interpret(sum_spec, [3, 1, 2, 3])
         b = interpret(sum_spec, [3, 1, 2, 3])
         assert a == b
+
+
+def wide_spec(k: int):
+    # k back-to-back skippable writes: their fused set has 2^(k+1) - 1 words
+    return parse_spec("read x : ints\n" + "write { eps, x_C, x_C + 1 }\n" * k)
+
+
+class TestWideOutputSets:
+    def test_twenty_fused_writes_stay_fast(self):
+        spec = wide_spec(20)
+        start = time.perf_counter()
+        gt = interpret(spec, [3])
+        valid = Trace((In(3),) + tuple(Out(v) for v in [4, 3] * 10))
+        invalid = Trace((In(3),) + tuple(Out(v) for v in [4, 3] * 10 + [4]))
+        assert accept(spec, valid) is True
+        assert accept(spec, invalid) is False
+        assert time.perf_counter() - start < 1.0
+        (word_set,) = gt.steps[1:]
+        assert len(word_set.factors) == 20
+        assert (4, 3) * 10 in word_set and (4, 3) * 10 + (4,) not in word_set
+
+    def test_hash_colliding_values_stay_fast(self):
+        # hash(-1) == hash(-2), so enumerating the words of x = -2 made every
+        # word of one length collide; a product never hashes them
+        spec = wide_spec(12)
+        start = time.perf_counter()
+        gt = interpret(spec, [-2])
+        assert time.perf_counter() - start < 1.0
+        assert (-2, -1, -1) in gt.steps[1]
 
 
 class TestExitOutsideLoop:

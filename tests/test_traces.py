@@ -22,6 +22,7 @@ from iospec import (
     parse_trace,
     render_trace,
 )
+from iospec.traces import RENDER_LIMIT
 
 from randgen import concretization_as_trace, mutate_trace, random_generalized_trace
 
@@ -256,3 +257,69 @@ class TestTextFormat:
         for _ in range(200):
             gt = random_generalized_trace(rng)
             assert parse_generalized_trace(render_trace(gt)) == gt
+
+
+# A factor: a few words of up to two values from a small range, so that
+# different factor lists often spell the same word.
+factors = st.frozensets(
+    st.one_of(
+        st.just(()),
+        st.lists(st.integers(-1, 1), min_size=1, max_size=2).map(tuple),
+    ),
+    min_size=1,
+    max_size=3,
+)
+factor_lists = st.lists(factors, min_size=1, max_size=8).filter(
+    lambda fs: any(w for f in fs for w in f)
+)
+candidate_words = st.lists(st.integers(-2, 2), max_size=6).map(tuple)
+
+
+def materialized(fs) -> frozenset:
+    # the concatenation, spelled out
+    words = {()}
+    for f in fs:
+        words = {a + b for a in words for b in f}
+    return frozenset(words)
+
+
+class TestLazySets:
+    @given(factor_lists, st.lists(candidate_words, max_size=10))
+    def test_factors_agree_with_the_materialized_set(self, fs, probes):
+        lazy = OutputWordSet(*fs)
+        words = materialized(fs)
+        assert lazy.words == words
+        for word in list(words) + probes:
+            assert (word in lazy) == (word in words)
+        assert lazy.includes_epsilon == (() in words)
+        assert lazy.smallest_word() == min(
+            words - {()}, key=lambda w: (len(w), w)
+        )
+        explicit = OutputWordSet(words)
+        assert lazy == explicit and hash(lazy) == hash(explicit)
+        if len(words) <= RENDER_LIMIT:
+            assert str(lazy) == str(explicit)
+        else:
+            assert str(lazy).count("{") == len(fs)
+        assert parse_generalized_trace(f"{lazy} stop") == GeneralizedTrace((lazy,))
+
+    def test_needs_a_real_word(self):
+        with pytest.raises(ValueError):
+            OutputWordSet(frozenset({()}), frozenset({()}))
+        with pytest.raises(ValueError):
+            OutputWordSet(frozenset({(1,)}), frozenset())
+
+    def test_large_set_prints_in_product_form(self):
+        factor = frozenset({(), (3,), (4,)})
+        gt = GeneralizedTrace((In(3), OutputWordSet(*[factor] * 20)))
+        text = render_trace(gt)
+        assert text == "?3 !" + "{eps, 3, 4}" * 20 + " stop"
+        assert parse_generalized_trace(text) == gt
+
+    def test_parse_product_form(self):
+        gt = parse_generalized_trace("?1 !{eps, 1}{<2 3>} stop")
+        assert gt == GeneralizedTrace((In(1), ows((2, 3), (1, 2, 3))))
+        # a small set prints as one brace group, whatever its factors
+        assert render_trace(gt) == "?1 !{<2 3>, <1 2 3>} stop"
+        with pytest.raises(ParseError):
+            parse_generalized_trace("?1 !{eps}{eps} stop")
