@@ -27,7 +27,9 @@ has arrived for the quiescence window, and output flushed later than that
 is attributed to the next input.  A program that waits for input after
 the last one ends its run with an input underflow, as a scripted program
 does; one that prints more than MAX_OUTPUT_BYTES or MAX_OUTPUT_LINES ends
-it with an output overflow.
+it with an output overflow.  The program leads a session of its own, and
+its whole process group is killed when the run ends, so nothing it starts
+outlives the run.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import enum
 import fcntl
 import os
 import selectors
+import signal
 import subprocess
 import termios
 import time
@@ -331,6 +334,16 @@ class _Run:
                 return
             wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
 
+    def exited(self) -> bool:
+        """Whether the program has exited.  It is left unreaped, so its pid,
+        which is also its process group's id, cannot be reused before
+        `finish` has killed the group."""
+        flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+        try:
+            return os.waitid(os.P_PID, self.proc.pid, flags) is not None
+        except ChildProcessError:  # reaped already, as when SIGCHLD is ignored
+            return True
+
     def await_exit(self) -> None:
         """Take output until the program exits; waiting for more input
         after the last one is an input underflow."""
@@ -341,12 +354,10 @@ class _Run:
                 raise _Abort(ExitKind.PROTOCOL_ERROR,
                              "InputUnderflow: program wants more input")
             wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
-        while self.selector.get_map() and self.proc.poll() is None:
-            self.pump(self.until_deadline(_PROBE_MAX_S))  # stderr is still open
-        try:
-            self.proc.wait(self.until_deadline(float("inf")))
-        except subprocess.TimeoutExpired:
-            raise _Abort(ExitKind.TIMED_OUT, "per-run timeout hit") from None
+        wait = _PROBE_MIN_S
+        while not self.exited():
+            self.pump(self.until_deadline(wait))  # stderr may be open
+            wait = min(2 * wait, _PROBE_MAX_S)
 
     def send(self, value: int) -> bool:
         try:
@@ -358,12 +369,17 @@ class _Run:
         return True
 
     def finish(self, kind: ExitKind, detail: str = "") -> RunOutcome:
-        if self.proc.poll() is None:
-            self.proc.kill()
+        # The program leads its own process group; whatever it started is
+        # killed with it, before reaping it frees the group's id.
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.kill()  # in case it left its group
         self.proc.wait()
         if not self.eof:
             self.selector.unregister(self.proc.stdout)
-        drain_until = time.monotonic() + 0.25  # a descendant may hold stderr
+        drain_until = time.monotonic() + 0.25  # an escaped process may hold stderr
         while self.selector.get_map() and time.monotonic() < drain_until:
             self.pump(max(0.0, drain_until - time.monotonic()))
         self.selector.close()
@@ -383,7 +399,9 @@ def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
 
     Inputs are written one per line, each once the program's previous turn
     is over; every stdout line is parsed as a decimal integer output.  The
-    child is always reaped, also on timeout.
+    child runs in a session of its own, and when the run ends, however it
+    ends, its whole process group is killed and the child reaped, so
+    nothing it started outlives the run.
     """
     try:
         proc = subprocess.Popen(
@@ -392,6 +410,7 @@ def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             bufsize=0,
+            start_new_session=True,
         )
     except OSError as err:
         raise SpawnError(f"cannot start {cfg.executable!r}: {err}") from err

@@ -11,6 +11,13 @@ enclosing sequence up to its loop, which discards whatever else was left
 of that round.  Each loop counts its rounds, so a runaway loop hits a
 configurable limit instead of spinning forever.
 
+A specification is compiled once per registry into a tree of closures,
+one per node, each taking the run's state as its argument; every later
+run on the same (equal) specification and registry reuses it from a
+bounded cache.  Compiling reads nothing of the run: the limits and the
+inputs belong to each call.  Evaluation errors stay where the run meets
+them, so a bad term on a path the inputs never take raises nothing.
+
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
@@ -19,10 +26,12 @@ inputs produce.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from .environment import eval_output_set, eval_term
+from .environment import compile_term, compile_write
 from .syntax import (
     Branch,
     DEFAULT_REGISTRY,
@@ -126,15 +135,16 @@ def _ordinal(n: int) -> str:
 
 
 class _Walk:
-    """One run of a specification, pulling inputs from `draw`.
+    """The state of one run of a specification, pulling inputs from `draw`.
 
     Output sets of back-to-back writes are fused into one word set, the
     product of theirs, so the trace never holds two output steps in a row.
     """
 
-    def __init__(self, draw, registry, limits) -> None:
+    __slots__ = ("draw", "limits", "env", "steps", "pending", "inputs_used")
+
+    def __init__(self, draw, limits) -> None:
         self.draw = draw
-        self.registry = registry
         self.limits = limits
         self.env: dict[str, list[int]] = {}
         self.steps: list[GenStep] = []
@@ -146,51 +156,97 @@ class _Walk:
             self.steps.append(OutputWordSet.concat(self.pending))
             self.pending = []
 
-    def run(self, actions) -> bool:
-        """Run `actions` in order; True when an exit cut them short."""
-        for action in actions:
-            if isinstance(action, ReadInput):
-                value = self.draw(self.inputs_used, action.domain)
-                self.flush()
-                self.steps.append(In(value))
-                if len(self.steps) > self.limits.max_trace_length:
-                    raise LimitExceededError(
-                        f"trace grew past {self.limits.max_trace_length} steps"
-                    )
-                self.env.setdefault(action.var, []).append(value)
-                self.inputs_used += 1
-            elif isinstance(action, WriteOutput):
-                self.pending.append(
-                    eval_output_set(action, self.env, self.registry)
-                )
-            elif isinstance(action, Branch):
-                taken = (
-                    action.true_branch
-                    if eval_term(action.condition, self.env, self.registry)
-                    else action.false_branch
-                )
-                if self.run(taken.actions):
-                    return True
-            elif isinstance(action, TillExit):
-                rounds = 1
-                while not self.run(action.body.actions):
-                    rounds += 1
-                    if rounds > self.limits.max_loop_iterations:
-                        raise LimitExceededError(
-                            f"loop ran more than {self.limits.max_loop_iterations} rounds"
-                        )
-            elif isinstance(action, Exit):
+
+# A compiled sequence of actions: runs them on a walk and returns True when
+# an exit cut them short.
+_Step = Callable[[_Walk], bool]
+
+
+def _compile_actions(actions, registry) -> _Step:
+    steps = [_compile_action(action, registry) for action in actions]
+    if len(steps) == 1:
+        return steps[0]
+
+    def sequence(walk: _Walk) -> bool:
+        for step in steps:
+            if step(walk):
                 return True
-            else:
-                raise TypeError(f"not an action: {action!r}")
         return False
+
+    return sequence
+
+
+def _compile_action(action, registry) -> _Step:
+    if isinstance(action, ReadInput):
+        var, domain = action.var, action.domain
+
+        def read(walk: _Walk) -> bool:
+            value = walk.draw(walk.inputs_used, domain)
+            walk.flush()
+            walk.steps.append(In(value))
+            if len(walk.steps) > walk.limits.max_trace_length:
+                raise LimitExceededError(
+                    f"trace grew past {walk.limits.max_trace_length} steps"
+                )
+            walk.env.setdefault(var, []).append(value)
+            walk.inputs_used += 1
+            return False
+
+        return read
+    if isinstance(action, WriteOutput):
+        output_set = compile_write(action, registry)
+
+        def write(walk: _Walk) -> bool:
+            walk.pending.append(output_set(walk.env))
+            return False
+
+        return write
+    if isinstance(action, Branch):
+        condition = compile_term(action.condition, registry)
+        if_true = _compile_actions(action.true_branch.actions, registry)
+        if_false = _compile_actions(action.false_branch.actions, registry)
+        return lambda walk: (if_true if condition(walk.env) else if_false)(walk)
+    if isinstance(action, TillExit):
+        body = _compile_actions(action.body.actions, registry)
+
+        def loop(walk: _Walk) -> bool:
+            rounds = 1
+            while not body(walk):
+                rounds += 1
+                if rounds > walk.limits.max_loop_iterations:
+                    raise LimitExceededError(
+                        f"loop ran more than {walk.limits.max_loop_iterations} rounds"
+                    )
+            return False
+
+        return loop
+    if isinstance(action, Exit):
+        return lambda walk: True
+
+    def not_an_action(walk: _Walk) -> bool:
+        raise TypeError(f"not an action: {action!r}")
+
+    return not_an_action
+
+
+# How many compiled (specification, registry) pairs are kept.
+COMPILED_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _compiled(spec: Spec, registry: FunctionRegistry) -> _Step:
+    return _compile_actions(spec.actions, registry)
 
 
 def _generate(spec, draw, registry, limits) -> tuple[GeneralizedTrace, int]:
     """Run the specification, pulling each input from `draw(position, domain)`;
     returns the trace and the number of inputs drawn."""
-    walk = _Walk(draw, registry, limits)
-    if walk.run(spec.actions):
+    try:
+        run = _compiled(spec, registry)
+    except TypeError:  # a hand-built tree holding something unhashable
+        run = _compile_actions(spec.actions, registry)
+    walk = _Walk(draw, limits)
+    if run(walk):
         raise SpecStructureError("exit marker outside any loop")
     walk.flush()
     return GeneralizedTrace(tuple(walk.steps)), walk.inputs_used

@@ -10,15 +10,15 @@ and the next began.
 The set of back-to-back writes is the concatenation of each write's set,
 which grows exponentially in the number of writes.  An `OutputWordSet`
 therefore keeps the factors of that concatenation and answers membership
-with a pass over them; only `words` builds the whole set, and so do what
-reads it: hashing, `concretize`, and equality between differently
-factored sets.
+with a pass over them.  Hashing uses invariants of the language that the
+factors give in closed form; only `words` builds the whole set, and so
+does equality between differently factored sets that agree on those
+invariants.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -98,8 +98,17 @@ class OutputWordSet:
     writes of a few values each keeps k small factors where the
     concatenated set has exponentially many words, so membership,
     `includes_epsilon` and `smallest_word` work on the factors.  `words`
-    is the materialized set, built on first use and kept; equality and
-    hashing compare languages, whatever the factors.
+    is the materialized set, built on first use and kept.
+
+    Equality and hashing compare languages, whatever the factors.  The
+    hash covers invariants every factoring of a language shares, computed
+    from the factors: whether it holds the empty word, its least non-empty
+    word, and its shortest and longest word lengths.  Equality is
+    immediate for identical factor tuples and rejects on differing
+    invariants; otherwise it compares the materialized languages, which
+    in the worst case are exponentially large.  No polynomial exact test
+    is to be expected: deciding whether two such products of finite
+    unions denote the same language is NP-hard (Stockmeyer & Meyer, 1973).
     """
 
     __slots__ = ("factors", "includes_epsilon", "_words", "_hash")
@@ -111,6 +120,15 @@ class OutputWordSet:
         if not any(w for f in factors for w in f):
             raise ValueError("output word set needs a non-empty word")
         self._set(factors, all(EPSILON in f for f in factors))
+
+    @classmethod
+    def _one(cls, words: frozenset, includes_epsilon: bool) -> "OutputWordSet":
+        """The one-factor set `words`, unchecked: the caller guarantees a
+        frozenset of tuples holding a non-empty word, and `includes_epsilon`
+        telling whether it holds the empty one."""
+        one = cls.__new__(cls)
+        one._set((words,), includes_epsilon)
+        return one
 
     def _set(self, factors: tuple, includes_epsilon: bool) -> None:
         self.factors = factors
@@ -174,14 +192,19 @@ class OutputWordSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OutputWordSet):
             return NotImplemented
-        return self.factors == other.factors or (
-            self.includes_epsilon == other.includes_epsilon
-            and self.words == other.words
-        )
+        if self.factors == other.factors:
+            return True
+        # Equal languages share the hashed invariants.
+        return hash(self) == hash(other) and self.words == other.words
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.words)
+            self._hash = hash((
+                self.includes_epsilon,
+                self.smallest_word(),
+                sum(min(map(len, f)) for f in self.factors),
+                sum(max(map(len, f)) for f in self.factors),
+            ))
         return self._hash
 
     def __repr__(self) -> str:
@@ -225,7 +248,7 @@ def normalize(trace: Trace) -> GeneralizedTrace:
 
     def flush() -> None:
         if pending:
-            steps.append(OutputWordSet(frozenset({tuple(pending)})))
+            steps.append(OutputWordSet._one(frozenset({tuple(pending)}), False))
             pending.clear()
 
     for step in trace.steps:
@@ -320,8 +343,11 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
 
 
 class BoundExceededError(Exception):
+    """More than `bound` concretizations; `count` is a lower bound on how
+    many there are, taken where counting stopped."""
+
     def __init__(self, count: int, bound: int):
-        super().__init__(f"{count} concretizations exceed the bound of {bound}")
+        super().__init__(f"at least {count} concretizations exceed the bound of {bound}")
         self.count = count
         self.bound = bound
 
@@ -332,17 +358,23 @@ def concretize(
     """Every run the generalized trace represents, as normalized traces.
 
     One word is chosen per output set; choosing the empty word drops the
-    step.  Raises BoundExceededError when more than `bound` choices exist.
-    It materializes every output set's `words`, so it suits small traces.
+    step.  Raises BoundExceededError when more than `bound` choices exist;
+    each set's words are then built only until that is certain, so the
+    check costs at most about `bound` words per set.  Without a bound,
+    every set's whole language is built.
     """
-    choice_points = [
-        sorted(s.words, key=_word_key)
-        for s in gt.steps
-        if isinstance(s, OutputWordSet)
-    ]
-    count = math.prod(len(words) for words in choice_points)
-    if bound is not None and count > bound:
-        raise BoundExceededError(count, bound)
+    choice_points = []
+    count = 1
+    for s in gt.steps:
+        if not isinstance(s, OutputWordSet):
+            continue
+        words = _language(s.factors, bound)
+        if words is None:
+            raise BoundExceededError(bound + 1, bound)
+        count *= len(words)
+        if bound is not None and count > bound:
+            raise BoundExceededError(count, bound)
+        choice_points.append(sorted(words, key=_word_key))
 
     results: set[GeneralizedTrace] = set()
     for choice in itertools.product(*choice_points):

@@ -1,6 +1,9 @@
+import os
 import random
+import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +218,39 @@ class TestTurnTaking:
         assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
         assert len(probes) == 1
+
+
+def _ended_within(pid: int, seconds: float) -> bool:
+    """Whether the process is gone or a zombie within `seconds`."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+class TestContainment:
+    """Nothing the program starts outlives its run."""
+
+    @pytest.mark.parametrize("mode, kind", [
+        ("wait", ExitKind.TIMED_OUT),
+        ("exit", ExitKind.CLEAN_HALT),
+    ])
+    def test_grandchild_is_killed(self, tmp_path, mode, kind):
+        pid_file = tmp_path / "grandchild.pid"
+        script = str(FIXTURES_DIR / "one_grandchild.sh")
+        cfg = SubprocessConfig("sh", (script, str(pid_file), mode), per_run_timeout_ms=500)
+        outcome = run_subprocess(cfg, [])
+        pid = int(pid_file.read_text())
+        try:
+            assert outcome.exit_kind is kind
+            assert _ended_within(pid, 1.0)
+        finally:
+            if not _ended_within(pid, 0):
+                os.kill(pid, signal.SIGKILL)

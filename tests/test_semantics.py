@@ -9,6 +9,9 @@ from iospec import (
     Branch,
     Covered,
     CurrentVar,
+    DEFAULT_REGISTRY,
+    EvalError,
+    FunctionSpec,
     In,
     Out,
     EMPTY,
@@ -24,6 +27,7 @@ from iospec import (
     OutputWordSet,
     ReadInput,
     SamplingPolicy,
+    Sort,
     Spec,
     SurplusInputsError,
     TillExit,
@@ -37,6 +41,7 @@ from iospec import (
     normalize_spec,
     parse_spec,
     parse_trace,
+    render_spec,
     render_trace,
     sample_generalized_trace,
     well_formed,
@@ -279,6 +284,72 @@ class TestWideOutputSets:
         gt = interpret(spec, [-2])
         assert time.perf_counter() - start < 1.0
         assert (-2, -1, -1) in gt.steps[1]
+
+
+class TestCompiledWalk:
+    """A specification is compiled once and the compiled form reused; each
+    run must still behave as a fresh walk over the tree."""
+
+    def test_bad_terms_on_untaken_paths_do_not_raise(self):
+        positive = Apply(">", (CurrentVar("x"), IntConst(0)))
+        bad_writes = [
+            WriteOutput((Apply("nope", (CurrentVar("x"),)),)),
+            WriteOutput((CurrentVar("y"),)),
+            WriteOutput(("not a term",)),
+            WriteOutput(([1],)),  # unhashable, and so is any tree holding it
+        ]
+        errors = [EvalError, UnboundCurrentError, EvalError, EvalError]
+        for bad, error in zip(bad_writes, errors):
+            spec = Spec((
+                ReadInput("x", Integers()),
+                Branch(positive, Spec((WriteOutput((CurrentVar("x"),)),)), Spec((bad,))),
+            ))
+            assert render_trace(interpret(spec, [-1])) == "?-1 !{-1} stop"
+            with pytest.raises(error):
+                interpret(spec, [1])
+        spec = Spec((
+            ReadInput("x", Integers()),
+            Branch(positive, EMPTY, Spec(("not an action",))),
+        ))
+        assert render_trace(interpret(spec, [-1])) == "?-1 stop"
+        with pytest.raises(TypeError):
+            interpret(spec, [1])
+
+    def test_each_registry_gets_its_own_result(self):
+        spec = parse_spec("read x : ints write { len(x_A) }")
+        plus_100 = DEFAULT_REGISTRY.extended(
+            FunctionSpec("len", (Sort.INT_LIST,), Sort.INT, lambda xs: len(xs) + 100)
+        )
+        for _ in range(3):
+            assert render_trace(interpret(spec, [7])) == "?7 !{1} stop"
+            assert render_trace(interpret(spec, [7], plus_100)) == "?7 !{101} stop"
+
+    def test_equal_specs_give_equal_traces(self, sum_spec):
+        a = parse_spec(render_spec(sum_spec))
+        b = parse_spec(render_spec(sum_spec))
+        assert a == b and a is not b
+        first = interpret(a, [2, 5, 3])
+        assert interpret(b, [1, 4]) != first
+        assert interpret(b, [2, 5, 3]) == first
+        assert accept(b, parse_trace("?2 !2 ?5 !1 ?3 !8 stop")) is True
+
+    def test_limits_belong_to_each_call(self):
+        runaway = Spec((
+            TillExit(Spec((
+                Branch(
+                    Apply("==", (IntConst(0), IntConst(1))),
+                    Spec((WriteOutput((IntConst(1),), includes_epsilon=True),)),
+                    Spec((Exit(),)),
+                ),
+            ))),
+        ))
+        for rounds in (1000, 50, 7, 1000):
+            with pytest.raises(LimitExceededError, match=f"more than {rounds} rounds"):
+                interpret(runaway, [], limits=GenerationLimits(max_loop_iterations=rounds))
+        for steps in (50, 20):
+            limits = GenerationLimits(max_loop_iterations=10**9, max_trace_length=steps)
+            with pytest.raises(GenerationFailureError, match=f"past {steps} steps"):
+                sample_generalized_trace(STUCK_SPEC, limits=limits)
 
 
 class TestExitOutsideLoop:

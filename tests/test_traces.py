@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -199,6 +200,15 @@ class TestConcretize:
             concretize(gt, bound=3)
         assert len(concretize(gt, bound=4)) == 4
 
+    def test_bound_is_checked_before_materializing(self):
+        # 20 fused `write { eps, x_C, x_C + 1 }` at x = 3: 2^21 - 1 words
+        factor = frozenset({(), (3,), (4,)})
+        gt = GeneralizedTrace((In(3), OutputWordSet(*[factor] * 20)))
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError):
+            concretize(gt, bound=10)
+        assert time.perf_counter() - start < 1.0
+
     def test_agrees_with_covers(self):
         rng = random.Random(4242)
         for _ in range(150):
@@ -302,6 +312,16 @@ class TestLazySets:
         else:
             assert str(lazy).count("{") == len(fs)
         assert parse_generalized_trace(f"{lazy} stop") == GeneralizedTrace((lazy,))
+
+    def test_hashing_a_wide_set_stays_fast(self):
+        factor = frozenset({(), (3,), (4,)})
+        start = time.perf_counter()
+        gt = GeneralizedTrace((In(3), OutputWordSet(*[factor] * 40)))
+        hash(gt)
+        # differently factored, and told apart by the hashed invariants
+        assert OutputWordSet(*[factor] * 40) != OutputWordSet(*[factor] * 39)
+        assert OutputWordSet(*[factor] * 40) != OutputWordSet(*[factor] * 39, {(3,)})
+        assert time.perf_counter() - start < 1.0
 
     def test_needs_a_real_word(self):
         with pytest.raises(ValueError):
