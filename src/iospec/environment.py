@@ -1,4 +1,4 @@
-"""Term evaluation over variable histories, compiled once and run many times.
+"""Term evaluation over variable histories, by Python code generated once.
 
 An environment maps each variable to all values read into it, oldest
 first; a variable never read has the empty history.  The interpreter keeps
@@ -8,19 +8,35 @@ The default registry's own `len` and `sum` only read their argument, so
 they get the stored history itself: aggregating over a history that grows
 by one value a round then costs no copy each round.
 
-A term is compiled against a registry into a function of the environment
-(`compile_term`): each function application has its registry entry looked
-up, and the copy-free aggregate chosen, once, at compile time.  Compiling
-never fails on a bad term.  An unknown function or a value that is not a
-term compiles to a function that raises `EvalError` when it is evaluated,
-so a bad term on a path a run never takes raises nothing.  `eval_term` is
-compile-then-run, for one-off evaluation.
+Terms are not walked but translated.  An `Emitter` turns a term, compiled
+against a registry, into one Python expression over local variables that
+hold the histories: a function application becomes a call of its registry
+entry with its arguments evaluated left to right, and the copy-free
+aggregate is chosen at compile time.  No text from the tree reaches the
+source.  Every value taken from it (variable names, constants, registry
+functions, error messages) is bound in the emitter's namespace under a
+generated name, so a variable called ``"x; import os"`` is one more
+history.  The interpreter emits whole specifications through the same
+emitter (see `semantics`); `eval_term` and `eval_output_set` wrap one term
+or write in a function of an environment, compiled once per registry and
+kept in a bounded cache.
+
+Compiling never fails on a bad term.  An unknown function or a value that
+is not a term becomes a call raising `EvalError`, so a bad term on a path
+a run never takes raises nothing.  The one compile-time error is nesting:
+a term more than `parser.MAX_NESTING` levels deep, counting the blocks
+around it, raises `SpecStructureError`, since its code would run into
+CPython's own limits on nested expressions.  Parsed specifications never
+nest that deep.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Callable, Mapping, Sequence
 
+from .parser import MAX_NESTING
 from .syntax import (
     AllVar,
     Apply,
@@ -28,10 +44,11 @@ from .syntax import (
     DEFAULT_REGISTRY,
     FunctionRegistry,
     IntConst,
+    SpecStructureError,
     Term,
     WriteOutput,
 )
-from .traces import EPSILON, OutputWordSet
+from .traces import OutputWordSet
 
 Env = Mapping[str, Sequence[int]]
 
@@ -39,6 +56,10 @@ Env = Mapping[str, Sequence[int]]
 # a user's override of the same name still gets a copy.
 _LEN = DEFAULT_REGISTRY.lookup("len")
 _SUM = DEFAULT_REGISTRY.lookup("sum")
+
+# How many compiled terms, writes and specifications are kept, each kind
+# in its own cache keyed on the tree and the registry.
+COMPILED_CACHE_SIZE = 64
 
 
 class EvalError(Exception):
@@ -58,49 +79,132 @@ class UnboundCurrentError(EvalError):
         self.name = name
 
 
-def _failing(message: str) -> Callable[[Env], object]:
-    def fail(env: Env):
-        raise EvalError(message)
-
-    return fail
+def _unbound(name):
+    raise UnboundCurrentError(name)
 
 
-def compile_term(
-    term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY
-) -> Callable[[Env], object]:
-    """A function evaluating the sort-correct term to an int, list of ints
-    or bool in a given environment."""
-    if isinstance(term, IntConst):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, CurrentVar):
-        name = term.name
+def _fail(message: str):
+    raise EvalError(message)
 
-        def current(env: Env):
-            history = env.get(name)
-            if not history:
-                raise UnboundCurrentError(name)
-            return history[-1]
 
-        return current
-    if isinstance(term, AllVar):
-        name = term.name
-        return lambda env: list(env.get(name, ()))
-    if isinstance(term, Apply):
-        entry = registry.lookup(term.fn)
-        if entry is None:
-            return _failing(f"unknown function {term.fn!r}")
-        fn = entry.fn
-        aggregate = len if entry is _LEN else sum if entry is _SUM else None
-        if aggregate and len(term.args) == 1 and isinstance(term.args[0], AllVar):
-            name = term.args[0].name
-            return lambda env: aggregate(env.get(name, ()))
-        args = [compile_term(a, registry) for a in term.args]
-        if len(args) == 2:  # the operators; spelled out, as that is faster
-            a, b = args
-            return lambda env: fn(a(env), b(env))
-        return lambda env: fn(*[a(env) for a in args])
-    return _failing(f"not a term: {term!r}")
+def too_deep() -> SpecStructureError:
+    return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
+
+
+class Emitter:
+    """Python source for terms over one registry, and the namespace that
+    source runs in.
+
+    The source holds fixed templates and generated identifiers only: `h<i>`
+    is the local holding the history of variable number i (whose name is
+    bound as `n<i>`), and any other letter followed by a number is a value
+    bound in the namespace.  `runtime` adds fixed names the caller's
+    templates use.
+    """
+
+    def __init__(self, registry: FunctionRegistry, **runtime) -> None:
+        self.registry = registry
+        self.namespace = {
+            "unbound": _unbound,
+            "fail": _fail,
+            "one": OutputWordSet._one,
+            **runtime,
+        }
+        self.variables: dict = {}  # variable name -> its number
+        self._ids = itertools.count()
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}{next(self._ids)}"
+
+    def bind(self, value, prefix: str = "k") -> str:
+        name = self.fresh(prefix)
+        self.namespace[name] = value
+        return name
+
+    def variable(self, name) -> int:
+        """The number of the named variable: its history is the local
+        `h<i>`, its name bound as `n<i>`."""
+        i = self.variables.get(name)
+        if i is None:
+            i = self.variables[name] = next(self._ids)
+            self.namespace[f"n{i}"] = name
+        return i
+
+    def history(self, name) -> str:
+        return f"h{self.variable(name)}"
+
+    def histories(self) -> list[str]:
+        return [f"h{i}" for i in self.variables.values()]
+
+    def term(self, term: Term, level: int = 0) -> str:
+        """An expression evaluating the sort-correct term to an int, list
+        of ints or bool, for a term `level` levels deep."""
+        if isinstance(term, IntConst):
+            return self.bind(term.value)
+        if isinstance(term, CurrentVar):
+            i = self.variable(term.name)
+            return f"(h{i}[-1] if h{i} else unbound(n{i}))"
+        if isinstance(term, AllVar):
+            return f"list({self.history(term.name)})"
+        if isinstance(term, Apply):
+            level += 1
+            if level > MAX_NESTING:
+                raise too_deep()
+            entry = self.registry.lookup(term.fn)
+            if entry is None:
+                return f"fail({self.bind(f'unknown function {term.fn!r}', 'm')})"
+            args = term.args
+            if (entry is _LEN or entry is _SUM) and len(args) == 1 and isinstance(args[0], AllVar):
+                aggregate = "len" if entry is _LEN else "sum"
+                return f"{aggregate}({self.history(args[0].name)})"
+            call = ", ".join([self.term(a, level) for a in args])
+            return f"{self.bind(entry.fn, 'f')}({call})"
+        return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
+
+    def output_set(self, write: WriteOutput, level: int = 0) -> str:
+        """An expression giving the write's one-factor output set."""
+        words = [f"({self.term(t, level)},)" for t in write.terms]
+        if write.includes_epsilon:
+            words.append("()")
+        skippable = self.bind(write.includes_epsilon)
+        return f"one(frozenset(({', '.join(words)},)), {skippable})"
+
+    def define(self, source: str, name: str) -> Callable:
+        """Run the source in the namespace and return what it calls `name`."""
+        exec(compile(source, "<iospec generated>", "exec"), self.namespace)
+        return self.namespace[name]
+
+
+def cached(compile_tree: Callable, tree, registry: FunctionRegistry):
+    """`compile_tree(tree, registry)`, an `lru_cache`d function, bypassing
+    the cache when a hand-built tree holds something unhashable: such a
+    tree still compiles, and raises only where a run reaches that part."""
+    try:
+        return compile_tree(tree, registry)
+    except TypeError:
+        return compile_tree.__wrapped__(tree, registry)
+
+
+def _of_env(emitter: Emitter, expression: str) -> Callable[[Env], object]:
+    loads = "".join(
+        f"    h{i} = env.get(n{i}, ())\n" for i in emitter.variables.values()
+    )
+    source = f"def evaluate(env):\n{loads}    return {expression}\n"
+    return emitter.define(source, "evaluate")
+
+
+@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _compiled_term(term: Term, registry: FunctionRegistry) -> Callable[[Env], object]:
+    emitter = Emitter(registry)
+    return _of_env(emitter, emitter.term(term))
+
+
+@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
+def _compiled_write(
+    write: WriteOutput, registry: FunctionRegistry
+) -> Callable[[Env], OutputWordSet]:
+    emitter = Emitter(registry)
+    return _of_env(emitter, emitter.output_set(write))
 
 
 def eval_term(
@@ -109,23 +213,7 @@ def eval_term(
     registry: FunctionRegistry = DEFAULT_REGISTRY,
 ):
     """Evaluate a sort-correct term to an int, list of ints, or bool."""
-    return compile_term(term, registry)(env)
-
-
-def compile_write(
-    write: WriteOutput, registry: FunctionRegistry = DEFAULT_REGISTRY
-) -> Callable[[Env], OutputWordSet]:
-    """A function giving the write's output set in a given environment
-    (see `eval_output_set`)."""
-    terms = [compile_term(t, registry) for t in write.terms]
-    skippable = write.includes_epsilon
-    empty = (EPSILON,) if skippable else ()
-
-    def output_set(env: Env) -> OutputWordSet:
-        words = frozenset([*[(term(env),) for term in terms], *empty])
-        return OutputWordSet._one(words, skippable)
-
-    return output_set
+    return cached(_compiled_term, term, registry)(env)
 
 
 def eval_output_set(
@@ -137,4 +225,4 @@ def eval_output_set(
     words per term, and the empty word when the write is skippable.  Equal
     values collapse.  Back-to-back writes fuse by concatenating these
     factors (`OutputWordSet.concat`), never by enumerating their words."""
-    return compile_write(write, registry)(env)
+    return cached(_compiled_write, write, registry)(env)

@@ -90,10 +90,13 @@ class StaticError(Exception):
         self.violations = violations
 
 
-# The parser, the static checks, the pretty-printer and both interpreters
-# recurse over the tree, using up to about a dozen stack frames a level, so
-# this keeps every one of them well inside Python's default recursion limit
-# of 1000 frames, with room for the callers' own frames.
+# The parser, the static checks, the pretty-printer and the code generator
+# of the interpreters recurse over the tree, using up to about a dozen stack
+# frames a level, so this keeps every one of them well inside Python's
+# default recursion limit of 1000 frames, with room for the callers' own
+# frames.  The generated code nests an `if` or a call per level, which
+# stays inside CPython's limits of 100 indentation levels and 200 nested
+# parentheses.  The code generator holds hand-built trees to the same limit.
 MAX_NESTING = 50
 
 KEYWORDS = {

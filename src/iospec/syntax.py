@@ -197,6 +197,12 @@ class Spec:
 EMPTY = Spec(())
 
 
+class SpecStructureError(Exception):
+    """A hand-built tree the interpreters cannot run: an exit marker fired
+    with no enclosing iteration, or nesting deeper than `parser.MAX_NESTING`
+    levels (both statically ruled out for parsed specifications)."""
+
+
 def normalize_spec(spec: Spec) -> Spec:
     """The specification itself: every ``Spec`` is flat once built."""
     return spec

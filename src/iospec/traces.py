@@ -309,8 +309,16 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
     both readings fail at the same step.
     """
     for step in nt.steps:
-        if isinstance(step, OutputWordSet) and (
-            len(step.words) != 1 or step.includes_epsilon
+        if not isinstance(step, OutputWordSet):
+            continue
+        # One non-empty word, checked on the factors, as a product of many
+        # may hold exponentially many words: every factor holds one word
+        # (factors are never empty, so their sizes sum to their count), and
+        # not every factor holds only the empty one.
+        factors = step.factors
+        if step.includes_epsilon or (
+            len(factors[0]) != 1 if len(factors) == 1
+            else sum(map(len, factors)) != len(factors)
         ):
             raise PreconditionViolation(
                 "left side of the covering check must come from normalize()"
@@ -340,55 +348,6 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
                 j += 1
                 continue
         return AlignmentMismatch(expected, got, i)
-
-
-class BoundExceededError(Exception):
-    """More than `bound` concretizations; `count` is a lower bound on how
-    many there are, taken where counting stopped."""
-
-    def __init__(self, count: int, bound: int):
-        super().__init__(f"at least {count} concretizations exceed the bound of {bound}")
-        self.count = count
-        self.bound = bound
-
-
-def concretize(
-    gt: GeneralizedTrace, bound: int | None = None
-) -> set[GeneralizedTrace]:
-    """Every run the generalized trace represents, as normalized traces.
-
-    One word is chosen per output set; choosing the empty word drops the
-    step.  Raises BoundExceededError when more than `bound` choices exist;
-    each set's words are then built only until that is certain, so the
-    check costs at most about `bound` words per set.  Without a bound,
-    every set's whole language is built.
-    """
-    choice_points = []
-    count = 1
-    for s in gt.steps:
-        if not isinstance(s, OutputWordSet):
-            continue
-        words = _language(s.factors, bound)
-        if words is None:
-            raise BoundExceededError(bound + 1, bound)
-        count *= len(words)
-        if bound is not None and count > bound:
-            raise BoundExceededError(count, bound)
-        choice_points.append(sorted(words, key=_word_key))
-
-    results: set[GeneralizedTrace] = set()
-    for choice in itertools.product(*choice_points):
-        picked = iter(choice)
-        steps: list[GenStep] = []
-        for step in gt.steps:
-            if isinstance(step, OutputWordSet):
-                word = next(picked)
-                if word != EPSILON:
-                    steps.append(OutputWordSet(frozenset({word})))
-            else:
-                steps.append(step)
-        results.add(GeneralizedTrace(tuple(steps)))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Reference acceptance checker: a backtracking walk over the specification.
+"""Reference implementations the library is checked against.
 
-This is an implementation of trace acceptance independent of the library's
-`accept`, which checks a run by interpreting the specification on the run's
-inputs and covering the run with the result.  Here the specification is
-walked directly against the trace, exploring both readings of every
-skippable write.  The equivalence tests compare the two.
+`accept` decides trace acceptance independently of the library's `accept`,
+which checks a run by interpreting the specification on the run's inputs
+and covering the run with the result.  Here the specification is walked
+directly against the trace, exploring both readings of every skippable
+write.  The equivalence tests compare the two (acceptance criterion 04).
 
 The walk keeps an explicit stack of iteration frames standing in for
 continuations.  A frame remembers the loop body (to re-run when the body's
@@ -12,17 +12,25 @@ sequence ends) and the actions following the whole loop (to resume on an
 exit marker, which discards whatever else was queued inside the loop).
 Alternatives share environments, so an environment is a persistent mapping
 from each variable to the tuple of values read into it.
+
+`concretize` enumerates every run a generalized trace represents, the
+brute-force counterpart of `covers` (acceptance criterion 05).
 """
+
+import itertools
 
 from iospec import (
     DEFAULT_REGISTRY,
+    EPSILON,
     Branch,
     Exit,
     FunctionRegistry,
+    GeneralizedTrace,
     GenerationLimits,
     In,
     LimitExceededError,
     Out,
+    OutputWordSet,
     ReadInput,
     Spec,
     TillExit,
@@ -125,3 +133,64 @@ def accept(
                 continue
             raise TypeError(f"not an action: {head!r}")
     return False
+
+
+class BoundExceededError(Exception):
+    """More than `bound` concretizations; `count` is a lower bound on how
+    many there are, taken where counting stopped."""
+
+    def __init__(self, count: int, bound: int):
+        super().__init__(f"at least {count} concretizations exceed the bound of {bound}")
+        self.count = count
+        self.bound = bound
+
+
+def _words(word_set: OutputWordSet, bound: int | None) -> set | None:
+    """The words of the set, or None once they are more than `bound`.
+    Appending a factor never shrinks the set (a fixed suffix maps words
+    one-to-one), so an early prefix over the bound decides it."""
+    words = {EPSILON}
+    for factor in word_set.factors:
+        words = {a + b for a in words for b in factor}
+        if bound is not None and len(words) > bound:
+            return None
+    return words
+
+
+def concretize(
+    gt: GeneralizedTrace, bound: int | None = None
+) -> set[GeneralizedTrace]:
+    """Every run the generalized trace represents, as normalized traces.
+
+    One word is chosen per output set; choosing the empty word drops the
+    step.  Raises BoundExceededError when more than `bound` choices exist;
+    each set's words are then built only until that is certain, so the
+    check costs at most about `bound` words per set.  Without a bound,
+    every set's whole language is built.
+    """
+    choice_points = []
+    count = 1
+    for s in gt.steps:
+        if not isinstance(s, OutputWordSet):
+            continue
+        words = _words(s, bound)
+        if words is None:
+            raise BoundExceededError(bound + 1, bound)
+        count *= len(words)
+        if bound is not None and count > bound:
+            raise BoundExceededError(count, bound)
+        choice_points.append(sorted(words, key=lambda w: (len(w), w)))
+
+    results: set[GeneralizedTrace] = set()
+    for choice in itertools.product(*choice_points):
+        picked = iter(choice)
+        steps = []
+        for step in gt.steps:
+            if isinstance(step, OutputWordSet):
+                word = next(picked)
+                if word != EPSILON:
+                    steps.append(OutputWordSet(frozenset({word})))
+            else:
+                steps.append(step)
+        results.add(GeneralizedTrace(tuple(steps)))
+    return results

@@ -31,7 +31,6 @@ from iospec import (
     UnboundCurrentError,
     Verdict,
     accept,
-    concretize,
     covers,
     format_feedback,
     interpret,
@@ -122,7 +121,7 @@ def test_criterion_03_fusion_golden():
             gt = interpret(spec, [v])
             assert gt == GeneralizedTrace((In(v), ows((), (v,), (v, v))))
             if v != 0:
-                assert len(concretize(gt)) == 3
+                assert len(oracle.concretize(gt)) == 3
     report_pass(3, "adjacent outputs fuse into one word set")
 
 
@@ -165,7 +164,7 @@ def test_criterion_05_covering_oracle():
     with time_budget(30.0):
         while traces_checked < 200:
             gt = random_generalized_trace(rng, max_concretizations=64)
-            runs = concretize(gt, bound=64)
+            runs = oracle.concretize(gt, bound=64)
             for run in runs:
                 assert covers(gt, run) == Covered()
             base = concretization_as_trace(rng, gt)

@@ -36,6 +36,7 @@ from iospec import (
     WriteOutput,
     accept,
     covers,
+    eval_term,
     interpret,
     normalize,
     normalize_spec,
@@ -47,6 +48,7 @@ from iospec import (
     well_formed,
 )
 
+from iospec.parser import MAX_NESTING
 from iospec.semantics import SpecStructureError
 
 import oracle
@@ -350,6 +352,81 @@ class TestCompiledWalk:
             limits = GenerationLimits(max_loop_iterations=10**9, max_trace_length=steps)
             with pytest.raises(GenerationFailureError, match=f"past {steps} steps"):
                 sample_generalized_trace(STUCK_SPEC, limits=limits)
+
+    # Generated code: text from the tree must never become code.
+
+    def test_any_string_is_a_variable_name(self):
+        names = ["x; import os", "h0", "steps", "__builtins__", "len", "read"]
+        spec = Spec((
+            *[ReadInput(name, Integers()) for name in names],
+            ReadInput("h0", Integers()),
+            WriteOutput(tuple(CurrentVar(name) for name in names)),
+            WriteOutput(tuple(Apply("len", (AllVar(name),)) for name in names)),
+            WriteOutput(tuple(Apply("sum", (AllVar(name),)) for name in names)),
+        ))
+        inputs = [10, 20, 30, 40, 50, 60, 70]
+        gt = interpret(spec, inputs)
+        assert gt.steps[:7] == tuple(In(v) for v in inputs)
+        # each name is its own history; "h0" was read twice
+        assert gt.steps[7] == OutputWordSet(
+            {(10,), (70,), (30,), (40,), (50,), (60,)},
+            {(1,), (2,)},
+            {(10,), (90,), (30,), (40,), (50,), (60,)},
+        )
+        env = {name: [i] for i, name in enumerate(names)}
+        for i, name in enumerate(names):
+            assert eval_term(CurrentVar(name), env) == i
+            assert eval_term(AllVar(name), env) == [i]
+
+    def test_any_value_is_a_constant_or_function_name(self):
+        odd = IntConst("1) or (1")
+        quoted = "f\"'\\n"
+        registry = DEFAULT_REGISTRY.extended(
+            FunctionSpec(quoted, (Sort.INT,), Sort.INT, lambda v: -v)
+        )
+        positive = Apply(">", (CurrentVar("x"), IntConst(0)))
+        for bad, error in [
+            (Apply("+", (odd, IntConst(1))), TypeError),
+            (Apply(quoted, (CurrentVar("x"),)), EvalError),  # not in the default registry
+        ]:
+            spec = Spec((
+                ReadInput("x", Integers()),
+                Branch(positive, Spec((WriteOutput((odd,)),)), Spec((WriteOutput((bad,)),))),
+            ))
+            assert interpret(spec, [-1]).steps[1] == OutputWordSet({("1) or (1",)})
+            with pytest.raises(error):
+                interpret(spec, [1])
+        with pytest.raises(EvalError, match="unknown function"):
+            eval_term(Apply(quoted, (IntConst(1),)), {})
+        spec = Spec((
+            ReadInput("x", Integers()),
+            WriteOutput((Apply(quoted, (CurrentVar("x"),)),)),
+        ))
+        assert render_trace(interpret(spec, [4], registry)) == "?4 !{-4} stop"
+        assert eval_term(Apply(quoted, (IntConst(2),)), {}, registry) == -2
+
+    @pytest.mark.parametrize("kind", ["if", "loop", "term"])
+    def test_nesting_past_the_limit_is_a_structure_error(self, kind):
+        def nested(levels):
+            if kind == "term":
+                term = CurrentVar("x")
+                for _ in range(levels):
+                    term = Apply("+", (term, IntConst(1)))
+                return Spec((ReadInput("x", Integers()), WriteOutput((term,))))
+            body = Spec((WriteOutput((CurrentVar("x"),)),))
+            for _ in range(levels):
+                if kind == "if":
+                    body = Spec((Branch(ALWAYS, EMPTY, body),))
+                else:
+                    body = Spec((TillExit(Spec((*body.actions, Exit()))),))
+            return Spec((ReadInput("x", Integers()), *body.actions))
+
+        assert len(interpret(nested(MAX_NESTING), [1]).steps) == 2
+        for levels in (MAX_NESTING + 1, MAX_NESTING + 5):
+            with pytest.raises(SpecStructureError, match=f"more than {MAX_NESTING} levels"):
+                interpret(nested(levels), [1])
+            with pytest.raises(SpecStructureError):
+                accept(nested(levels), parse_trace("?1 !1 stop"))
 
 
 class TestExitOutsideLoop:

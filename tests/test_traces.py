@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from iospec import (
     AlignmentMismatch,
-    BoundExceededError,
     Covered,
     GeneralizedTrace,
     In,
@@ -16,7 +15,6 @@ from iospec import (
     ParseError,
     PreconditionViolation,
     Trace,
-    concretize,
     covers,
     normalize,
     parse_generalized_trace,
@@ -25,6 +23,7 @@ from iospec import (
 )
 from iospec.traces import RENDER_LIMIT
 
+from oracle import BoundExceededError, concretize
 from randgen import concretization_as_trace, mutate_trace, random_generalized_trace
 
 
@@ -154,6 +153,24 @@ class TestCovers:
             covers(gt, GeneralizedTrace((ows((1,), (2,)),)))
         with pytest.raises(PreconditionViolation):
             covers(gt, GeneralizedTrace((ows((), (1,)),)))
+
+    def test_precondition_is_checked_on_the_factors(self):
+        # 40 fused `write { eps, x_C, x_C + 1 }` at x = 3: 2^41 - 1 words
+        gt = GeneralizedTrace((In(3), OutputWordSet(*[{(), (3,), (4,)}] * 40)))
+        start = time.perf_counter()
+        with pytest.raises(PreconditionViolation):
+            covers(gt, gt)
+        assert time.perf_counter() - start < 1.0
+        # an empty-word factor next to a real word still makes one word
+        one_word = GeneralizedTrace((In(3), OutputWordSet({()}, {(3,)})))
+        assert covers(gt, one_word) == Covered()
+
+    def test_product_of_single_words_is_one_word(self):
+        fused = parse_generalized_trace("?1 !{1}{2} stop")
+        assert covers(parse_generalized_trace("?1 !{<1 2>} stop"), fused) == Covered()
+        assert covers(parse_generalized_trace("?1 !{<1 3>} stop"), fused) == (
+            OutputMismatch((1, 2), ows((1, 3)), 1)
+        )
 
     def test_skip_soundness(self):
         # inserting a skippable set anywhere legal keeps covered traces covered
