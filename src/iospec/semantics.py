@@ -33,7 +33,10 @@ limits on nested blocks and expressions; a parsed one never nests deeper.
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
-inputs produce.
+inputs produce.  Rather than build that trace, `accept` runs the whole
+specification on the trace's inputs and checks each output gap as it is
+reached (the trace's outputs between two inputs, as one word, against the
+writes run between the two reads); same verdict as covers∘interpret.
 """
 
 from __future__ import annotations
@@ -59,16 +62,7 @@ from .syntax import (
     TillExit,
     WriteOutput,
 )
-from .traces import (
-    Covered,
-    GeneralizedTrace,
-    GenStep,
-    In,
-    OutputWordSet,
-    Trace,
-    covers,
-    normalize,
-)
+from .traces import GeneralizedTrace, GenStep, In, Out, OutputWordSet, Trace
 
 
 @dataclass(frozen=True)
@@ -242,32 +236,75 @@ def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
     return _Compiler(registry).compile(spec)
 
 
-def _generate(spec, draw, registry, limits) -> GeneralizedTrace:
+def _generate(spec, draw, registry, limits, gap) -> None:
     """Run the specification, pulling each input from `draw(domain)`.
 
-    Output sets of back-to-back writes wait in `pending` until the next
-    read or the end, which fuses them into one word set, the product of
-    theirs, so the trace never holds two output steps in a row.
+    The writes between two reads fill one gap of the run: their output
+    sets wait in `pending` until the next read or the end closes the gap
+    with `gap(pending, value)`, where `value` is the input just read, or
+    None at the end.  A run's trace holds one step per input and one per
+    non-empty gap, as back-to-back writes fuse into one word set, and
+    growing it past `limits.max_trace_length` steps stops the run.
     """
     run = cached(_compiled, spec, registry)
-    steps: list[GenStep] = []
     pending: list[OutputWordSet] = []
     max_steps = limits.max_trace_length
+    steps = 0
 
     def read(domain: InputDomain) -> int:
+        nonlocal steps
         value = draw(domain)
-        if pending:
-            steps.append(OutputWordSet.concat(pending))
-            pending.clear()
-        steps.append(In(value))
-        if len(steps) > max_steps:
+        steps += 2 if pending else 1
+        if steps > max_steps:
             raise LimitExceededError(f"trace grew past {max_steps} steps")
+        gap(pending, value)
+        pending.clear()
         return value
 
     run(read, pending, limits.max_loop_iterations)
-    if pending:
-        steps.append(OutputWordSet.concat(pending))
-    return GeneralizedTrace(tuple(steps))
+    gap(pending, None)
+
+
+def _steps():
+    """A gap callback for `_generate` collecting the generalized trace:
+    each non-empty gap becomes one word set, the product of its writes'
+    sets, so the steps never hold two output sets in a row."""
+    steps: list[GenStep] = []
+    append = steps.append
+    concat = OutputWordSet.concat
+    ins: dict[int, In] = {}  # one step per distinct input value
+
+    def gap(pending: list[OutputWordSet], value: int | None) -> None:
+        if pending:
+            append(concat(pending))
+        if value is not None:
+            step = ins.get(value)
+            if step is None:
+                step = ins[value] = In(value)
+            append(step)
+
+    return steps, gap
+
+
+def _run_on(spec, inputs, registry, limits, gap) -> None:
+    """Run the specification on a fixed input sequence (see `interpret`
+    for what it raises)."""
+    values = list(inputs)
+    used = 0
+
+    def draw(domain: InputDomain) -> int:
+        nonlocal used
+        if used >= len(values):
+            raise InputsExhaustedError(used)
+        value = values[used]
+        if not domain.contains(value):
+            raise InputRejectedError(used, value, domain)
+        used += 1
+        return value
+
+    _generate(spec, draw, registry, limits, gap)
+    if used < len(values):
+        raise SurplusInputsError(len(values) - used)
 
 
 def interpret(
@@ -283,23 +320,9 @@ def interpret(
     SurplusInputsError if inputs remain when it finishes, and
     LimitExceededError on runaway iteration.
     """
-    values = list(inputs)
-    used = 0
-
-    def draw(domain: InputDomain) -> int:
-        nonlocal used
-        if used >= len(values):
-            raise InputsExhaustedError(used)
-        value = values[used]
-        if not domain.contains(value):
-            raise InputRejectedError(used, value, domain)
-        used += 1
-        return value
-
-    gt = _generate(spec, draw, registry, limits)
-    if used < len(values):
-        raise SurplusInputsError(len(values) - used)
-    return gt
+    steps, gap = _steps()
+    _run_on(spec, inputs, registry, limits, gap)
+    return GeneralizedTrace._trusted(tuple(steps))
 
 
 def sample_generalized_trace(
@@ -328,10 +351,12 @@ def sample_generalized_trace(
         )
         return rng.randint(lo, hi)
 
+    steps, gap = _steps()
     try:
-        return _generate(spec, draw, registry, limits)
+        _generate(spec, draw, registry, limits, gap)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
+    return GeneralizedTrace._trusted(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +371,49 @@ def accept(
 ) -> bool:
     """True iff the trace is a valid run of the specification.
 
-    The specification is interpreted on the trace's inputs and the
-    normalized trace must be covered by the resulting generalized trace.
-    An input outside its read's domain, a missing input and a surplus input
-    make the trace invalid.
+    Runs the whole specification on the trace's inputs and checks each
+    output gap as it is reached: the trace's outputs since its previous
+    input, as one word, must be among the words of the writes run since
+    the previous read.  The verdict is the same as covering the trace by
+    the generalized trace `interpret` gives for its inputs.  An input
+    outside its read's domain, a missing input and a surplus input make
+    the trace invalid.
 
-    Because the whole specification runs on the inputs before any output
-    is compared, errors that `interpret` raises on those inputs propagate
-    even when the trace's outputs go wrong earlier:
+    After a mismatch the run still goes on to the end, so errors that
+    `interpret` raises on the trace's inputs propagate even when the
+    trace's outputs go wrong earlier:
 
     * LimitExceededError when a loop runs more than
       `limits.max_loop_iterations` rounds, e.g. a runaway loop after an
-      output mismatch, or when the generalized trace grows past
+      output mismatch, or when the run's generalized trace would grow past
       `limits.max_trace_length` steps, e.g. on a trace with more inputs
       than that;
     * evaluation errors such as UnboundCurrentError when the inputs lead to
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
+    inputs: list[int] = []
+    words: list[tuple] = []  # the outputs before each input, then after all
+    word: list[int] = []
+    for step in trace.steps:
+        if isinstance(step, Out):
+            word.append(step.value)
+        else:
+            inputs.append(step.value)
+            words.append(tuple(word))
+            word = []
+    words.append(tuple(word))
+    gaps = iter(words)
+    valid = True
+
+    def gap(pending: list[OutputWordSet], value: int | None) -> None:
+        nonlocal valid
+        word = next(gaps)
+        if valid:
+            valid = word in OutputWordSet.concat(pending) if pending else not word
+
     try:
-        gt = interpret(spec, trace.inputs(), registry, limits)
+        _run_on(spec, inputs, registry, limits, gap)
     except InterpretError:
         return False
-    return isinstance(covers(gt, normalize(trace)), Covered)
+    return valid

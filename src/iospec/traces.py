@@ -211,6 +211,8 @@ class OutputWordSet:
         return f"OutputWordSet({', '.join(repr(f) for f in self.factors)})"
 
     def __str__(self) -> str:
+        if len(self.factors) == 1:
+            return "!" + _render_group(self.factors[0])
         words = _language(self.factors, RENDER_LIMIT)
         groups = self.factors if words is None else (words,)
         return "!" + "".join(_render_group(g) for g in groups)
@@ -233,6 +235,14 @@ class GeneralizedTrace:
             if is_set and previous_was_set:
                 raise ValueError("consecutive output sets must be fused")
             previous_was_set = is_set
+
+    @classmethod
+    def _trusted(cls, steps: tuple) -> "GeneralizedTrace":
+        """The trace of `steps`, unchecked: the caller guarantees a tuple
+        that never holds two output sets in a row."""
+        trace = cls.__new__(cls)
+        object.__setattr__(trace, "steps", steps)
+        return trace
 
     def inputs(self) -> list[int]:
         return [s.value for s in self.steps if isinstance(s, In)]
@@ -258,7 +268,7 @@ def normalize(trace: Trace) -> GeneralizedTrace:
             flush()
             steps.append(step)
     flush()
-    return GeneralizedTrace(tuple(steps))
+    return GeneralizedTrace._trusted(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +367,18 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
 def _render_word(word: Word) -> str:
     if len(word) == 1:
         return str(word[0])
+    if not word:
+        return "eps"
     return "<" + " ".join(str(v) for v in word) + ">"
 
 
 def _render_group(words: frozenset) -> str:
-    items = (["eps"] if EPSILON in words else []) + [
-        _render_word(w) for w in sorted(words - {EPSILON}, key=_word_key)
-    ]
-    return "{" + ", ".join(items) + "}"
+    """One brace group, ordered as `_word_key` orders words, so the empty
+    word comes first: sorted by value, then stably by length."""
+    if len(words) == 1:
+        for word in words:
+            return "{" + _render_word(word) + "}"
+    return "{" + ", ".join([_render_word(w) for w in sorted(sorted(words), key=len)]) + "}"
 
 
 def render_trace(trace: Trace | GeneralizedTrace) -> str:

@@ -1,10 +1,11 @@
 """Reference implementations the library is checked against.
 
 `accept` decides trace acceptance independently of the library's `accept`,
-which checks a run by interpreting the specification on the run's inputs
-and covering the run with the result.  Here the specification is walked
-directly against the trace, exploring both readings of every skippable
-write.  The equivalence tests compare the two (acceptance criterion 04).
+which runs the whole specification on the trace's inputs and checks each
+output gap as it is reached, with the same verdict as covers∘interpret.
+Here the specification is walked directly against the trace, exploring
+both readings of every skippable write.  The equivalence tests compare
+the three (acceptance criterion 04).
 
 The walk keeps an explicit stack of iteration frames standing in for
 continuations.  A frame remembers the loop body (to re-run when the body's

@@ -160,8 +160,8 @@ class TestAccept:
         assert code == 2
 
     def test_runaway_loop_exit_2(self, capsys, tmp_path):
-        # accept interprets the whole spec on the trace's inputs, so the
-        # loop runs away although the first output already mismatches
+        # accept runs the whole spec on the trace's inputs, so the loop
+        # runs away although the first output already mismatches
         runaway = tmp_path / "runaway.iospec"
         runaway.write_text(
             "write { 1 }\n"

@@ -22,6 +22,7 @@ from iospec import (
     InputRejectedError,
     InputsExhaustedError,
     IntConst,
+    InterpretError,
     Integers,
     LimitExceededError,
     OutputWordSet,
@@ -126,9 +127,10 @@ class TestAccept:
 
 
 class TestAcceptInterpretsFirst:
-    """The library `accept` interprets the whole specification on the
-    run's inputs before it compares outputs, so errors of `interpret`
-    surface even past an early output mismatch, where the oracle stops."""
+    """The library `accept` runs the whole specification on the run's
+    inputs and keeps running after an output gap mismatches, so errors of
+    `interpret` surface even past an early mismatch, where the oracle
+    stops."""
 
     def test_runaway_loop_after_mismatch_hits_limit(self):
         spec = parse_spec(
@@ -136,6 +138,16 @@ class TestAcceptInterpretsFirst:
         )
         with pytest.raises(LimitExceededError):
             accept(spec, parse_trace("!2 stop"),
+                   limits=GenerationLimits(max_loop_iterations=50))
+
+    def test_run_goes_on_after_a_mismatched_gap(self):
+        # the first gap closes at the read, well before the runaway loop
+        spec = parse_spec(
+            "write { 1 } read x : ints"
+            " loop { if 0 == 1 then { exit } else { write { eps, 1 } } }"
+        )
+        with pytest.raises(LimitExceededError):
+            accept(spec, parse_trace("!2 ?0 stop"),
                    limits=GenerationLimits(max_loop_iterations=50))
 
     def test_trace_longer_than_length_limit(self, sum_spec):
@@ -503,8 +515,28 @@ class TestConfigTypes:
             SamplingPolicy(natural_range=(-1, 5))
 
 
+def interpret_then_cover(spec, trace, limits=GenerationLimits()) -> bool:
+    """The verdict of covers∘interpret, an input error reading False."""
+    try:
+        gt = interpret(spec, trace.inputs(), limits=limits)
+    except InterpretError:
+        return False
+    return covers(gt, normalize(trace)) == Covered()
+
+
+def outcome(check, *args, **kwargs):
+    """The value `check` returns, or the type of the exception it raises."""
+    try:
+        return check(*args, **kwargs)
+    except Exception as err:
+        return type(err)
+
+
 class TestEquivalence:
-    """The backtracking oracle agrees with interpret-then-cover."""
+    """Three deciders of trace acceptance agree: the backtracking oracle,
+    the library `accept` (which runs the whole specification on the
+    trace's inputs and checks each output gap as it is reached), and
+    covers∘interpret, whose verdict `accept` must give."""
 
     def test_equivalence_on_random_pairs(self):
         rng = random.Random(20240817)
@@ -529,6 +561,7 @@ class TestEquivalence:
             assert accepted == covered, (
                 f"disagreement on {spec} with {render_trace(trace)}"
             )
+            assert accept(spec, trace) == covered, render_trace(trace)
             checked += 1
         assert checked == 300
 
@@ -557,8 +590,50 @@ class TestEquivalence:
                 accepted = oracle.accept(spec, trace)
                 covered = covers(gt, normalize(trace)) == Covered()
                 assert accepted == covered, render_trace(trace)
+                assert accept(spec, trace) == covered, render_trace(trace)
                 agreed += 1
         assert agreed > 1000
+
+    def test_accept_matches_interpret_then_cover_under_tight_limits(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(1500):
+            spec = random_spec(rng, depth=3)
+            base_gt = sample_generalized_trace(
+                spec, policy=SamplingPolicy(seed=rng.getrandbits(32))
+            )
+            trace = concretization_as_trace(rng, base_gt)
+            if rng.random() < 0.7:
+                trace = mutate_trace(rng, trace, rounds=rng.randint(1, 2))
+            limits = GenerationLimits(
+                max_loop_iterations=rng.randint(1, 4),
+                max_trace_length=rng.randint(1, 12),
+            )
+            expected = outcome(interpret_then_cover, spec, trace, limits)
+            assert outcome(accept, spec, trace, limits=limits) == expected, (
+                f"{spec} on {render_trace(trace)} with {limits}"
+            )
+            seen.add(expected)
+        # both verdicts came up, and the limits were hit
+        assert {True, False, LimitExceededError} <= seen
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_trace_length_limit_is_hit_where_interpret_hits_it(self, sum_spec, valid):
+        last = "!10" if valid else "!11"
+        trace = parse_trace(f"?4 !4 ?1 !3 ?2 ?3 ?4 {last} stop")
+        length = len(interpret(sum_spec, trace.inputs()).steps)
+        raised = []
+        for max_length in range(1, length + 1):
+            limits = GenerationLimits(max_trace_length=max_length)
+            expected = outcome(interpret_then_cover, sum_spec, trace, limits)
+            assert outcome(accept, sum_spec, trace, limits=limits) == expected
+            if expected is LimitExceededError:
+                raised.append(max_length)
+        # the generalized trace is one input plus four rounds of an
+        # optional count and a summand, then the sum: 10 steps, of which
+        # the closing sum never counts against the limit
+        assert length == 10 and raised == list(range(1, 9))
+        assert accept(sum_spec, trace, limits=GenerationLimits(max_trace_length=9)) is valid
 
     def test_unmutated_samples_always_accepted(self):
         rng = random.Random(7)

@@ -240,6 +240,17 @@ class TestConcretize:
                 assert (covers(gt, mutated) == Covered()) == expected
 
 
+class TestGeneralizedTrace:
+    def test_consecutive_sets_are_rejected(self):
+        s = ows((1,))
+        with pytest.raises(ValueError):
+            GeneralizedTrace((s, s))
+        with pytest.raises(ValueError):
+            GeneralizedTrace((In(1), s, ows((), (2,)), In(2)))
+        with pytest.raises(ParseError):
+            parse_generalized_trace("?1 !{1} !{2} stop")
+
+
 class TestTextFormat:
     def test_render_ordinary(self):
         t = Trace((In(2), In(5), In(3), Out(8)))
@@ -256,6 +267,34 @@ class TestTextFormat:
     def test_render_fused_words(self):
         gt = GeneralizedTrace((In(1), ows((), (1,), (1, 1))))
         assert render_trace(gt) == "?1 !{eps, 1, <1 1>} stop"
+
+    def test_render_one_factor_sets(self):
+        # the empty word first, then by length and value
+        gt = GeneralizedTrace((In(3), ows((3,), (-1,), ())))
+        assert render_trace(gt) == "?3 !{eps, -1, 3} stop"
+        gt = GeneralizedTrace((In(-2), ows((-3, -4), (4,), (-12,), (-3,))))
+        assert render_trace(gt) == "?-2 !{-12, -3, 4, <-3 -4>} stop"
+        gt = GeneralizedTrace((ows((1, 2), (), (-1, 0, 5), (7,)), In(0)))
+        assert render_trace(gt) == "!{eps, 7, <1 2>, <-1 0 5>} ?0 stop"
+        assert render_trace(GeneralizedTrace((In(0), ows((5,))))) == "?0 !{5} stop"
+        # one factor prints as one group, however many words it holds
+        wide = OutputWordSet(frozenset((v,) for v in range(80, -1, -1)))
+        assert str(wide) == "!{" + ", ".join(map(str, range(81))) + "}"
+
+    def test_render_products_around_the_limit(self):
+        def product(n):
+            return OutputWordSet(
+                frozenset((a,) for a in range(n)),
+                frozenset((b,) for b in range(-8, 8) if n == 4 or abs(b) < 7),
+            )
+
+        assert len(product(4).words) == RENDER_LIMIT
+        assert str(product(4)) == "!{" + ", ".join(
+            f"<{a} {b}>" for a in range(4) for b in range(-8, 8)) + "}"
+        assert len(product(5).words) == RENDER_LIMIT + 1
+        assert str(product(5)) == (
+            "!{0, 1, 2, 3, 4}{" + ", ".join(map(str, range(-6, 7))) + "}")
+        assert str(OutputWordSet({(1,)}, {()}, {(), (2,)})) == "!{1, <1 2>}"
 
     def test_parse_ordinary(self):
         assert parse_trace("?2 ?5 ?3 !8 stop") == Trace(
