@@ -61,6 +61,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
 
 
+def _parse_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return count
+
+
 def _parse_inputs(text: str) -> list[int]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     try:
@@ -87,7 +97,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="print random generalized traces")
     sample.add_argument("spec_file")
     sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--count", type=int, default=1)
+    sample.add_argument("--count", type=_parse_count, default=1)
 
     test = sub.add_parser("test", help="test a program against a spec")
     test.add_argument("spec_file")

@@ -17,9 +17,11 @@ source.  Every value taken from it (variable names, constants, registry
 functions, error messages) is bound in the emitter's namespace under a
 generated name, so a variable called ``"x; import os"`` is one more
 history.  The interpreter emits whole specifications through the same
-emitter (see `semantics`); `eval_term` and `eval_output_set` wrap one term
-or write in a function of an environment, compiled once per registry and
-kept in a bounded cache.
+emitter (see `semantics`), where a write becomes an expression for its
+bare factor: the frozenset of words it may emit, with no output set built
+around it.  `eval_term` and `eval_output_set` wrap one term or write in a
+function of an environment, compiled once per registry and kept in a
+bounded cache; `eval_output_set` makes the factor a one-factor set.
 
 Compiling never fails on a bad term.  An unknown function or a value that
 is not a term becomes a call raising `EvalError`, so a bad term on a path
@@ -107,7 +109,6 @@ class Emitter:
         self.namespace = {
             "unbound": _unbound,
             "fail": _fail,
-            "one": OutputWordSet._one,
             **runtime,
         }
         self.variables: dict = {}  # variable name -> its number
@@ -161,13 +162,14 @@ class Emitter:
             return f"{self.bind(entry.fn, 'f')}({call})"
         return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
 
-    def output_set(self, write: WriteOutput, level: int = 0) -> str:
-        """An expression giving the write's one-factor output set."""
+    def factor(self, write: WriteOutput, level: int = 0) -> str:
+        """An expression giving the words the write may emit, as a bare
+        factor: a frozenset of one-value words, with the empty word when
+        the write is skippable."""
         words = [f"({self.term(t, level)},)" for t in write.terms]
         if write.includes_epsilon:
             words.append("()")
-        skippable = self.bind(write.includes_epsilon)
-        return f"one(frozenset(({', '.join(words)},)), {skippable})"
+        return f"frozenset(({', '.join(words)},))"
 
     def define(self, source: str, name: str) -> Callable:
         """Run the source in the namespace and return what it calls `name`."""
@@ -202,9 +204,9 @@ def _compiled_term(term: Term, registry: FunctionRegistry) -> Callable[[Env], ob
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
 def _compiled_write(
     write: WriteOutput, registry: FunctionRegistry
-) -> Callable[[Env], OutputWordSet]:
+) -> Callable[[Env], frozenset]:
     emitter = Emitter(registry)
-    return _of_env(emitter, emitter.output_set(write))
+    return _of_env(emitter, emitter.factor(write))
 
 
 def eval_term(
@@ -223,6 +225,8 @@ def eval_output_set(
 ) -> OutputWordSet:
     """All words the write may emit now, as a one-factor set: one-value
     words per term, and the empty word when the write is skippable.  Equal
-    values collapse.  Back-to-back writes fuse by concatenating these
-    factors (`OutputWordSet.concat`), never by enumerating their words."""
-    return cached(_compiled_write, write, registry)(env)
+    values collapse.  In the interpreter's compiled code the same write
+    yields only the factor; back-to-back writes fuse by keeping their
+    factors side by side, never by enumerating their words."""
+    factor = cached(_compiled_write, write, registry)(env)
+    return OutputWordSet._of((factor,), write.includes_epsilon)

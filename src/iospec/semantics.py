@@ -37,6 +37,12 @@ inputs produce.  Rather than build that trace, `accept` runs the whole
 specification on the trace's inputs and checks each output gap as it is
 reached (the trace's outputs between two inputs, as one word, against the
 writes run between the two reads); same verdict as covers∘interpret.
+
+A compiled write yields only its factor, the frozenset of words it may
+emit.  `interpret` and `sample_generalized_trace` build one output set per
+gap, the product of the factors of its writes; `accept` tests each gap's
+word against those factors directly (`traces.spells`) and builds no
+output set at all.
 """
 
 from __future__ import annotations
@@ -62,7 +68,16 @@ from .syntax import (
     TillExit,
     WriteOutput,
 )
-from .traces import GeneralizedTrace, GenStep, In, Out, OutputWordSet, Trace
+from .traces import (
+    EPSILON,
+    GeneralizedTrace,
+    GenStep,
+    In,
+    Out,
+    OutputWordSet,
+    Trace,
+    spells,
+)
 
 
 @dataclass(frozen=True)
@@ -151,9 +166,9 @@ def _not_an_action(message):
 
 # Every function of a compiled specification takes the run's state:
 # `read(domain)`, which draws an input and records it in the trace, the
-# `pending` output sets of the writes since the last read (fused into one
-# trace step by the next read or the end), the call's limit on loop rounds,
-# and every variable's history.
+# `pending` factors of the writes since the last read (fused into one trace
+# step by the next read or the end), the call's limit on loop rounds, and
+# every variable's history.
 
 _STATE = "read, pending, max_rounds"
 
@@ -211,7 +226,7 @@ class _Compiler:
             domain = emit.bind(action.domain, "d")
             return [f"{pad}{emit.history(action.var)}.append(read({domain}))"]
         if isinstance(action, WriteOutput):
-            return [f"{pad}pending.append({emit.output_set(action, level)})"]
+            return [f"{pad}pending.append({emit.factor(action, level)})"]
         if isinstance(action, Branch):
             inner = pad + "    "
             return [
@@ -239,15 +254,15 @@ def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
 def _generate(spec, draw, registry, limits, gap) -> None:
     """Run the specification, pulling each input from `draw(domain)`.
 
-    The writes between two reads fill one gap of the run: their output
-    sets wait in `pending` until the next read or the end closes the gap
+    The writes between two reads fill one gap of the run: their factors
+    wait in `pending` until the next read or the end closes the gap
     with `gap(pending, value)`, where `value` is the input just read, or
     None at the end.  A run's trace holds one step per input and one per
     non-empty gap, as back-to-back writes fuse into one word set, and
     growing it past `limits.max_trace_length` steps stops the run.
     """
     run = cached(_compiled, spec, registry)
-    pending: list[OutputWordSet] = []
+    pending: list[frozenset] = []
     max_steps = limits.max_trace_length
     steps = 0
 
@@ -268,15 +283,18 @@ def _generate(spec, draw, registry, limits, gap) -> None:
 def _steps():
     """A gap callback for `_generate` collecting the generalized trace:
     each non-empty gap becomes one word set, the product of its writes'
-    sets, so the steps never hold two output sets in a row."""
+    factors, so the steps never hold two output sets in a row."""
     steps: list[GenStep] = []
     append = steps.append
-    concat = OutputWordSet.concat
+    of = OutputWordSet._of
     ins: dict[int, In] = {}  # one step per distinct input value
 
-    def gap(pending: list[OutputWordSet], value: int | None) -> None:
-        if pending:
-            append(concat(pending))
+    def gap(pending: list[frozenset], value: int | None) -> None:
+        if len(pending) == 1:
+            factor = pending[0]
+            append(of((factor,), EPSILON in factor))
+        elif pending:
+            append(of(tuple(pending), all([EPSILON in f for f in pending])))
         if value is not None:
             step = ins.get(value)
             if step is None:
@@ -395,22 +413,23 @@ def accept(
     inputs: list[int] = []
     words: list[tuple] = []  # the outputs before each input, then after all
     word: list[int] = []
+    take, close, push = inputs.append, words.append, word.append
     for step in trace.steps:
         if isinstance(step, Out):
-            word.append(step.value)
+            push(step.value)
         else:
-            inputs.append(step.value)
-            words.append(tuple(word))
-            word = []
-    words.append(tuple(word))
+            take(step.value)
+            close(tuple(word))
+            word.clear()
+    close(tuple(word))
     gaps = iter(words)
     valid = True
 
-    def gap(pending: list[OutputWordSet], value: int | None) -> None:
+    def gap(pending: list[frozenset], value: int | None) -> None:
         nonlocal valid
         word = next(gaps)
         if valid:
-            valid = word in OutputWordSet.concat(pending) if pending else not word
+            valid = spells(pending, word) if pending else not word
 
     try:
         _run_on(spec, inputs, registry, limits, gap)

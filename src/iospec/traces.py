@@ -10,10 +10,15 @@ and the next began.
 The set of back-to-back writes is the concatenation of each write's set,
 which grows exponentially in the number of writes.  An `OutputWordSet`
 therefore keeps the factors of that concatenation and answers membership
-with a pass over them.  Hashing uses invariants of the language that the
-factors give in closed form; only `words` builds the whole set, and so
-does equality between differently factored sets that agree on those
-invariants.
+with a pass over them (`spells`).  Hashing uses invariants of the language
+that the factors give in closed form; only `words` builds the whole set,
+and so does equality between differently factored sets that agree on
+those invariants.
+
+A compiled write yields only its factor, a frozenset of words.  The
+interpreters build one `OutputWordSet` per output gap from the factors of
+the writes in it, and `semantics.accept` builds none: it tests each gap's
+word against the bare factors with `spells`.
 """
 
 from __future__ import annotations
@@ -88,6 +93,31 @@ def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
     return frozenset(words)
 
 
+def spells(factors, word: Word) -> bool:
+    """Is the tuple `word` in the concatenation of `factors`, a sequence
+    of frozensets of words?  Never builds the concatenation."""
+    if len(factors) == 1:
+        return word in factors[0]
+    # A dynamic program over the positions of `word`, all at once: bit i
+    # of `ends` is set when the factors so far can spell word[:i], and
+    # bit i of at[w] when w occurs in `word` starting at position i.
+    at: dict[Word, int] = {}
+    ends = 1
+    for factor in factors:
+        spelled = 0
+        for w in factor:
+            if w not in at:
+                at[w] = sum(
+                    1 << i for i in range(len(word) - len(w) + 1)
+                    if word[i:i + len(w)] == w
+                )
+            spelled |= (ends & at[w]) << len(w)
+        ends = spelled
+        if not ends:
+            return False
+    return bool(ends >> len(word) & 1)
+
+
 class OutputWordSet:
     """Words allowed at one output position; must allow some real output.
 
@@ -119,34 +149,23 @@ class OutputWordSet:
             raise ValueError("output word set needs non-empty factors")
         if not any(w for f in factors for w in f):
             raise ValueError("output word set needs a non-empty word")
-        self._set(factors, all(EPSILON in f for f in factors))
-
-    @classmethod
-    def _one(cls, words: frozenset, includes_epsilon: bool) -> "OutputWordSet":
-        """The one-factor set `words`, unchecked: the caller guarantees a
-        frozenset of tuples holding a non-empty word, and `includes_epsilon`
-        telling whether it holds the empty one."""
-        one = cls.__new__(cls)
-        one._set((words,), includes_epsilon)
-        return one
-
-    def _set(self, factors: tuple, includes_epsilon: bool) -> None:
         self.factors = factors
-        self.includes_epsilon = includes_epsilon
+        self.includes_epsilon = all(EPSILON in f for f in factors)
         self._words = factors[0] if len(factors) == 1 else None
         self._hash = None
 
     @classmethod
-    def concat(cls, sets) -> "OutputWordSet":
-        """The words of `sets` written back to back, as one product."""
-        if len(sets) == 1:
-            return sets[0]
-        fused = cls.__new__(cls)
-        fused._set(
-            tuple(f for s in sets for f in s.factors),
-            all(s.includes_epsilon for s in sets),
-        )
-        return fused
+    def _of(cls, factors: tuple, includes_epsilon: bool) -> "OutputWordSet":
+        """The product of `factors`, unchecked: the caller guarantees a
+        non-empty tuple of non-empty frozensets of tuples holding a
+        non-empty word, and `includes_epsilon` telling whether every
+        factor holds the empty one."""
+        product = cls.__new__(cls)
+        product.factors = factors
+        product.includes_epsilon = includes_epsilon
+        product._words = factors[0] if len(factors) == 1 else None
+        product._hash = None
+        return product
 
     @property
     def words(self) -> frozenset[Word]:
@@ -167,27 +186,7 @@ class OutputWordSet:
         return min((w for f in self.factors for w in f if w), key=_word_key)
 
     def __contains__(self, word: Word) -> bool:
-        word = tuple(word)
-        if len(self.factors) == 1:
-            return word in self.factors[0]
-        # A dynamic program over the positions of `word`, all at once: bit i
-        # of `ends` is set when the factors so far can spell word[:i], and
-        # bit i of at[w] when w occurs in `word` starting at position i.
-        at: dict[Word, int] = {}
-        ends = 1
-        for factor in self.factors:
-            spelled = 0
-            for w in factor:
-                if w not in at:
-                    at[w] = sum(
-                        1 << i for i in range(len(word) - len(w) + 1)
-                        if word[i:i + len(w)] == w
-                    )
-                spelled |= (ends & at[w]) << len(w)
-            ends = spelled
-            if not ends:
-                return False
-        return bool(ends >> len(word) & 1)
+        return spells(self.factors, tuple(word))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OutputWordSet):
@@ -253,21 +252,19 @@ def normalize(trace: Trace) -> GeneralizedTrace:
 
     The result has only singleton sets of non-empty words.
     """
+    of = OutputWordSet._of
     steps: list[GenStep] = []
-    pending: list[int] = []
-
-    def flush() -> None:
-        if pending:
-            steps.append(OutputWordSet._one(frozenset({tuple(pending)}), False))
-            pending.clear()
-
+    word: list[int] = []
     for step in trace.steps:
         if isinstance(step, Out):
-            pending.append(step.value)
+            word.append(step.value)
         else:
-            flush()
+            if word:
+                steps.append(of((frozenset((tuple(word),)),), False))
+                word = []
             steps.append(step)
-    flush()
+    if word:
+        steps.append(of((frozenset((tuple(word),)),), False))
     return GeneralizedTrace._trusted(tuple(steps))
 
 
@@ -334,16 +331,19 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
                 "left side of the covering check must come from normalize()"
             )
 
+    gsteps, nsteps = gt.steps, nt.steps
+    glen, nlen = len(gsteps), len(nsteps)
     i = j = 0
     while True:
-        expected = gt.steps[j] if j < len(gt.steps) else None
-        got = nt.steps[i] if i < len(nt.steps) else None
+        expected = gsteps[j] if j < glen else None
+        got = nsteps[i] if i < nlen else None
         if expected is None and got is None:
             return Covered()
         if isinstance(expected, OutputWordSet):
             if isinstance(got, OutputWordSet):
-                word = next(iter(got.words))
-                if word in expected:
+                factors = got.factors
+                word = next(iter(factors[0] if len(factors) == 1 else got.words))
+                if spells(expected.factors, word):
                     i += 1
                     j += 1
                     continue
@@ -378,6 +378,11 @@ def _render_group(words: frozenset) -> str:
     if len(words) == 1:
         for word in words:
             return "{" + _render_word(word) + "}"
+    if len(words) == 2:
+        a, b = words
+        if (len(a), a) > (len(b), b):
+            a, b = b, a
+        return "{" + _render_word(a) + ", " + _render_word(b) + "}"
     return "{" + ", ".join([_render_word(w) for w in sorted(sorted(words), key=len)]) + "}"
 
 
@@ -389,8 +394,21 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
     one brace group per factor: `!{eps, 3, 4}{eps, 3, 4}` is every word of
     the first group followed by any of the second.
     """
-    parts = [str(step) for step in trace.steps]
-    parts.append("stop")
+    parts = []
+    append = parts.append
+    inputs: dict[int, str] = {}  # each input's text, rendered once
+    for step in trace.steps:
+        kind = type(step)
+        if kind is In:
+            text = inputs.get(step.value)
+            if text is None:
+                text = inputs[step.value] = f"?{step.value}"
+            append(text)
+        elif kind is OutputWordSet and len(step.factors) == 1:
+            append("!" + _render_group(step.factors[0]))
+        else:
+            append(str(step))
+    append("stop")
     return " ".join(parts)
 
 

@@ -127,6 +127,13 @@ class TestSample:
         )
         assert out1 == out2
 
+    def test_count_below_one_is_a_usage_error(self, capsys):
+        for count in ("0", "-2", "x"):
+            code, out, err = run_cli(capsys, "sample", SUM_SPEC_FILE, "--count", count)
+            assert code == 2
+            assert out == ""
+            assert "--count" in err
+
     def test_samples_parse_back(self, capsys):
         from iospec import parse_generalized_trace
 

@@ -164,6 +164,24 @@ class TestAcceptInterpretsFirst:
         with pytest.raises(UnboundCurrentError):
             accept(spec, parse_trace("?0 !1 stop"))
 
+    def test_long_run_builds_no_output_set(self, sum_spec, monkeypatch):
+        # accept tests each gap's word against the writes' bare factors
+        n = 300
+        steps = [In(n)]
+        for i in range(n):
+            steps += [Out(n - i), In(i)] if i % 2 else [In(i)]
+        valid = Trace(tuple(steps) + (Out(sum(range(n))),))
+        invalid = Trace(tuple(steps) + (Out(sum(range(n)) + 1),))
+        limits = GenerationLimits(max_loop_iterations=2 * n)
+
+        def refuse(*args):
+            raise AssertionError("accept built an OutputWordSet")
+
+        # every way of building one stores its factors
+        monkeypatch.setattr(OutputWordSet, "factors", property(refuse, refuse))
+        assert accept(sum_spec, valid, limits=limits) is True
+        assert accept(sum_spec, invalid, limits=limits) is False
+
     def test_input_errors_reject(self):
         spec = parse_spec("read x : nats write { x_C }")
         assert accept(spec, parse_trace("?1 !1 ?2 stop")) is False  # surplus

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -280,3 +282,13 @@ class TestConstructors:
         assert not Naturals().contains(-1)
         assert ExplicitSet(frozenset({1, 3})).contains(3)
         assert not ExplicitSet(frozenset({1, 3})).contains(2)
+
+    def test_spec_hash_is_kept_but_not_pickled(self):
+        a = parse_spec(SUM_SPEC_TEXT)
+        b = parse_spec(SUM_SPEC_TEXT)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a)
+        # the kept hash stays behind: string hashes differ between processes
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert vars(twin) == {"actions": a.actions}
+            assert twin == a and hash(twin) == hash(a)

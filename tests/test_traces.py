@@ -21,7 +21,7 @@ from iospec import (
     parse_trace,
     render_trace,
 )
-from iospec.traces import RENDER_LIMIT
+from iospec.traces import RENDER_LIMIT, spells
 
 from oracle import BoundExceededError, concretize
 from randgen import concretization_as_trace, mutate_trace, random_generalized_trace
@@ -281,6 +281,20 @@ class TestTextFormat:
         wide = OutputWordSet(frozenset((v,) for v in range(80, -1, -1)))
         assert str(wide) == "!{" + ", ".join(map(str, range(81))) + "}"
 
+    def test_render_two_word_groups(self):
+        # either order of a pair renders as `_word_key` orders it
+        for pair, text in [
+            (((), (-1,)), "{eps, -1}"),
+            (((-1,), (3,)), "{-1, 3}"),
+            (((7,), (1, 2)), "{7, <1 2>}"),
+            (((5,), (-3, -4)), "{5, <-3 -4>}"),
+        ]:
+            for words in (pair, pair[::-1]):
+                assert render_trace(GeneralizedTrace((In(3), ows(*words)))) == (
+                    f"?3 !{text} stop")
+        gt = GeneralizedTrace((ows((1, 2), (7,)), In(-1), In(-1), ows((-1,), ()), In(3)))
+        assert render_trace(gt) == "!{7, <1 2>} ?-1 ?-1 !{eps, -1} ?3 stop"
+
     def test_render_products_around_the_limit(self):
         def product(n):
             return OutputWordSet(
@@ -357,6 +371,7 @@ class TestLazySets:
         assert lazy.words == words
         for word in list(words) + probes:
             assert (word in lazy) == (word in words)
+            assert spells(lazy.factors, word) == (word in words)
         assert lazy.includes_epsilon == (() in words)
         assert lazy.smallest_word() == min(
             words - {()}, key=lambda w: (len(w), w)
