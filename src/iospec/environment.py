@@ -59,6 +59,20 @@ Env = Mapping[str, Sequence[int]]
 _LEN = DEFAULT_REGISTRY.lookup("len")
 _SUM = DEFAULT_REGISTRY.lookup("sum")
 
+# The default integer operators, emitted as Python operators; an entry
+# counts only when it is the default registry's own (compared by identity),
+# so an override of the same name is still called.  `and` and `or` stay
+# calls: both operands are evaluated first, and a short-circuit would skip
+# the errors of the second.
+_OPERATORS = {
+    name: (DEFAULT_REGISTRY.lookup(name), template)
+    for name, template in [
+        ("+", "({} + {})"), ("-", "({} - {})"), ("*", "({} * {})"),
+        ("==", "({} == {})"), ("<", "({} < {})"), ("<=", "({} <= {})"),
+        (">", "({} > {})"), (">=", "({} >= {})"), ("not", "(not {})"),
+    ]
+}
+
 # How many compiled terms, writes and specifications are kept, each kind
 # in its own cache keyed on the tree and the registry.
 COMPILED_CACHE_SIZE = 64
@@ -158,8 +172,11 @@ class Emitter:
             if (entry is _LEN or entry is _SUM) and len(args) == 1 and isinstance(args[0], AllVar):
                 aggregate = "len" if entry is _LEN else "sum"
                 return f"{aggregate}({self.history(args[0].name)})"
-            call = ", ".join([self.term(a, level) for a in args])
-            return f"{self.bind(entry.fn, 'f')}({call})"
+            operands = [self.term(a, level) for a in args]
+            default, template = _OPERATORS.get(term.fn, (None, ""))
+            if entry is default and template.count("{}") == len(operands):
+                return template.format(*operands)
+            return f"{self.bind(entry.fn, 'f')}({', '.join(operands)})"
         return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
 
     def factor(self, write: WriteOutput, level: int = 0) -> str:

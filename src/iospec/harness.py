@@ -11,6 +11,7 @@ branching conditions can make random generation hopeless.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, replace
 
@@ -185,13 +186,13 @@ def _render_gen_step(step: GenStep | None) -> str:
 
 
 def _example_run(gt: GeneralizedTrace) -> Trace:
-    # one valid run: the smallest real word of every output set
+    # one valid run: the smallest real word of every output gap
     steps = []
-    for step in gt.steps:
-        if isinstance(step, OutputWordSet):
-            steps.extend(Out(v) for v in step.smallest_word())
-        else:
-            steps.append(step)
+    for gap, value in itertools.zip_longest(gt.gaps, gt.input_values):
+        if gap:
+            steps.extend(Out(v) for v in OutputWordSet(*gap).smallest_word())
+        if value is not None:
+            steps.append(In(value))
     return Trace(tuple(steps))
 
 

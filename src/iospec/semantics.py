@@ -33,16 +33,18 @@ limits on nested blocks and expressions; a parsed one never nests deeper.
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
-inputs produce.  Rather than build that trace, `accept` runs the whole
-specification on the trace's inputs and checks each output gap as it is
-reached (the trace's outputs between two inputs, as one word, against the
-writes run between the two reads); same verdict as covers∘interpret.
+inputs produce.  `accept` splits the trace into its inputs and one output
+word per gap (the outputs before each input, then those after the last),
+runs the specification on those inputs to the end, and then checks each
+gap's word against the writes run in that gap, with the same gap check as
+`traces.covers`; same verdict as covers∘interpret.
 
-A compiled write yields only its factor, the frozenset of words it may
-emit.  `interpret` and `sample_generalized_trace` build one output set per
-gap, the product of the factors of its writes; `accept` tests each gap's
-word against those factors directly (`traces.spells`) and builds no
-output set at all.
+A run reads its inputs one call each, and each read closes the output gap
+before it: a compiled write yields only its factor, the frozenset of
+words it may emit, and the gap is the tuple of the factors written since
+the previous read, or () where nothing was.  A generalized trace is kept
+in that form, its inputs and its gaps, so neither interpreter builds an
+input step or output set for the steps of a run.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .syntax import (
     Exit,
     FunctionRegistry,
     InputDomain,
+    Integers,
     Naturals,
     ReadInput,
     Spec,
@@ -68,16 +71,7 @@ from .syntax import (
     TillExit,
     WriteOutput,
 )
-from .traces import (
-    EPSILON,
-    GeneralizedTrace,
-    GenStep,
-    In,
-    Out,
-    OutputWordSet,
-    Trace,
-    spells,
-)
+from .traces import GeneralizedTrace, Trace, first_uncovered, split
 
 
 @dataclass(frozen=True)
@@ -165,10 +159,10 @@ def _not_an_action(message):
 
 
 # Every function of a compiled specification takes the run's state:
-# `read(domain)`, which draws an input and records it in the trace, the
-# `pending` factors of the writes since the last read (fused into one trace
-# step by the next read or the end), the call's limit on loop rounds, and
-# every variable's history.
+# `read(domain)`, which takes the next input and closes the output gap
+# before it, the `pending` factors of the writes since the last read (the
+# gap the next read or the end closes), the call's limit on loop rounds,
+# and every variable's history.
 
 _STATE = "read, pending, max_rounds"
 
@@ -251,78 +245,62 @@ def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
     return _Compiler(registry).compile(spec)
 
 
-def _generate(spec, draw, registry, limits, gap) -> None:
-    """Run the specification, pulling each input from `draw(domain)`.
+def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
+    """Run the specification; return the inputs it read and its gaps.
 
-    The writes between two reads fill one gap of the run: their factors
-    wait in `pending` until the next read or the end closes the gap
-    with `gap(pending, value)`, where `value` is the input just read, or
-    None at the end.  A run's trace holds one step per input and one per
-    non-empty gap, as back-to-back writes fuse into one word set, and
-    growing it past `limits.max_trace_length` steps stops the run.
+    Each read takes the next of the fixed `values`, or, when `draw` is
+    given, `draw(domain)`.  The writes between two reads fill one gap of
+    the run: their factors wait in `pending` until the next read or the
+    end closes the gap, as the tuple of them, or () where nothing was
+    written.  A run's generalized trace holds one step per input and one
+    per non-empty gap, and growing it past `limits.max_trace_length`
+    steps stops the run.
     """
     run = cached(_compiled, spec, registry)
+    gaps: list[tuple] = []
     pending: list[frozenset] = []
+    close = gaps.append
+    count = len(values)
+    drawn = values if draw is None else []
     max_steps = limits.max_trace_length
     steps = 0
 
     def read(domain: InputDomain) -> int:
         nonlocal steps
-        value = draw(domain)
-        steps += 2 if pending else 1
+        used = len(gaps)
+        if draw is not None:
+            value = draw(domain)
+            drawn.append(value)
+        elif used == count:
+            raise InputsExhaustedError(used)
+        else:
+            value = values[used]
+            # every value is an integer: skip the call for the common domain
+            if type(domain) is not Integers and not domain.contains(value):
+                raise InputRejectedError(used, value, domain)
+        if pending:
+            steps += 2
+            close(tuple(pending))
+            pending.clear()
+        else:
+            steps += 1
+            close(())
         if steps > max_steps:
             raise LimitExceededError(f"trace grew past {max_steps} steps")
-        gap(pending, value)
-        pending.clear()
         return value
 
     run(read, pending, limits.max_loop_iterations)
-    gap(pending, None)
+    close(tuple(pending))
+    return tuple(drawn), gaps
 
 
-def _steps():
-    """A gap callback for `_generate` collecting the generalized trace:
-    each non-empty gap becomes one word set, the product of its writes'
-    factors, so the steps never hold two output sets in a row."""
-    steps: list[GenStep] = []
-    append = steps.append
-    of = OutputWordSet._of
-    ins: dict[int, In] = {}  # one step per distinct input value
-
-    def gap(pending: list[frozenset], value: int | None) -> None:
-        if len(pending) == 1:
-            factor = pending[0]
-            append(of((factor,), EPSILON in factor))
-        elif pending:
-            append(of(tuple(pending), all([EPSILON in f for f in pending])))
-        if value is not None:
-            step = ins.get(value)
-            if step is None:
-                step = ins[value] = In(value)
-            append(step)
-
-    return steps, gap
-
-
-def _run_on(spec, inputs, registry, limits, gap) -> None:
-    """Run the specification on a fixed input sequence (see `interpret`
-    for what it raises)."""
-    values = list(inputs)
-    used = 0
-
-    def draw(domain: InputDomain) -> int:
-        nonlocal used
-        if used >= len(values):
-            raise InputsExhaustedError(used)
-        value = values[used]
-        if not domain.contains(value):
-            raise InputRejectedError(used, value, domain)
-        used += 1
-        return value
-
-    _generate(spec, draw, registry, limits, gap)
-    if used < len(values):
-        raise SurplusInputsError(len(values) - used)
+def _run_on(spec, inputs, registry, limits) -> list[tuple]:
+    """The gaps of the specification's run on a fixed input sequence (see
+    `interpret` for what it raises)."""
+    values, gaps = _generate(spec, registry, limits, inputs)
+    if len(gaps) <= len(values):
+        raise SurplusInputsError(len(values) + 1 - len(gaps))
+    return gaps
 
 
 def interpret(
@@ -338,9 +316,8 @@ def interpret(
     SurplusInputsError if inputs remain when it finishes, and
     LimitExceededError on runaway iteration.
     """
-    steps, gap = _steps()
-    _run_on(spec, inputs, registry, limits, gap)
-    return GeneralizedTrace._trusted(tuple(steps))
+    inputs = tuple(inputs)
+    return GeneralizedTrace._of(inputs, tuple(_run_on(spec, inputs, registry, limits)))
 
 
 def sample_generalized_trace(
@@ -369,12 +346,11 @@ def sample_generalized_trace(
         )
         return rng.randint(lo, hi)
 
-    steps, gap = _steps()
     try:
-        _generate(spec, draw, registry, limits, gap)
+        inputs, gaps = _generate(spec, registry, limits, (), draw)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
-    return GeneralizedTrace._trusted(tuple(steps))
+    return GeneralizedTrace._of(inputs, tuple(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +365,14 @@ def accept(
 ) -> bool:
     """True iff the trace is a valid run of the specification.
 
-    Runs the whole specification on the trace's inputs and checks each
-    output gap as it is reached: the trace's outputs since its previous
-    input, as one word, must be among the words of the writes run since
-    the previous read.  The verdict is the same as covering the trace by
-    the generalized trace `interpret` gives for its inputs.  An input
-    outside its read's domain, a missing input and a surplus input make
-    the trace invalid.
+    Runs the whole specification on the trace's inputs, then checks each
+    output gap: the trace's outputs between two inputs, as one word, must
+    be among the words of the writes run between the two reads.  The
+    verdict is the same as covering the trace by the generalized trace
+    `interpret` gives for its inputs.  An input outside its read's
+    domain, a missing input and a surplus input make the trace invalid.
 
-    After a mismatch the run still goes on to the end, so errors that
+    The run goes to the end before any gap is checked, so errors that
     `interpret` raises on the trace's inputs propagate even when the
     trace's outputs go wrong earlier:
 
@@ -410,29 +385,9 @@ def accept(
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
-    inputs: list[int] = []
-    words: list[tuple] = []  # the outputs before each input, then after all
-    word: list[int] = []
-    take, close, push = inputs.append, words.append, word.append
-    for step in trace.steps:
-        if isinstance(step, Out):
-            push(step.value)
-        else:
-            take(step.value)
-            close(tuple(word))
-            word.clear()
-    close(tuple(word))
-    gaps = iter(words)
-    valid = True
-
-    def gap(pending: list[frozenset], value: int | None) -> None:
-        nonlocal valid
-        word = next(gaps)
-        if valid:
-            valid = spells(pending, word) if pending else not word
-
+    inputs, words = split(trace)
     try:
-        _run_on(spec, inputs, registry, limits, gap)
+        gaps = _run_on(spec, inputs, registry, limits)
     except InterpretError:
         return False
-    return valid
+    return first_uncovered(gaps, words) is None

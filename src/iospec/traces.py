@@ -15,10 +15,15 @@ that the factors give in closed form; only `words` builds the whole set,
 and so does equality between differently factored sets that agree on
 those invariants.
 
-A compiled write yields only its factor, a frozenset of words.  The
-interpreters build one `OutputWordSet` per output gap from the factors of
-the writes in it, and `semantics.accept` builds none: it tests each gap's
-word against the bare factors with `spells`.
+Both kinds of trace are checked gap by gap.  A trace has one output gap
+before each input and one after the last.  A `GeneralizedTrace` is kept as
+its inputs and its gaps, each the factors of the writes run there (a
+compiled write yields only its factor, a frozenset of words), or () where
+none ran; its `steps` are built only on demand.  `split` cuts an ordinary
+trace into its inputs and the word it prints in each gap.  Covering then
+means that the inputs agree and that each gap can print its word
+(`first_uncovered`), which is also the check `semantics.accept` makes
+after running the specification on a trace's inputs.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class Trace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
     def inputs(self) -> list[int]:
-        return [s.value for s in self.steps if isinstance(s, In)]
+        return list(split(self)[0])
 
 
 def _word_key(word: Word):
@@ -99,19 +104,25 @@ def spells(factors, word: Word) -> bool:
     if len(factors) == 1:
         return word in factors[0]
     # A dynamic program over the positions of `word`, all at once: bit i
-    # of `ends` is set when the factors so far can spell word[:i], and
-    # bit i of at[w] when w occurs in `word` starting at position i.
-    at: dict[Word, int] = {}
+    # of `ends` is set when the factors so far can spell word[:i].  For
+    # each length of the factors' words, one slide over `word` maps every
+    # piece of it of that length to the positions it starts at, as bits.
+    starts: dict[int, dict[Word, int]] = {}
     ends = 1
     for factor in factors:
         spelled = 0
         for w in factor:
-            if w not in at:
-                at[w] = sum(
-                    1 << i for i in range(len(word) - len(w) + 1)
-                    if word[i:i + len(w)] == w
-                )
-            spelled |= (ends & at[w]) << len(w)
+            size = len(w)
+            if not size:  # the empty word keeps every end
+                spelled |= ends
+                continue
+            at = starts.get(size)
+            if at is None:
+                at = starts[size] = {}
+                for i in range(len(word) - size + 1):
+                    piece = word[i:i + size]
+                    at[piece] = at.get(piece, 0) | 1 << i
+            spelled |= (ends & at.get(w, 0)) << size
         ends = spelled
         if not ends:
             return False
@@ -210,41 +221,124 @@ class OutputWordSet:
         return f"OutputWordSet({', '.join(repr(f) for f in self.factors)})"
 
     def __str__(self) -> str:
-        if len(self.factors) == 1:
-            return "!" + _render_group(self.factors[0])
-        words = _language(self.factors, RENDER_LIMIT)
-        groups = self.factors if words is None else (words,)
-        return "!" + "".join(_render_group(g) for g in groups)
+        return "!" + _render_factors(self.factors)
 
 
 GenStep = Union[In, OutputWordSet]
 
+# The factors of the writes run in one output gap, or () where none ran.
+Gap = tuple
 
-@dataclass(frozen=True)
+
+def _gap_set(gap: Gap) -> OutputWordSet:
+    """The output set a non-empty gap allows, as a trace step."""
+    return OutputWordSet._of(gap, all([EPSILON in f for f in gap]))
+
+
 class GeneralizedTrace:
-    """Inputs interleaved with output word sets; never two sets in a row."""
+    """Inputs interleaved with output word sets; never two sets in a row.
 
-    steps: tuple[GenStep, ...] = ()
+    The trace is kept as its `input_values`, a tuple of ints, and its
+    `gaps`: one before each input and one after the last, each the tuple
+    of factors of the output set there (see `OutputWordSet`), or () where
+    the trace has none.  ``GeneralizedTrace(steps)`` takes the steps, `In`
+    and `OutputWordSet` values, and rejects two sets in a row; `steps`
+    builds them again on each access.  Equality and hashing compare the
+    inputs and each gap's language, whatever its factors.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        previous_was_set = False
-        for step in self.steps:
-            is_set = isinstance(step, OutputWordSet)
-            if is_set and previous_was_set:
-                raise ValueError("consecutive output sets must be fused")
-            previous_was_set = is_set
+    __slots__ = ("input_values", "gaps")
+
+    def __init__(self, steps=()) -> None:
+        inputs: list[int] = []
+        gaps: list[Gap] = []
+        gap: Gap = ()
+        for step in steps:
+            if isinstance(step, In):
+                inputs.append(step.value)
+                gaps.append(gap)
+                gap = ()
+            elif isinstance(step, OutputWordSet):
+                if gap:
+                    raise ValueError("consecutive output sets must be fused")
+                gap = step.factors
+            else:
+                raise TypeError(f"not a generalized trace step: {step!r}")
+        gaps.append(gap)
+        self._init(tuple(inputs), tuple(gaps))
+
+    def _init(self, inputs: tuple, gaps: tuple) -> None:
+        object.__setattr__(self, "input_values", inputs)
+        object.__setattr__(self, "gaps", gaps)
 
     @classmethod
-    def _trusted(cls, steps: tuple) -> "GeneralizedTrace":
-        """The trace of `steps`, unchecked: the caller guarantees a tuple
-        that never holds two output sets in a row."""
+    def _of(cls, inputs: tuple, gaps: tuple) -> "GeneralizedTrace":
+        """The trace of `inputs` and `gaps`, unchecked: the caller
+        guarantees a tuple of ints and a tuple of one more gaps, each ()
+        or a tuple of non-empty frozensets of words holding a non-empty
+        word."""
         trace = cls.__new__(cls)
-        object.__setattr__(trace, "steps", steps)
+        trace._init(inputs, gaps)
         return trace
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (GeneralizedTrace._of, (self.input_values, self.gaps))
+
+    @property
+    def steps(self) -> tuple[GenStep, ...]:
+        steps: list[GenStep] = []
+        for gap, value in zip(self.gaps, self.input_values):
+            if gap:
+                steps.append(_gap_set(gap))
+            steps.append(In(value))
+        if self.gaps[-1]:
+            steps.append(_gap_set(self.gaps[-1]))
+        return tuple(steps)
+
     def inputs(self) -> list[int]:
-        return [s.value for s in self.steps if isinstance(s, In)]
+        return list(self.input_values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GeneralizedTrace):
+            return NotImplemented
+        return self.input_values == other.input_values and (
+            self.gaps == other.gaps or all(map(_same_gap, self.gaps, other.gaps))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.input_values, tuple([_gap_set(g) if g else None for g in self.gaps])))
+
+    def __repr__(self) -> str:
+        return f"GeneralizedTrace(steps={self.steps!r})"
+
+
+def _same_gap(a: Gap, b: Gap) -> bool:
+    """Do the two gaps allow the same words?"""
+    return a == b or bool(a) and bool(b) and _gap_set(a) == _gap_set(b)
+
+
+def split(trace: Trace) -> tuple[tuple[int, ...], list[Word]]:
+    """The trace's inputs, and its outputs as one word per gap: the values
+    printed before each input, then those printed after the last."""
+    inputs: list[int] = []
+    words: list[Word] = []
+    word: list[int] = []
+    take, close, push = inputs.append, words.append, word.append
+    for step in trace.steps:
+        if type(step) is Out:
+            push(step.value)
+        elif word:
+            take(step.value)
+            close(tuple(word))
+            word.clear()
+        else:
+            take(step.value)
+            close(EPSILON)
+    close(tuple(word))
+    return tuple(inputs), words
 
 
 def normalize(trace: Trace) -> GeneralizedTrace:
@@ -252,20 +346,10 @@ def normalize(trace: Trace) -> GeneralizedTrace:
 
     The result has only singleton sets of non-empty words.
     """
-    of = OutputWordSet._of
-    steps: list[GenStep] = []
-    word: list[int] = []
-    for step in trace.steps:
-        if isinstance(step, Out):
-            word.append(step.value)
-        else:
-            if word:
-                steps.append(of((frozenset((tuple(word),)),), False))
-                word = []
-            steps.append(step)
-    if word:
-        steps.append(of((frozenset((tuple(word),)),), False))
-    return GeneralizedTrace._trusted(tuple(steps))
+    inputs, words = split(trace)
+    return GeneralizedTrace._of(
+        inputs, tuple([(frozenset((word,)),) if word else () for word in words])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,61 +387,97 @@ class PreconditionViolation(Exception):
     """covers() was handed a trace outside the image of normalize()."""
 
 
-def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
-    """Is the normalized run `nt` among the runs `gt` represents?
-
-    Walks both traces left to right: inputs must agree, an output word must
-    be an element of the facing word set, and a set containing the empty
-    word may be skipped entirely.  Since neither side may hold two output
-    steps in a row, a skippable set facing a produced word can never be
-    satisfied by skipping (the word would then face an input or the end),
-    so the walk needs no backtracking and the reported mismatch is the
-    earliest one.  Output mismatches win over alignment mismatches when
-    both readings fail at the same step.
-    """
-    for step in nt.steps:
-        if not isinstance(step, OutputWordSet):
+def first_uncovered(gaps, words) -> int | None:
+    """The index of the first gap that cannot print its word, or None
+    when every gap can.  A gap of writes can print the words its factors
+    spell, the empty one when every factor holds it; a gap without writes
+    prints only the empty word."""
+    for k, (gap, word) in enumerate(zip(gaps, words)):
+        if gap:
+            if (word in gap[0]) if len(gap) == 1 else spells(gap, word):
+                continue
+        elif not word:
             continue
-        # One non-empty word, checked on the factors, as a product of many
-        # may hold exponentially many words: every factor holds one word
-        # (factors are never empty, so their sizes sum to their count), and
-        # not every factor holds only the empty one.
-        factors = step.factors
-        if step.includes_epsilon or (
-            len(factors[0]) != 1 if len(factors) == 1
-            else sum(map(len, factors)) != len(factors)
-        ):
+        return k
+    return None
+
+
+def _one_words(nt: GeneralizedTrace) -> list[Word]:
+    """The word each gap of a normalized trace prints, () for an empty
+    gap.  Checked on the factors, as a product of many may hold
+    exponentially many words: a non-empty gap prints one non-empty word
+    when every factor holds one word (factors are never empty, so their
+    sizes sum to their count) and not every factor holds only the empty
+    one."""
+    words: list[Word] = []
+    append = words.append
+    for gap in nt.gaps:
+        if not gap:
+            append(EPSILON)
+            continue
+        if len(gap) == 1 and len(gap[0]) == 1:
+            (word,) = gap[0]
+        elif sum(map(len, gap)) == len(gap):
+            word = tuple(itertools.chain.from_iterable([w for f in gap for w in f]))
+        else:
+            word = EPSILON
+        if not word:
             raise PreconditionViolation(
                 "left side of the covering check must come from normalize()"
             )
+        append(word)
+    return words
 
-    gsteps, nsteps = gt.steps, nt.steps
-    glen, nlen = len(gsteps), len(nsteps)
-    i = j = 0
-    while True:
-        expected = gsteps[j] if j < glen else None
-        got = nsteps[i] if i < nlen else None
-        if expected is None and got is None:
-            return Covered()
-        if isinstance(expected, OutputWordSet):
-            if isinstance(got, OutputWordSet):
-                factors = got.factors
-                word = next(iter(factors[0] if len(factors) == 1 else got.words))
-                if spells(expected.factors, word):
-                    i += 1
-                    j += 1
-                    continue
-                return OutputMismatch(word, expected, i)
-            if expected.includes_epsilon:
-                j += 1
-                continue
-            return AlignmentMismatch(expected, got, i)
-        if isinstance(expected, In) and isinstance(got, In):
-            if expected.value == got.value:
-                i += 1
-                j += 1
-                continue
-        return AlignmentMismatch(expected, got, i)
+
+def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
+    """Is the normalized run `nt` among the runs `gt` represents?
+
+    The inputs must agree, and the word `nt` prints in each gap must be
+    one `gt` allows there: a set containing the empty word may be skipped
+    entirely, and a gap without a set allows only the empty word.  Since
+    neither side may hold two output sets in a row, a gap of one side
+    faces exactly the same gap of the other, so the check needs no
+    backtracking, and the reported mismatch is the earliest one in `nt`'s
+    steps.  Output mismatches win over alignment mismatches when both
+    readings fail at the same step.
+    """
+    words = _one_words(nt)
+    inputs, got = gt.input_values, nt.input_values
+    gaps = gt.gaps
+    if inputs == got:
+        k = first_uncovered(gaps, words)
+        return Covered() if k is None else _mismatch(gt, nt, words, k)
+    # The inputs part at index `last`: compare the gaps up to it.
+    last = next(
+        (i for i, (a, b) in enumerate(zip(inputs, got)) if a != b),
+        min(len(inputs), len(got)),
+    )
+    k = first_uncovered(gaps[:last + 1], words[:last + 1])
+    if k is not None:
+        return _mismatch(gt, nt, words, k)
+    position = _position(words, last) + (1 if words[last] else 0)
+    return AlignmentMismatch(_input(inputs, last), _input(got, last), position)
+
+
+def _input(inputs: tuple, k: int) -> In | None:
+    return In(inputs[k]) if k < len(inputs) else None
+
+
+def _position(words: list[Word], k: int) -> int:
+    """The index in the normalized trace's steps where gap `k` starts."""
+    return k + sum([1 for word in words[:k] if word])
+
+
+def _mismatch(gt, nt, words: list[Word], k: int) -> CoverageResult:
+    """Why gap `k` of `nt`, whose word is `words[k]`, is not covered by
+    the same gap of `gt`."""
+    gap, word = gt.gaps[k], words[k]
+    position = _position(words, k)
+    if gap and word:
+        return OutputMismatch(word, _gap_set(gap), position)
+    if gap:  # an unskippable set facing the next input or the end
+        return AlignmentMismatch(_gap_set(gap), _input(nt.input_values, k), position)
+    return AlignmentMismatch(_input(gt.input_values, k), _gap_set(nt.gaps[k]), position)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +500,17 @@ def _render_group(words: frozenset) -> str:
             return "{" + _render_word(word) + "}"
     if len(words) == 2:
         a, b = words
-        if (len(a), a) > (len(b), b):
+        if len(a) > len(b) or len(a) == len(b) and a > b:
             a, b = b, a
-        return "{" + _render_word(a) + ", " + _render_word(b) + "}"
+        return f"{{{_render_word(a)}, {_render_word(b)}}}"
     return "{" + ", ".join([_render_word(w) for w in sorted(sorted(words), key=len)]) + "}"
+
+
+def _render_factors(factors: tuple) -> str:
+    if len(factors) == 1:
+        return _render_group(factors[0])
+    words = _language(factors, RENDER_LIMIT)
+    return "".join([_render_group(g) for g in (factors if words is None else (words,))])
 
 
 def render_trace(trace: Trace | GeneralizedTrace) -> str:
@@ -396,17 +523,21 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
     """
     parts = []
     append = parts.append
-    inputs: dict[int, str] = {}  # each input's text, rendered once
-    for step in trace.steps:
-        kind = type(step)
-        if kind is In:
-            text = inputs.get(step.value)
+    if isinstance(trace, GeneralizedTrace):
+        inputs: dict[int, str] = {}  # each input's text, rendered once
+        gaps = iter(trace.gaps)
+        for value, gap in zip(trace.input_values, gaps):
+            if gap:
+                append("!" + (_render_group(gap[0]) if len(gap) == 1 else _render_factors(gap)))
+            text = inputs.get(value)
             if text is None:
-                text = inputs[step.value] = f"?{step.value}"
+                text = inputs[value] = f"?{value}"
             append(text)
-        elif kind is OutputWordSet and len(step.factors) == 1:
-            append("!" + _render_group(step.factors[0]))
-        else:
+        gap = next(gaps)
+        if gap:
+            append("!" + _render_factors(gap))
+    else:
+        for step in trace.steps:
             append(str(step))
     append("stop")
     return " ".join(parts)

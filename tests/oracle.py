@@ -1,8 +1,8 @@
 """Reference implementations the library is checked against.
 
 `accept` decides trace acceptance independently of the library's `accept`,
-which runs the whole specification on the trace's inputs and checks each
-output gap as it is reached, with the same verdict as covers∘interpret.
+which runs the whole specification on the trace's inputs and then checks
+each output gap, with the same verdict as covers∘interpret.
 Here the specification is walked directly against the trace, exploring
 both readings of every skippable write.  The equivalence tests compare
 the three (acceptance criterion 04).
@@ -14,14 +14,18 @@ exit marker, which discards whatever else was queued inside the loop).
 Alternatives share environments, so an environment is a persistent mapping
 from each variable to the tuple of values read into it.
 
-`concretize` enumerates every run a generalized trace represents, the
-brute-force counterpart of `covers` (acceptance criterion 05).
+`covers` is the covering check as a walk over both traces' steps, the
+reference for the library's `covers`, which compares the inputs and then
+each output gap.  `concretize` enumerates every run a generalized trace
+represents, the brute-force counterpart of both (acceptance criterion 05).
 """
 
 import itertools
 
 from iospec import (
     DEFAULT_REGISTRY,
+    AlignmentMismatch,
+    Covered,
     EPSILON,
     Branch,
     Exit,
@@ -31,7 +35,9 @@ from iospec import (
     In,
     LimitExceededError,
     Out,
+    OutputMismatch,
     OutputWordSet,
+    PreconditionViolation,
     ReadInput,
     Spec,
     TillExit,
@@ -41,6 +47,7 @@ from iospec import (
     normalize_spec,
 )
 from iospec.semantics import SpecStructureError
+from iospec.traces import CoverageResult
 
 
 def store(name: str, value: int, env: dict) -> dict:
@@ -134,6 +141,54 @@ def accept(
                 continue
             raise TypeError(f"not an action: {head!r}")
     return False
+
+
+def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
+    """Is the normalized run `nt` among the runs `gt` represents?
+
+    Walks both traces' steps left to right: inputs must agree, an output
+    word must be an element of the facing word set, and a set containing
+    the empty word may be skipped entirely.  Since neither side may hold
+    two output steps in a row, a skippable set facing a produced word can
+    never be satisfied by skipping (the word would then face an input or
+    the end), so the walk needs no backtracking and the reported mismatch
+    is the earliest one.  Output mismatches win over alignment mismatches
+    when both readings fail at the same step.
+    """
+    gsteps, nsteps = gt.steps, nt.steps
+    for step in nsteps:
+        if not isinstance(step, OutputWordSet):
+            continue
+        # one non-empty word, checked on the factors: every factor holds
+        # one word, and not every factor holds only the empty one
+        if step.includes_epsilon or any(len(f) != 1 for f in step.factors):
+            raise PreconditionViolation(
+                "left side of the covering check must come from normalize()"
+            )
+    i = j = 0
+    while True:
+        expected = gsteps[j] if j < len(gsteps) else None
+        got = nsteps[i] if i < len(nsteps) else None
+        if expected is None and got is None:
+            return Covered()
+        if isinstance(expected, OutputWordSet):
+            if isinstance(got, OutputWordSet):
+                (word,) = got.words
+                if word in expected.words:
+                    i += 1
+                    j += 1
+                    continue
+                return OutputMismatch(word, expected, i)
+            if expected.includes_epsilon:
+                j += 1
+                continue
+            return AlignmentMismatch(expected, got, i)
+        if isinstance(expected, In) and isinstance(got, In):
+            if expected.value == got.value:
+                i += 1
+                j += 1
+                continue
+        return AlignmentMismatch(expected, got, i)
 
 
 class BoundExceededError(Exception):

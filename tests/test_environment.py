@@ -14,7 +14,11 @@ from iospec import (
     WriteOutput,
     eval_output_set,
     eval_term,
+    interpret,
+    parse_spec,
+    render_trace,
 )
+from iospec.environment import Emitter
 
 SUM_ALL_X = Apply("sum", (AllVar("x"),))
 
@@ -97,6 +101,51 @@ def test_overriding_len_still_gets_a_copy():
     assert calls == [[5, 3]]
     assert env == {"x": [5, 3]}
     assert eval_term(Apply("len", (AllVar("x"),)), env) == 2
+
+
+class TestOperators:
+    def test_default_operators_are_inlined(self):
+        # the default registry's own entries become Python operators
+        emitter = Emitter(DEFAULT_REGISTRY)
+        one, two = IntConst(1), IntConst(2)
+        for name, symbol in [("+", "+"), ("-", "-"), ("*", "*"), ("==", "=="),
+                             ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")]:
+            assert emitter.term(Apply(name, (one, two))).split()[1] == symbol
+            assert eval_term(Apply(name, (one, two)), {}) == (
+                DEFAULT_REGISTRY.lookup(name).fn(1, 2))
+        assert emitter.term(Apply("not", (Apply("<", (one, two)),))).startswith("(not ")
+        assert eval_term(Apply("not", (Apply("<", (one, two)),)), {}) is False
+        # `and` and `or` stay calls, and so does a call of the wrong arity
+        assert "and" not in emitter.term(Apply("and", (Apply("<", (one, two)),) * 2))
+        with pytest.raises(TypeError):
+            eval_term(Apply("+", (one,)), {})
+
+    def test_overriding_an_operator_still_calls_it(self):
+        calls = []
+
+        def minus(a, b):
+            calls.append((a, b))
+            return a + b
+
+        registry = DEFAULT_REGISTRY.extended(
+            FunctionSpec("-", (Sort.INT, Sort.INT), Sort.INT, minus)
+        )
+        term = Apply("-", (CurrentVar("x"), IntConst(2)))
+        assert eval_term(term, {"x": [5]}, registry) == 7
+        assert calls == [(5, 2)]
+        assert eval_term(term, {"x": [5]}) == 3
+
+    def test_conjunction_evaluates_both_operands(self):
+        # `1 > 2` is false, but x was never read: the right operand still
+        # raises, as it did when every operator was a call
+        spec = parse_spec(
+            "read c : ints\n"
+            "if c_C == 1 then { read x : ints } else { write { 0 } }\n"
+            "if 1 > 2 && x_C == 0 then { write { 1 } } else { write { 2 } }\n"
+        )
+        with pytest.raises(UnboundCurrentError):
+            interpret(spec, [0])
+        assert render_trace(interpret(spec, [1, 5])) == "?1 ?5 !{2} stop"
 
 
 class TestOutputSet:

@@ -128,7 +128,7 @@ class TestAccept:
 
 class TestAcceptInterpretsFirst:
     """The library `accept` runs the whole specification on the run's
-    inputs and keeps running after an output gap mismatches, so errors of
+    inputs before it checks any output gap, so errors of
     `interpret` surface even past an early mismatch, where the oracle
     stops."""
 
@@ -165,22 +165,32 @@ class TestAcceptInterpretsFirst:
             accept(spec, parse_trace("?0 !1 stop"))
 
     def test_long_run_builds_no_output_set(self, sum_spec, monkeypatch):
-        # accept tests each gap's word against the writes' bare factors
-        n = 300
+        # accept, interpret, normalize and covers work on the inputs and
+        # the output gaps, and build no step object, save the one set a
+        # mismatch reports
+        n = 2000
         steps = [In(n)]
         for i in range(n):
             steps += [Out(n - i), In(i)] if i % 2 else [In(i)]
         valid = Trace(tuple(steps) + (Out(sum(range(n))),))
         invalid = Trace(tuple(steps) + (Out(sum(range(n)) + 1),))
         limits = GenerationLimits(max_loop_iterations=2 * n)
+        inputs = valid.inputs()
 
-        def refuse(*args):
-            raise AssertionError("accept built an OutputWordSet")
-
-        # every way of building one stores its factors
-        monkeypatch.setattr(OutputWordSet, "factors", property(refuse, refuse))
+        # every way of building an output set stores its factors
+        factors = {}
+        monkeypatch.setattr(OutputWordSet, "factors", property(
+            lambda s: factors[id(s)], lambda s, value: factors.__setitem__(id(s), value)))
+        ins = []
+        monkeypatch.setattr(In, "__init__", lambda s, value: ins.append(value))
         assert accept(sum_spec, valid, limits=limits) is True
         assert accept(sum_spec, invalid, limits=limits) is False
+        gt = interpret(sum_spec, inputs, limits=limits)
+        assert covers(gt, normalize(valid)) == Covered()
+        assert factors == {} and ins == []
+        result = covers(gt, normalize(invalid))
+        assert (result.word, result.position) == ((sum(range(n)) + 1,), n + 1 + n // 2)
+        assert len(factors) == 1 and ins == []
 
     def test_input_errors_reject(self):
         spec = parse_spec("read x : nats write { x_C }")
@@ -553,7 +563,7 @@ def outcome(check, *args, **kwargs):
 class TestEquivalence:
     """Three deciders of trace acceptance agree: the backtracking oracle,
     the library `accept` (which runs the whole specification on the
-    trace's inputs and checks each output gap as it is reached), and
+    trace's inputs and then checks each output gap), and
     covers∘interpret, whose verdict `accept` must give."""
 
     def test_equivalence_on_random_pairs(self):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 
@@ -23,6 +24,7 @@ from iospec import (
 )
 from iospec.traces import RENDER_LIMIT, spells
 
+import oracle
 from oracle import BoundExceededError, concretize
 from randgen import concretization_as_trace, mutate_trace, random_generalized_trace
 
@@ -192,6 +194,54 @@ class TestCovers:
             assert covers(padded_gt, nt) == Covered()
 
 
+def truncate_trace(rng: random.Random, trace: Trace) -> Trace:
+    """The trace cut short at a random step."""
+    return Trace(trace.steps[:rng.randint(0, len(trace.steps))])
+
+
+def outcome(check, *args):
+    """What `check` returns, or the type of the exception it raises."""
+    try:
+        return check(*args)
+    except Exception as err:
+        return type(err)
+
+
+class TestGapsAgainstTheStepWalk:
+    """`covers` compares the inputs and then each output gap; the oracle
+    walks both traces' steps.  Both must give the same whole result."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_covers_matches_the_step_walk(self, seed):
+        rng = random.Random(seed)
+        gt = random_generalized_trace(rng)
+        run = concretization_as_trace(rng, gt)
+        other = random_generalized_trace(rng)
+        candidates = [
+            run,
+            mutate_trace(rng, run, rounds=rng.randint(1, 3)),
+            truncate_trace(rng, run),
+            concretization_as_trace(rng, other),
+        ]
+        for trace in candidates:
+            nt = normalize(trace)
+            for left in (gt, other):
+                assert covers(left, nt) == oracle.covers(left, nt), (
+                    render_trace(left), render_trace(trace))
+        # a generalized trace that is not normalized breaks the precondition
+        # the same way on both sides
+        assert outcome(covers, other, gt) == outcome(oracle.covers, other, gt)
+
+    def test_mismatch_fields_are_the_step_walks(self):
+        gt = parse_generalized_trace("?1 !{eps, 1} ?2 !{2}{eps, 3} ?4 stop")
+        for text in ["?1 ?2 !2 ?4 stop", "?1 !1 ?2 !2 !3 ?4 stop", "?1 !2 ?2 !2 ?4 stop",
+                     "?1 ?2 ?4 stop", "?1 !1 ?2 !2 !4 ?4 stop", "?1 ?2 !2 ?5 stop",
+                     "?1 ?2 !2 stop", "?1 ?2 !2 ?4 ?4 stop", "?1 ?2 !2 ?4 !0 stop",
+                     "?1 !1 ?3 stop", "!7 ?1 stop", "stop"]:
+            nt = normalize(parse_trace(text))
+            assert covers(gt, nt) == oracle.covers(gt, nt), text
+
+
 class TestConcretize:
     def test_optional_output(self):
         gt = GeneralizedTrace((In(5), ows((), (5,))))
@@ -241,6 +291,41 @@ class TestConcretize:
 
 
 class TestGeneralizedTrace:
+    def test_steps_round_trip(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            steps = random_generalized_trace(rng).steps
+            gt = GeneralizedTrace(steps)
+            assert gt.steps == steps
+            assert GeneralizedTrace(gt.steps) == gt
+            assert gt.inputs() == [s.value for s in steps if isinstance(s, In)]
+            assert len(gt.gaps) == len(gt.input_values) + 1
+
+    def test_equality_and_hash_compare_languages(self):
+        one = GeneralizedTrace((In(1), OutputWordSet({(), (1,)}, {(2,)}), In(2)))
+        same = GeneralizedTrace((In(1), ows((2,), (1, 2)), In(2)))
+        assert one.gaps != same.gaps
+        assert one == same and hash(one) == hash(same)
+        assert {one, same} == {one}
+        for different in [
+            GeneralizedTrace((In(1), ows((2,)), In(2))),
+            GeneralizedTrace((In(1), In(2))),
+            GeneralizedTrace((In(1), ows((2,), (1, 2)), In(3))),
+            GeneralizedTrace((In(1), ows((2,), (1, 2)), In(2), ows((2,)))),
+            GeneralizedTrace((ows((2,), (1, 2)), In(1), In(2))),
+        ]:
+            assert one != different and different != one
+        assert one != one.steps
+
+    def test_frozen_and_checked(self):
+        gt = GeneralizedTrace((In(1),))
+        with pytest.raises(AttributeError):
+            gt.gaps = ()
+        with pytest.raises(TypeError):
+            GeneralizedTrace((In(1), Out(1)))
+        assert pickle.loads(pickle.dumps(gt)) == gt
+        assert GeneralizedTrace() == GeneralizedTrace(()) == normalize(Trace())
+
     def test_consecutive_sets_are_rejected(self):
         s = ows((1,))
         with pytest.raises(ValueError):
