@@ -22,7 +22,7 @@ from .harness import (
     run_test_suite,
 )
 from .parser import ParseError, StaticError, parse_spec
-from .runner import SpawnError, SubprocessConfig
+from .runner import SpawnError, SubprocessConfig, parse_decimal
 from .semantics import (
     GenerationFailureError,
     InterpretError,
@@ -74,7 +74,7 @@ def _parse_count(text: str) -> int:
 def _parse_inputs(text: str) -> list[int]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return [int(part) for part in items]
+        return [parse_decimal(part) for part in items]
     except ValueError:
         raise argparse.ArgumentTypeError(f"inputs must be integers: {text!r}")
 

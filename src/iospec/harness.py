@@ -11,7 +11,6 @@ branching conditions can make random generation hopeless.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, replace
 
@@ -37,7 +36,6 @@ from .traces import (
     GeneralizedTrace,
     GenStep,
     In,
-    Out,
     OutputMismatch,
     OutputWordSet,
     Trace,
@@ -187,13 +185,8 @@ def _render_gen_step(step: GenStep | None) -> str:
 
 def _example_run(gt: GeneralizedTrace) -> Trace:
     # one valid run: the smallest real word of every output gap
-    steps = []
-    for gap, value in itertools.zip_longest(gt.gaps, gt.input_values):
-        if gap:
-            steps.extend(Out(v) for v in OutputWordSet(*gap).smallest_word())
-        if value is not None:
-            steps.append(In(value))
-    return Trace(tuple(steps))
+    words = [OutputWordSet(*gap).smallest_word() if gap else () for gap in gt.gaps]
+    return Trace._of(gt.input_values, tuple(words))
 
 
 def format_feedback(

@@ -107,7 +107,7 @@ KEYWORDS = {
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+|\#[^\n]*)
-    | (?P<int>\d+)
+    | (?P<int>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>==|<=|>=|&&|\|\||[-+*<>{}(),:])
     """,

@@ -38,6 +38,7 @@ import array
 import enum
 import fcntl
 import os
+import re
 import selectors
 import signal
 import subprocess
@@ -75,10 +76,13 @@ class ExitKind(enum.Enum):
 class RunOutcome:
     trace: Trace
     exit_kind: ExitKind
-    consumed_inputs: int
     detail: str = ""
     exit_code: int | None = None
     stderr: str = ""
+
+    @property
+    def consumed_inputs(self) -> int:
+        return len(self.trace.input_values)
 
     @property
     def clean(self) -> bool:
@@ -102,21 +106,15 @@ def run_scripted(program: ScriptedProgram, inputs) -> RunOutcome:
         try:
             effect = gen.send(feed)
         except StopIteration:
-            return RunOutcome(Trace(tuple(steps)), ExitKind.CLEAN_HALT, consumed)
+            return RunOutcome(Trace(steps), ExitKind.CLEAN_HALT)
         except Exception as err:  # the program under test blew up
-            return RunOutcome(
-                Trace(tuple(steps)), ExitKind.CRASHED, consumed, detail=repr(err)
-            )
+            return RunOutcome(Trace(steps), ExitKind.CRASHED, detail=repr(err))
         feed = None
         if isinstance(effect, Read):
             if consumed == len(values):
                 gen.close()
-                return RunOutcome(
-                    Trace(tuple(steps)),
-                    ExitKind.PROTOCOL_ERROR,
-                    consumed,
-                    detail="InputUnderflow: program wants more input",
-                )
+                return RunOutcome(Trace(steps), ExitKind.PROTOCOL_ERROR,
+                                  detail="InputUnderflow: program wants more input")
             feed = values[consumed]
             steps.append(In(feed))
             consumed += 1
@@ -124,21 +122,12 @@ def run_scripted(program: ScriptedProgram, inputs) -> RunOutcome:
             steps.append(Out(effect.value))
         else:
             gen.close()
-            return RunOutcome(
-                Trace(tuple(steps)),
-                ExitKind.PROTOCOL_ERROR,
-                consumed,
-                detail=f"BadEffect: yielded {effect!r}",
-            )
+            return RunOutcome(Trace(steps), ExitKind.PROTOCOL_ERROR,
+                              detail=f"BadEffect: yielded {effect!r}")
 
 
 # ---------------------------------------------------------------------------
 # External processes
-
-
-class OutputParseMode(enum.Enum):
-    STRICT_INTEGER = "strictInteger"
-    SKIP_BLANK = "skipBlank"
 
 
 @dataclass(frozen=True)
@@ -147,12 +136,23 @@ class SubprocessConfig:
     args: tuple[str, ...] = ()
     per_run_timeout_ms: int = 5000
     quiescence_window_ms: int = 50
-    output_parse_mode: OutputParseMode = OutputParseMode.STRICT_INTEGER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
         if not self.per_run_timeout_ms > self.quiescence_window_ms > 0:
             raise ValueError("need timeout > quiescence window > 0")
+
+
+_DECIMAL = re.compile(r"\s*[-+]?[0-9]+\s*")
+
+
+def parse_decimal(text: str) -> int:
+    """The decimal integer `text` spells: an optionally signed run of
+    ASCII digits, surrounding whitespace allowed.  Raises ValueError on
+    anything else, such as the `1_000` or non-ASCII digits `int` takes."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text.strip())
 
 
 class SpawnError(Exception):
@@ -248,7 +248,6 @@ class _Run:
         self.selector.register(proc.stdout, selectors.EVENT_READ)
         self.selector.register(proc.stderr, selectors.EVENT_READ)
         self.steps: list[TraceStep] = []
-        self.consumed = 0
         self.eof = False
         self.partial = b""  # stdout bytes after the last complete line
         self.out_bytes = 0
@@ -299,11 +298,9 @@ class _Run:
     def take_line(self, line: bytes) -> None:
         text = line.decode(errors="replace").removesuffix("\r")
         if not text.strip():
-            if self.cfg.output_parse_mode is OutputParseMode.SKIP_BLANK:
-                return
             raise _Abort(ExitKind.PROTOCOL_ERROR, "UnparsableOutput: blank line")
         try:
-            self.steps.append(Out(int(text.strip())))
+            self.steps.append(Out(parse_decimal(text)))
         except ValueError:
             raise _Abort(ExitKind.PROTOCOL_ERROR, f"UnparsableOutput: {text!r}") from None
 
@@ -365,7 +362,6 @@ class _Run:
         except OSError:  # the program closed stdin or exited
             return False
         self.steps.append(In(value))
-        self.consumed += 1
         return True
 
     def finish(self, kind: ExitKind, detail: str = "") -> RunOutcome:
@@ -389,7 +385,7 @@ class _Run:
         if kind is ExitKind.CLEAN_HALT and code != 0:
             kind, detail = ExitKind.CRASHED, f"exit code {code}"
         return RunOutcome(
-            Trace(tuple(self.steps)), kind, self.consumed, detail=detail,
+            Trace(self.steps), kind, detail=detail,
             exit_code=code, stderr=self.stderr.decode(errors="replace"),
         )
 

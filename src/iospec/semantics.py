@@ -33,8 +33,8 @@ limits on nested blocks and expressions; a parsed one never nests deeper.
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
-inputs produce.  `accept` splits the trace into its inputs and one output
-word per gap (the outputs before each input, then those after the last),
+inputs produce.  A trace is stored as its inputs and one output word per
+gap (the outputs before each input, then those after the last); `accept`
 runs the specification on those inputs to the end, and then checks each
 gap's word against the writes run in that gap, with the same gap check as
 `traces.covers`; same verdict as covers∘interpret.
@@ -71,7 +71,7 @@ from .syntax import (
     TillExit,
     WriteOutput,
 )
-from .traces import GeneralizedTrace, Trace, first_uncovered, split
+from .traces import GeneralizedTrace, Trace, first_uncovered
 
 
 @dataclass(frozen=True)
@@ -385,9 +385,8 @@ def accept(
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
-    inputs, words = split(trace)
     try:
-        gaps = _run_on(spec, inputs, registry, limits)
+        gaps = _run_on(spec, trace.input_values, registry, limits)
     except InterpretError:
         return False
-    return first_uncovered(gaps, words) is None
+    return first_uncovered(gaps, trace.gaps) is None

@@ -15,15 +15,14 @@ that the factors give in closed form; only `words` builds the whole set,
 and so does equality between differently factored sets that agree on
 those invariants.
 
-Both kinds of trace are checked gap by gap.  A trace has one output gap
-before each input and one after the last.  A `GeneralizedTrace` is kept as
-its inputs and its gaps, each the factors of the writes run there (a
-compiled write yields only its factor, a frozenset of words), or () where
-none ran; its `steps` are built only on demand.  `split` cuts an ordinary
-trace into its inputs and the word it prints in each gap.  Covering then
-means that the inputs agree and that each gap can print its word
-(`first_uncovered`), which is also the check `semantics.accept` makes
-after running the specification on a trace's inputs.
+Both kinds of trace are kept as their inputs and their output gaps, one
+before each input and one after the last, and build their `steps` only on
+demand.  A `Trace` keeps in each gap the word printed there, and a
+`GeneralizedTrace` the factors of the writes run there (a compiled write
+yields only its factor, a frozenset of words); either is () where nothing
+is.  Covering then means that the inputs agree and that each gap can print
+its word (`first_uncovered`), which is also the check `semantics.accept`
+makes after running the specification on a trace's inputs.
 """
 
 from __future__ import annotations
@@ -60,17 +59,79 @@ class Out:
 TraceStep = Union[In, Out]
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A finished program run; rendering appends the closing `stop`."""
+class _GapTrace:
+    """A frozen trace kept as its `input_values`, a tuple of ints, and its
+    `gaps`, one before each input and one after the last, compared exactly;
+    a subclass's `steps` builds its steps again on each access."""
 
-    steps: tuple[TraceStep, ...] = ()
+    __slots__ = ("input_values", "gaps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def _init(self, inputs: tuple, gaps: tuple) -> None:
+        object.__setattr__(self, "input_values", inputs)
+        object.__setattr__(self, "gaps", gaps)
+
+    @classmethod
+    def _of(cls, inputs: tuple, gaps: tuple):
+        """The trace of `inputs` and `gaps`, unchecked: the caller
+        guarantees a tuple of ints and one more gaps of the class's form."""
+        trace = cls.__new__(cls)
+        trace._init(inputs, gaps)
+        return trace
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (type(self)._of, (self.input_values, self.gaps))
 
     def inputs(self) -> list[int]:
-        return list(split(self)[0])
+        return list(self.input_values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.input_values == other.input_values and self.gaps == other.gaps
+
+    def __hash__(self) -> int:
+        return hash((self.input_values, self.gaps))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(steps={self.steps!r})"
+
+
+class Trace(_GapTrace):
+    """A finished program run; rendering appends the closing `stop`.
+
+    Each gap is the word printed there.  ``Trace(steps)`` takes `In` and
+    `Out` steps and fuses each run of outputs into one word.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, steps=()) -> None:
+        inputs: list[int] = []
+        gaps: list[Word] = []
+        word: list[int] = []
+        for step in steps:
+            if isinstance(step, Out):
+                word.append(step.value)
+            elif isinstance(step, In):
+                inputs.append(step.value)
+                gaps.append(tuple(word))
+                word.clear()
+            else:
+                raise TypeError(f"not a trace step: {step!r}")
+        gaps.append(tuple(word))
+        self._init(tuple(inputs), tuple(gaps))
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        steps: list[TraceStep] = []
+        for word, value in zip(self.gaps, self.input_values):
+            steps.extend(map(Out, word))
+            steps.append(In(value))
+        steps.extend(map(Out, self.gaps[-1]))
+        return tuple(steps)
 
 
 def _word_key(word: Word):
@@ -235,19 +296,17 @@ def _gap_set(gap: Gap) -> OutputWordSet:
     return OutputWordSet._of(gap, all([EPSILON in f for f in gap]))
 
 
-class GeneralizedTrace:
+class GeneralizedTrace(_GapTrace):
     """Inputs interleaved with output word sets; never two sets in a row.
 
-    The trace is kept as its `input_values`, a tuple of ints, and its
-    `gaps`: one before each input and one after the last, each the tuple
-    of factors of the output set there (see `OutputWordSet`), or () where
-    the trace has none.  ``GeneralizedTrace(steps)`` takes the steps, `In`
-    and `OutputWordSet` values, and rejects two sets in a row; `steps`
-    builds them again on each access.  Equality and hashing compare the
-    inputs and each gap's language, whatever its factors.
+    Each gap is the tuple of factors of the output set there (see
+    `OutputWordSet`), or () where the trace has none.
+    ``GeneralizedTrace(steps)`` takes the steps, `In` and `OutputWordSet`
+    values, and rejects two sets in a row.  Equality and hashing compare
+    the inputs and each gap's language, whatever its factors.
     """
 
-    __slots__ = ("input_values", "gaps")
+    __slots__ = ()
 
     def __init__(self, steps=()) -> None:
         inputs: list[int] = []
@@ -267,26 +326,6 @@ class GeneralizedTrace:
         gaps.append(gap)
         self._init(tuple(inputs), tuple(gaps))
 
-    def _init(self, inputs: tuple, gaps: tuple) -> None:
-        object.__setattr__(self, "input_values", inputs)
-        object.__setattr__(self, "gaps", gaps)
-
-    @classmethod
-    def _of(cls, inputs: tuple, gaps: tuple) -> "GeneralizedTrace":
-        """The trace of `inputs` and `gaps`, unchecked: the caller
-        guarantees a tuple of ints and a tuple of one more gaps, each ()
-        or a tuple of non-empty frozensets of words holding a non-empty
-        word."""
-        trace = cls.__new__(cls)
-        trace._init(inputs, gaps)
-        return trace
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (GeneralizedTrace._of, (self.input_values, self.gaps))
-
     @property
     def steps(self) -> tuple[GenStep, ...]:
         steps: list[GenStep] = []
@@ -298,9 +337,6 @@ class GeneralizedTrace:
             steps.append(_gap_set(self.gaps[-1]))
         return tuple(steps)
 
-    def inputs(self) -> list[int]:
-        return list(self.input_values)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedTrace):
             return NotImplemented
@@ -311,44 +347,20 @@ class GeneralizedTrace:
     def __hash__(self) -> int:
         return hash((self.input_values, tuple([_gap_set(g) if g else None for g in self.gaps])))
 
-    def __repr__(self) -> str:
-        return f"GeneralizedTrace(steps={self.steps!r})"
-
 
 def _same_gap(a: Gap, b: Gap) -> bool:
     """Do the two gaps allow the same words?"""
     return a == b or bool(a) and bool(b) and _gap_set(a) == _gap_set(b)
 
 
-def split(trace: Trace) -> tuple[tuple[int, ...], list[Word]]:
-    """The trace's inputs, and its outputs as one word per gap: the values
-    printed before each input, then those printed after the last."""
-    inputs: list[int] = []
-    words: list[Word] = []
-    word: list[int] = []
-    take, close, push = inputs.append, words.append, word.append
-    for step in trace.steps:
-        if type(step) is Out:
-            push(step.value)
-        elif word:
-            take(step.value)
-            close(tuple(word))
-            word.clear()
-        else:
-            take(step.value)
-            close(EPSILON)
-    close(tuple(word))
-    return tuple(inputs), words
-
-
 def normalize(trace: Trace) -> GeneralizedTrace:
-    """Embed an ordinary trace: fuse each run of outputs into one word.
+    """Embed an ordinary trace: each gap's word becomes its set's one word.
 
     The result has only singleton sets of non-empty words.
     """
-    inputs, words = split(trace)
     return GeneralizedTrace._of(
-        inputs, tuple([(frozenset((word,)),) if word else () for word in words])
+        trace.input_values,
+        tuple([(frozenset((word,)),) if word else () for word in trace.gaps]),
     )
 
 
@@ -546,10 +558,10 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
 _TRACE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<in>\?-?\d+)
+    | (?P<in>\?-?[0-9]+)
     | (?P<outset>!\{)
-    | (?P<out>!-?\d+)
-    | (?P<int>-?\d+)
+    | (?P<out>!-?[0-9]+)
+    | (?P<int>-?[0-9]+)
     | (?P<word>stop|eps)
     | (?P<punct>[<>,{}])
     """,

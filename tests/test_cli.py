@@ -80,6 +80,14 @@ class TestInterpret:
         assert code == 1
         assert "outside the domain" in err
 
+    def test_inputs_must_be_ascii_decimal_integers(self, capsys):
+        # int() itself takes both `1_0` and the Arabic-Indic digit 7
+        for inputs in ("1_0", "2,\u0667"):
+            code, out, err = run_cli(capsys, "interpret", SUM_SPEC_FILE, "--inputs", inputs)
+            assert code == 2
+            assert out == ""
+            assert "--inputs" in err
+
     def test_runaway_loop_exit_2(self, capsys, tmp_path):
         runaway = write_runaway_spec(tmp_path)
         code, out, err = run_cli(capsys, "interpret", runaway, "--inputs", "")

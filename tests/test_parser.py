@@ -112,6 +112,11 @@ class TestGrammar:
             parse_spec("read x :\nwobble")
         assert exc.value.span.start_line == 2
 
+    def test_literals_are_ascii_digits(self):
+        # `\d` would also match the Arabic-Indic digit 7
+        with pytest.raises(ParseError):
+            parse_spec("write { \u0667 }")
+
     def test_determinism(self):
         text = SUM_SPEC_TEXT
         assert parse_spec(text) == parse_spec(text)

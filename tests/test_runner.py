@@ -9,7 +9,7 @@ import pytest
 
 from iospec import (
     ExitKind,
-    OutputParseMode,
+    Read,
     SamplingPolicy,
     SpawnError,
     SubprocessConfig,
@@ -65,6 +65,21 @@ class TestRunScripted:
             outcome = run_scripted(programs.sum_program, inputs)
             assert outcome.trace.inputs() == inputs[: outcome.consumed_inputs]
 
+    def test_consumed_inputs_counts_the_trace_inputs(self):
+        def bad_effect():
+            yield Read()
+            yield "print"
+
+        for program, inputs, kind in [
+            (programs.sum_program, [2, 5, 3], ExitKind.CLEAN_HALT),
+            (programs.crasher, [1], ExitKind.CRASHED),
+            (programs.sum_program, [2, 5], ExitKind.PROTOCOL_ERROR),
+            (bad_effect, [4, 6], ExitKind.PROTOCOL_ERROR),
+        ]:
+            outcome = run_scripted(program, inputs)
+            assert outcome.exit_kind is kind
+            assert outcome.consumed_inputs == len(outcome.trace.inputs()) > 0
+
     def test_deterministic(self):
         a = run_scripted(programs.sum_with_progress, [3, 1, 2, 3])
         b = run_scripted(programs.sum_with_progress, [3, 1, 2, 3])
@@ -116,12 +131,14 @@ class TestRunSubprocess:
         assert outcome.exit_kind is ExitKind.PROTOCOL_ERROR
         assert "UnparsableOutput" in outcome.detail
 
-    def test_blank_lines_skipped_when_asked(self):
-        cfg = _cfg("blank_then_sum.py",
-                   output_parse_mode=OutputParseMode.SKIP_BLANK)
-        outcome = run_subprocess(cfg, [4, 5])
-        assert render_trace(outcome.trace) == "?4 ?5 !9 stop"
-        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+    @pytest.mark.parametrize("line", ["1_000", "\u0667"])
+    def test_only_ascii_decimal_integers_parse(self, line):
+        # int() itself takes both `1_000` and the Arabic-Indic digit 7
+        cfg = SubprocessConfig(sys.executable, ("-X", "utf8", "-c", f"print({line!r})"), **FAST)
+        outcome = run_subprocess(cfg, [])
+        assert outcome.exit_kind is ExitKind.PROTOCOL_ERROR
+        assert "UnparsableOutput" in outcome.detail
+        assert outcome.trace.steps == ()
 
     def test_blank_lines_rejected_by_default(self):
         outcome = run_subprocess(_cfg("blank_then_sum.py"), [4, 5])

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import time
@@ -336,6 +337,34 @@ class TestGeneralizedTrace:
             parse_generalized_trace("?1 !{1} !{2} stop")
 
 
+class TestTrace:
+    def test_kept_as_inputs_and_gap_words(self):
+        t = parse_trace("!3 ?1 !2 !4 ?5 stop")
+        assert t.input_values == (1, 5)
+        assert t.gaps == ((3,), (2, 4), ())
+        assert repr(t) == (
+            "Trace(steps=(Out(value=3), In(value=1), Out(value=2), Out(value=4), In(value=5)))"
+        )
+
+    def test_copies_keep_equality_and_hash(self):
+        t = parse_trace("!3 ?1 !2 !4 ?5 stop")
+        for twin in [pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)]:
+            assert type(twin) is Trace
+            assert twin == t and hash(twin) == hash(t)
+        assert t != normalize(t) and t != t.steps
+
+    def test_frozen_and_checked(self):
+        t = Trace((In(1), Out(2)))
+        with pytest.raises(AttributeError):
+            t.gaps = ()
+        with pytest.raises(AttributeError):
+            t.input_values = (2,)
+        with pytest.raises(TypeError):
+            Trace(("x",))
+        with pytest.raises(TypeError):
+            Trace((In(1), ows((1,))))
+
+
 class TestTextFormat:
     def test_render_ordinary(self):
         t = Trace((In(2), In(5), In(3), Out(8)))
@@ -408,7 +437,8 @@ class TestTextFormat:
         assert render_trace(gt) == text
 
     def test_parse_errors(self):
-        for bad in ["?1", "?1 stop extra", "!{} stop", "!{eps} stop", "?x stop"]:
+        for bad in ["?1", "?1 stop extra", "!{} stop", "!{eps} stop", "?x stop",
+                    "!\u0667 stop", "?1_0 stop", "?1 !{\u0667} stop"]:
             with pytest.raises(ParseError):
                 parse_trace(bad) if "{" not in bad else parse_generalized_trace(bad)
 
@@ -416,6 +446,7 @@ class TestTextFormat:
     def test_ordinary_round_trip(self, steps):
         t = Trace(tuple(steps))
         assert parse_trace(render_trace(t)) == t
+        assert t.steps == tuple(steps) and Trace(t.steps) == t
 
     def test_generalized_round_trip(self):
         rng = random.Random(88)
