@@ -4,6 +4,9 @@ Exit codes: 0 success (or AllPassed / trace accepted), 1 check failure
 (violations, Falsified, trace rejected, run-level errors), 2 usage,
 parse, configuration or evaluation errors and generation giving up (a
 generation limit hit, GenerationStuck).
+
+Each command imports only the modules it runs, so `check` loads just the
+parser and only `test` loads the harness and the subprocess runner.
 """
 
 from __future__ import annotations
@@ -11,28 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .environment import EvalError
-from .harness import (
-    ConfigError,
-    FeedbackMode,
-    ReportFormat,
-    TestConfig,
-    Verdict,
-    format_feedback,
-    run_test_suite,
-)
-from .parser import ParseError, StaticError, parse_spec
-from .runner import SpawnError, SubprocessConfig, parse_decimal
-from .semantics import (
-    GenerationFailureError,
-    InterpretError,
-    LimitExceededError,
-    SamplingPolicy,
-    accept,
-    interpret,
-    sample_generalized_trace,
-)
-from .traces import parse_trace, render_trace
+from .parser import ParseError, StaticError, parse_decimal, parse_spec
 
 USAGE_ERROR = 2
 
@@ -51,19 +33,26 @@ def _diag(message: str) -> int:
     return USAGE_ERROR
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     try:
-        return (int(lo), int(hi))
+        return (parse_decimal(lo), parse_decimal(hi))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
 
 
 def _parse_count(text: str) -> int:
     try:
-        count = int(text)
+        count = parse_decimal(text)
     except ValueError:
         count = 0
     if count < 1:
@@ -96,17 +85,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="print random generalized traces")
     sample.add_argument("spec_file")
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=_parse_int, default=0)
     sample.add_argument("--count", type=_parse_count, default=1)
 
     test = sub.add_parser("test", help="test a program against a spec")
     test.add_argument("spec_file")
     test.add_argument("--program", required=True, help="path to the executable")
     test.add_argument("--args", nargs="*", default=[], help="extra program arguments")
-    test.add_argument("--tests", type=int, default=100)
-    test.add_argument("--seed", type=int, default=0)
-    test.add_argument("--timeout", type=int, default=5000, metavar="MS")
-    test.add_argument("--quiescence", type=int, default=50, metavar="MS",
+    test.add_argument("--tests", type=_parse_int, default=100)
+    test.add_argument("--seed", type=_parse_int, default=0)
+    test.add_argument("--timeout", type=_parse_int, default=5000, metavar="MS")
+    test.add_argument("--quiescence", type=_parse_int, default=50, metavar="MS",
                       help="fallback window: where /proc cannot show the program "
                            "waiting for input, its turn ends after MS without output")
     test.add_argument("--int-range", type=_parse_range, default=(-10, 10),
@@ -135,6 +124,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
+    from .semantics import InterpretError, interpret
+    from .traces import render_trace
+
     spec = _load_spec(args.spec_file)
     try:
         print(render_trace(interpret(spec, args.inputs)))
@@ -145,6 +137,9 @@ def _cmd_interpret(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .semantics import GenerationFailureError, SamplingPolicy, sample_generalized_trace
+    from .traces import render_trace
+
     spec = _load_spec(args.spec_file)
     for i in range(args.count):
         try:
@@ -156,6 +151,18 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    from .harness import (
+        ConfigError,
+        FeedbackMode,
+        ReportFormat,
+        TestConfig,
+        Verdict,
+        format_feedback,
+        run_test_suite,
+    )
+    from .runner import SpawnError, SubprocessConfig
+    from .semantics import SamplingPolicy
+
     spec = _load_spec(args.spec_file)
     try:
         cfg = TestConfig(
@@ -187,6 +194,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_accept(args) -> int:
+    from .semantics import accept
+    from .traces import parse_trace
+
     spec = _load_spec(args.spec_file)
     trace = parse_trace(args.trace)
     verdict = accept(spec, trace)
@@ -212,10 +222,19 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, StaticError, EvalError, LimitExceededError) as err:
+    except (ParseError, StaticError) as err:
         return _diag(str(err))
     except SystemExit as err:
         return int(err.code or 0)
+    except Exception as err:
+        # Only a command that loaded the interpreters can raise their
+        # errors, so they are looked up here rather than imported up front.
+        from .environment import EvalError
+        from .semantics import LimitExceededError
+
+        if isinstance(err, (EvalError, LimitExceededError)):
+            return _diag(str(err))
+        raise
 
 
 if __name__ == "__main__":

@@ -224,6 +224,10 @@ def format_feedback(
         lines.append(f"  AbnormalExit: {ce.exit_kind.value}")
         if ce.run_detail:
             lines.append(f"    {ce.run_detail}")
+    if not isinstance(ce.error, Covered) and ce.exit_kind is not ExitKind.CLEAN_HALT:
+        # the mismatch may only be a symptom of why the run ended
+        lines.append("  AbnormalExit: " + ": ".join(
+            part for part in (ce.exit_kind.value, ce.run_detail) if part))
     return "\n".join(lines)
 
 
@@ -250,4 +254,6 @@ def _machine_lines(report: TestReport) -> str:
             lines.append(f"allowed={str(ce.error.allowed)[1:]}")
         else:
             lines.append(f"error=AbnormalExit:{ce.exit_kind.value}")
+        lines.append(f"exit_kind={ce.exit_kind.value}")
+        lines.append(f"run_detail={ce.run_detail}")
     return "\n".join(lines)

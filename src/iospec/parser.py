@@ -114,6 +114,19 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# The same ASCII-digit rule for integers outside a spec: the lines a
+# program under test prints and the numbers given on the command line.
+_DECIMAL = re.compile(r"\s*[-+]?[0-9]+\s*")
+
+
+def parse_decimal(text: str) -> int:
+    """The decimal integer `text` spells: an optionally signed run of
+    ASCII digits, surrounding whitespace allowed.  Raises ValueError on
+    anything else, such as the `1_000` or non-ASCII digits `int` takes."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text.strip())
+
 
 @dataclass(frozen=True)
 class Token:

@@ -38,7 +38,6 @@ import array
 import enum
 import fcntl
 import os
-import re
 import selectors
 import signal
 import subprocess
@@ -47,6 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Generator
 
+from .parser import parse_decimal
 from .traces import In, Out, Trace, TraceStep
 
 
@@ -141,18 +141,6 @@ class SubprocessConfig:
         object.__setattr__(self, "args", tuple(self.args))
         if not self.per_run_timeout_ms > self.quiescence_window_ms > 0:
             raise ValueError("need timeout > quiescence window > 0")
-
-
-_DECIMAL = re.compile(r"\s*[-+]?[0-9]+\s*")
-
-
-def parse_decimal(text: str) -> int:
-    """The decimal integer `text` spells: an optionally signed run of
-    ASCII digits, surrounding whitespace allowed.  Raises ValueError on
-    anything else, such as the `1_000` or non-ASCII digits `int` takes."""
-    if _DECIMAL.fullmatch(text) is None:
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text.strip())
 
 
 class SpawnError(Exception):

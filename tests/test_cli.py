@@ -2,7 +2,9 @@ import subprocess
 import sys
 import time
 
-from iospec.cli import main
+import pytest
+
+from iospec.cli import build_arg_parser, main
 
 from conftest import DATA_DIR, FIXTURES_DIR
 
@@ -320,6 +322,66 @@ class TestTest:
         code, _, _ = run_cli(capsys, "test", SUM_SPEC_FILE)
         assert code == 2
 
+    def test_unparsable_output_names_the_protocol_error(self, capsys, tmp_path):
+        spec = tmp_path / "thousand.iospec"
+        spec.write_text("write { 1000 }\n")
+        prog = tmp_path / "underscores.py"
+        prog.write_text("print('1_000', flush=True)\n")
+        argv = ["test", str(spec), "--program", sys.executable, "--args", str(prog),
+                "--tests", "1", "--quiescence", "30"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.endswith(
+            "  AlignmentMismatch:\n"
+            "    Expected: !{1000}\n"
+            "    Got: stop\n"
+            "  AbnormalExit: ProtocolError: UnparsableOutput: '1_000'\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "--format", "machine")
+        assert code == 1
+        lines = out.splitlines()
+        assert "error=AlignmentMismatch" in lines
+        assert "exit_kind=ProtocolError" in lines
+        assert "run_detail=UnparsableOutput: '1_000'" in lines
+
+
+class TestNumericOptions:
+    # int() itself takes both `1_0` and the Arabic-Indic digit 3
+    @pytest.mark.parametrize("bad", ["1_0", "\u0663", "x"])
+    @pytest.mark.parametrize("command, option, template", [
+        ("sample", "--seed", "{}"),
+        ("sample", "--count", "{}"),
+        ("test", "--tests", "{}"),
+        ("test", "--seed", "{}"),
+        ("test", "--timeout", "{}"),
+        ("test", "--quiescence", "{}"),
+        ("test", "--int-range", "{}..10"),
+        ("test", "--int-range", "-10..{}"),
+        ("test", "--nat-range", "{}..10"),
+        ("test", "--nat-range", "0..{}"),
+    ])
+    def test_non_ascii_decimal_is_a_usage_error(self, capsys, command, option, template, bad):
+        argv = [command, SUM_SPEC_FILE, f"{option}={template.format(bad)}"]
+        if command == "test":
+            argv += ["--program", sys.executable]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}:" in err
+
+    def test_signed_values_and_negative_range_ends(self):
+        args = build_arg_parser().parse_args([
+            "test", SUM_SPEC_FILE, "--program", "prog", "--seed", "-3", "--tests", "+4",
+            "--timeout", " 900 ", "--int-range=-10..-3", "--nat-range", "2..7",
+        ])
+        assert args.seed == -3
+        assert args.tests == 4
+        assert args.timeout == 900
+        assert args.int_range == (-10, -3)
+        assert args.nat_range == (2, 7)
+        args = build_arg_parser().parse_args(["sample", SUM_SPEC_FILE, "--seed=-1", "--count", "2"])
+        assert (args.seed, args.count) == (-1, 2)
+
 
 def test_module_entry_point():
     result = subprocess.run(
@@ -331,3 +393,42 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "True"
+
+
+
+SUM_PROGRAM_OPTIONS = ["--program", sys.executable, "--args", str(FIXTURES_DIR / "sum_prog.py")]
+
+
+@pytest.mark.parametrize("spec_text, argv, code, out, err", [
+    (None, ["check"], 0, "ok\n", ""),
+    (None, ["interpret", "--inputs", "2,3,7"], 0,
+     "?2 !{eps, 2} ?3 !{eps, 1} ?7 !{10} stop\n", ""),
+    (None, ["sample", "--seed", "3", "--count", "2"], 0,
+     "?3 !{eps, 3} ?8 !{eps, 2} ?7 !{eps, 1} ?-6 !{9} stop\n"
+     "?3 !{eps, 3} ?-1 !{eps, 2} ?-7 !{eps, 1} ?2 !{-6} stop\n", ""),
+    (None, ["accept", "--trace", "?1 !2 stop"], 1, "False\n", ""),
+    (None, ["test", "--tests", "3", "--quiescence", "30", *SUM_PROGRAM_OPTIONS], 0,
+     "+++ OK, passed 3 tests.\n", ""),
+    # an EvalError: the taken branch never read x
+    ("if 1 == 1 then { skip } else { read x : ints }\nwrite { x_C }\n",
+     ["interpret", "--inputs", ""], 2, "",
+     "error: x_C has no value: nothing was read into 'x'\n"),
+    # a LimitExceededError
+    ("loop { if 0 == 1 then { exit } else { write { 1 } } }\n",
+     ["accept", "--trace", "stop"], 2, "", "error: loop ran more than 1000 rounds\n"),
+], ids=["check", "interpret", "sample", "accept", "test", "eval_error", "limit_exceeded"])
+def test_command_in_a_fresh_process(tmp_path, spec_text, argv, code, out, err):
+    # main() in this process finds every module already loaded; a fresh
+    # interpreter catches a command that forgot to import what it runs
+    spec_file = SUM_SPEC_FILE
+    if spec_text is not None:
+        spec_file = tmp_path / "spec.iospec"
+        spec_file.write_text(spec_text)
+    command, *options = argv
+    result = subprocess.run(
+        [sys.executable, "-m", "iospec", command, str(spec_file), *options],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)

@@ -154,6 +154,43 @@ class TestFormatFeedback:
         text = format_feedback(make_report(ce))
         assert "AbnormalExit: Crashed" in text
         assert "boom" in text
+        lines = format_feedback(make_report(ce), ReportFormat.MACHINE_LINES).splitlines()
+        assert "error=AbnormalExit:Crashed" in lines
+        assert "exit_kind=Crashed" in lines
+        assert "run_detail=RuntimeError('boom')" in lines
+
+    def test_abnormal_exit_shown_beside_a_mismatch(self):
+        # a program printing `1_000` for `write { 1000 }`: the run stops at
+        # the unparsable line, so its trace is also uncovered
+        expected = GeneralizedTrace((ows((1000,)),))
+        actual = parse_trace("stop")
+        error = covers(expected, normalize(actual))
+        assert isinstance(error, AlignmentMismatch)
+        ce = Counterexample(
+            (), expected, actual, error, ExitKind.PROTOCOL_ERROR,
+            run_detail="UnparsableOutput: '1_000'",
+        )
+        text = format_feedback(make_report(ce))
+        assert text.endswith(
+            "  AlignmentMismatch:\n"
+            "    Expected: !{1000}\n"
+            "    Got: stop\n"
+            "  AbnormalExit: ProtocolError: UnparsableOutput: '1_000'"
+        )
+        lines = format_feedback(make_report(ce), ReportFormat.MACHINE_LINES).splitlines()
+        assert lines[-5:] == [
+            "error=AlignmentMismatch",
+            "expected_step=!{1000}",
+            "got_step=stop",
+            "exit_kind=ProtocolError",
+            "run_detail=UnparsableOutput: '1_000'",
+        ]
+
+    def test_clean_run_adds_only_machine_keys(self):
+        report = make_report(output_counterexample())
+        assert format_feedback(report) == OUTPUT_BLOCK
+        lines = format_feedback(report, ReportFormat.MACHINE_LINES).splitlines()
+        assert lines[-2:] == ["exit_kind=CleanHalt", "run_detail="]
 
 
 class TestRunTestSuite:
