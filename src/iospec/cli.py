@@ -23,7 +23,7 @@ def _load_spec(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit(_diag(f"cannot read {path}: {err}"))
     return parse_spec(text)
 

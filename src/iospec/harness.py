@@ -11,7 +11,6 @@ branching conditions can make random generation hopeless.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, replace
 
 from .runner import (
@@ -122,7 +121,7 @@ def run_test_suite(
     Deterministic for a given configuration and scripted target: all
     per-round sampling seeds derive from `cfg.policy.seed`.
     """
-    rng = random.Random(cfg.policy.seed)
+    rng = cfg.policy.rng()
     for test_index in range(cfg.num_tests):
         gt = None
         last_failure = None

@@ -1,5 +1,10 @@
 """Textual syntax for specifications: parser and round-trip pretty-printer.
 
+The scanner (`_scan`) and the token cursor (`_Cursor`) here also read the
+trace text format: `traces` passes its own token pattern and builds its
+parser on the same cursor, so both formats report errors as
+``line:column``.
+
 Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 
     spec      := statement*
@@ -130,17 +135,21 @@ def parse_decimal(text: str) -> int:
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "ident" | keyword text | operator text | "eof"
+    kind: str  # keyword or operator text, "eof", or the pattern group's name
     text: str
     span: SourceSpan
 
 
-def _scan(text: str) -> list[Token]:
+def _scan(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
+    """The tokens of `text` by `pattern`, ending in an "eof" token.  A
+    match in the group `ws` is dropped, one in `op` is its own kind, one
+    in `ident` is a keyword's kind or "ident", and one in any other group
+    has that group's name as its kind."""
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             span = SourceSpan(line, col, line, col)
             raise ParseError(span, f"unexpected character {text[pos]!r}")
@@ -152,15 +161,12 @@ def _scan(text: str) -> list[Token]:
                 end_col = 1
             else:
                 end_col += 1
-        if m.lastgroup != "ws":
+        kind = m.lastgroup
+        if kind != "ws":
+            if kind == "op" or kind == "ident" and lexeme in KEYWORDS:
+                kind = lexeme
             span = SourceSpan(line, col, end_line, max(end_col - 1, 1))
-            if m.lastgroup == "int":
-                tokens.append(Token("int", lexeme, span))
-            elif m.lastgroup == "ident":
-                kind = lexeme if lexeme in KEYWORDS else "ident"
-                tokens.append(Token(kind, lexeme, span))
-            else:
-                tokens.append(Token(lexeme, lexeme, span))
+            tokens.append(Token(kind, lexeme, span))
         line, col = end_line, end_col
         pos = m.end()
     eof_span = SourceSpan(line, col, line, col)
@@ -168,12 +174,12 @@ def _scan(text: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
+class _Cursor:
+    """A position in a token list, as both text formats' parsers read it."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        # blocks, parentheses and prefix operators open at the current token
-        self.depth = 0
 
     @property
     def here(self) -> Token:
@@ -195,6 +201,13 @@ class _Parser:
     def fail(self, message: str, expected: list[str] = None):
         got = self.here.text or "end of input"
         raise ParseError(self.here.span, f"{message}, got {got!r}", expected)
+
+
+class _Parser(_Cursor):
+    def __init__(self, tokens: list[Token]):
+        super().__init__(tokens)
+        # blocks, parentheses and prefix operators open at the current token
+        self.depth = 0
 
     def check_depth(self, tok: Token, height: int) -> int:
         """`height` more levels below the current depth, or a ParseError at

@@ -102,6 +102,12 @@ class SamplingPolicy:
         if self.natural_range[0] < 0:
             raise ValueError("natural range must not contain negatives")
 
+    def rng(self) -> random.Random:
+        """The generator `seed` starts.  `random.Random` seeds an int by its
+        absolute value, so a negative seed seeds with its decimal text
+        instead, for a stream of its own."""
+        return random.Random(self.seed if self.seed >= 0 else str(self.seed))
+
 
 class LimitExceededError(Exception):
     """A generation limit was hit before the run finished."""
@@ -334,7 +340,7 @@ def sample_generalized_trace(
     when a limit is hit first, which for specifications with very narrow
     exit conditions is the expected outcome rather than a defect.
     """
-    rng = random.Random(policy.seed)
+    rng = policy.rng()
 
     def draw(domain: InputDomain) -> int:
         if isinstance(domain, ExplicitSet):

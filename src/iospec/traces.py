@@ -23,6 +23,10 @@ yields only its factor, a frozenset of words); either is () where nothing
 is.  Covering then means that the inputs agree and that each gap can print
 its word (`first_uncovered`), which is also the check `semantics.accept`
 makes after running the specification on a trace's inputs.
+
+The text format is read with the scanner and token cursor of `parser`;
+this module adds only its token pattern and grammar, so an error in a
+trace is reported at its ``line:column`` as one in a specification is.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .parser import ParseError, SourceSpan
+from .parser import _Cursor, _scan
 
 # An output word: the values of a run of consecutive prints; () is the
 # empty word (no output at all).
@@ -555,119 +559,81 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
     return " ".join(parts)
 
 
-_TRACE_TOKEN_RE = re.compile(
+_TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<in>\?-?[0-9]+)
     | (?P<outset>!\{)
     | (?P<out>!-?[0-9]+)
     | (?P<int>-?[0-9]+)
-    | (?P<word>stop|eps)
-    | (?P<punct>[<>,{}])
+    | (?P<op>stop|eps|[<>,{}])
     """,
     re.VERBOSE,
 )
 
 
-def _scan_trace(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TRACE_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                SourceSpan(1, pos + 1, 1, pos + 1),
-                f"unexpected character {text[pos]!r} in trace",
-            )
-        kind = m.lastgroup
-        if kind != "ws":
-            lexeme = m.group(0)
-            tokens.append((kind if kind != "word" and kind != "punct" else lexeme,
-                           lexeme, pos + 1))
-        pos = m.end()
-    tokens.append(("eof", "", pos + 1))
-    return tokens
-
-
-class _TraceParser:
+class _TraceParser(_Cursor):
     def __init__(self, text: str):
-        self.tokens = _scan_trace(text)
-        self.pos = 0
+        super().__init__(_scan(text, _TOKEN_RE))
 
-    @property
-    def here(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        kind, lexeme, col = self.here
-        shown = lexeme or "end of input"
-        raise ParseError(SourceSpan(1, col, 1, col), f"{message}, got {shown!r}")
-
-    def expect_stop_end(self) -> None:
-        if self.here[0] != "stop":
-            self.fail("expected 'stop'")
-        self.advance()
-        if self.here[0] != "eof":
+    def stop(self) -> None:
+        self.expect("stop", "expected 'stop'")
+        if not self.at("eof"):
             self.fail("expected end of input after 'stop'")
 
     def word_set(self) -> OutputWordSet:
-        """The rest of `!{...}`, and any further `{...}` factors after it."""
+        """An output set: `!{...}` and any further `{...}` factors after it."""
+        start = self.pos
+        self.advance()
         factors = [self.factor()]
-        while self.here[0] == "{":
+        while self.at("{"):
             self.advance()
             factors.append(self.factor())
         try:
             return OutputWordSet(*factors)
         except ValueError as err:
+            self.pos = start
             self.fail(str(err))
 
     def factor(self) -> frozenset[Word]:
         words: set[Word] = set()
         while True:
-            kind, lexeme, _ = self.here
-            if kind == "eps":
-                self.advance()
+            tok = self.here
+            if tok.kind == "eps":
                 words.add(EPSILON)
-            elif kind == "int":
-                self.advance()
-                words.add((int(lexeme),))
-            elif kind == "<":
+            elif tok.kind == "int":
+                words.add((int(tok.text),))
+            elif tok.kind == "<":
                 self.advance()
                 values = []
-                while self.here[0] == "int":
-                    values.append(int(self.advance()[1]))
-                if self.here[0] != ">":
+                while self.at("int"):
+                    values.append(int(self.advance().text))
+                if not self.at(">"):
                     self.fail("expected '>' closing the word")
-                self.advance()
                 if not values:
                     self.fail("empty fused word")
                 words.add(tuple(values))
             else:
                 self.fail("expected a word")
-            if self.here[0] == ",":
-                self.advance()
-                continue
-            if self.here[0] == "}":
+            self.advance()
+            if self.at("}"):
                 self.advance()
                 return frozenset(words)
-            self.fail("expected ',' or '}'")
+            if not self.at(","):
+                self.fail("expected ',' or '}'")
+            self.advance()
 
 
 def parse_trace(text: str) -> Trace:
     """Parse an ordinary trace such as `?2 ?5 ?3 !8 stop`."""
     parser = _TraceParser(text)
     steps: list[TraceStep] = []
-    while parser.here[0] in ("in", "out"):
-        kind, lexeme, _ = parser.advance()
-        value = int(lexeme[1:])
-        steps.append(In(value) if kind == "in" else Out(value))
-    parser.expect_stop_end()
-    return Trace(tuple(steps))
+    while parser.at("in", "out"):
+        tok = parser.advance()
+        value = int(tok.text[1:])
+        steps.append(In(value) if tok.kind == "in" else Out(value))
+    parser.stop()
+    return Trace(steps)
 
 
 def parse_generalized_trace(text: str) -> GeneralizedTrace:
@@ -675,14 +641,12 @@ def parse_generalized_trace(text: str) -> GeneralizedTrace:
     output sets in product form (`!{eps, 1}{eps, 1}`) included."""
     parser = _TraceParser(text)
     steps: list[GenStep] = []
-    while parser.here[0] in ("in", "outset"):
-        kind, lexeme, _ = parser.advance()
-        if kind == "in":
-            steps.append(In(int(lexeme[1:])))
+    while parser.at("in", "outset"):
+        if parser.at("in"):
+            steps.append(In(int(parser.advance().text[1:])))
+        elif steps and not isinstance(steps[-1], In):
+            parser.fail("consecutive output sets must be fused")
         else:
             steps.append(parser.word_set())
-    parser.expect_stop_end()
-    try:
-        return GeneralizedTrace(tuple(steps))
-    except ValueError as err:
-        raise ParseError(SourceSpan(1, 1, 1, 1), str(err))
+    parser.stop()
+    return GeneralizedTrace(steps)

@@ -59,6 +59,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "no-such-file.iospec")
         assert code == 2
 
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.iospec"
+        bad.write_bytes(b"read x : ints\n# \xff\n")
+        code, out, err = run_cli(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+
 
 class TestInterpret:
     def test_golden(self, capsys):
@@ -175,6 +183,13 @@ class TestAccept:
             capsys, "accept", SUM_SPEC_FILE, "--trace", "?2 huh"
         )
         assert code == 2
+        # reported at its line and column, as a spec error is
+        code, out, err = run_cli(
+            capsys, "accept", SUM_SPEC_FILE, "--trace", "?1\n!1\n?5\n!x\nstop"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 4:1: ")
 
     def test_runaway_loop_exit_2(self, capsys, tmp_path):
         # accept runs the whole spec on the trace's inputs, so the loop

@@ -222,6 +222,15 @@ class TestRunTestSuite:
         assert report.verdict is Verdict.FALSIFIED
         assert isinstance(report.counterexample.error, OutputMismatch)
 
+    def test_negative_seed_has_its_own_rounds(self, sum_spec_plain):
+        def counterexamples(seeds):
+            return [run_test_suite(
+                sum_spec_plain, programs.sum_drops_last,
+                TestConfig(policy=SamplingPolicy(seed=s)),
+            ).counterexample.inputs for s in seeds]
+
+        assert counterexamples(range(-1, -6, -1)) != counterexamples(range(1, 6))
+
     def test_crash_is_falsified(self):
         spec = parse_spec("read x : ints")
         report = run_test_suite(spec, programs.crasher, TestConfig())

@@ -488,6 +488,19 @@ class TestSample:
         b = sample_generalized_trace(sum_spec, policy=policy)
         assert a == b
 
+    def test_negative_seeds_have_their_own_streams(self, sum_spec):
+        # `random.Random` seeds an int by its absolute value
+        def samples(seeds):
+            return [sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=s))
+                    for s in seeds]
+
+        assert samples(range(-1, -11, -1)) != samples(range(1, 11))
+        assert samples([-7]) == samples([-7])
+        # a non-negative seed still draws what `random.Random` draws
+        for seed in (0, 1, 2**64 - 1):
+            assert SamplingPolicy(seed=seed).rng().getrandbits(64) == (
+                random.Random(seed).getrandbits(64))
+
     def test_shape_and_ranges(self, sum_spec):
         for seed in range(300):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))

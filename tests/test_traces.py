@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -442,10 +443,35 @@ class TestTextFormat:
             with pytest.raises(ParseError):
                 parse_trace(bad) if "{" not in bad else parse_generalized_trace(bad)
 
-    @given(trace_steps)
-    def test_ordinary_round_trip(self, steps):
+    @pytest.mark.parametrize("parse, text, position, message", [
+        (parse_trace, "?1\n!1\n?5\n!x\nstop", (4, 1), "unexpected character '!'"),
+        (parse_trace, "?1 !1\n  ?5 !5\n\tstop stop", (3, 7),
+         "expected end of input after 'stop', got 'stop'"),
+        (parse_generalized_trace, "?1\n!{eps, 1}\n?2 !{<1\n 2>, stop} stop", (4, 6),
+         "expected a word, got 'stop'"),
+        # two sets in a row: the second one's `!{`
+        (parse_generalized_trace, "?1\n!{1} ?2\n   !{2}\n!{3} stop", (4, 1),
+         "consecutive output sets must be fused, got '!{'"),
+        (parse_generalized_trace, "?1 !{1} !{2} stop", (1, 9),
+         "consecutive output sets must be fused, got '!{'"),
+        # a product without a real word: its own `!{`, not the next line's `stop`
+        (parse_generalized_trace, "?1\n?2 !{eps}{eps}\nstop", (2, 4),
+         "output word set needs a non-empty word, got '!{'"),
+    ], ids=["bad-character", "after-stop", "in-a-word", "sets-in-a-row-over-lines",
+            "sets-in-a-row", "all-eps-product"])
+    def test_errors_give_line_and_column(self, parse, text, position, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        span = exc.value.span
+        assert (span.start_line, span.start_column) == position
+        assert span.end_line == span.start_line
+        assert str(exc.value) == f"{span}: {message}"
+
+    @given(trace_steps, st.randoms(use_true_random=False))
+    def test_ordinary_round_trip(self, steps, rng):
         t = Trace(tuple(steps))
         assert parse_trace(render_trace(t)) == t
+        assert parse_trace(respaced(render_trace(t), rng)) == t
         assert t.steps == tuple(steps) and Trace(t.steps) == t
 
     def test_generalized_round_trip(self):
@@ -453,6 +479,21 @@ class TestTextFormat:
         for _ in range(200):
             gt = random_generalized_trace(rng)
             assert parse_generalized_trace(render_trace(gt)) == gt
+            assert parse_generalized_trace(respaced(render_trace(gt), rng)) == gt
+
+
+_TRACE_TOKEN = re.compile(r"!\{|[?!]?-?[0-9]+|stop|eps|[<>,{}]")
+
+
+def respaced(text: str, rng) -> str:
+    """`text` with a random run of spaces, tabs and newlines around each
+    of its tokens."""
+    tokens = _TRACE_TOKEN.findall(text)
+    assert "".join(tokens) == "".join(text.split())
+    return "".join(
+        "".join(rng.choice(" \t\n") for _ in range(rng.randint(1, 3))) + tok
+        for tok in tokens
+    )
 
 
 # A factor: a few words of up to two values from a small range, so that
