@@ -9,7 +9,6 @@ import importlib
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "environment": ("EvalError", "UnboundCurrentError", "eval_output_set", "eval_term"),
     "harness": (
         "ConfigError",
         "Counterexample",
@@ -35,6 +34,7 @@ _EXPORTS = {
         "run_subprocess",
     ),
     "semantics": (
+        "EvalError",
         "GenerationFailureError",
         "GenerationLimits",
         "InputRejectedError",
@@ -43,6 +43,7 @@ _EXPORTS = {
         "LimitExceededError",
         "SamplingPolicy",
         "SurplusInputsError",
+        "UnboundCurrentError",
         "accept",
         "interpret",
         "sample_generalized_trace",

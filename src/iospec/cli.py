@@ -12,6 +12,7 @@ parser and only `test` loads the harness and the subprocess runner.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .parser import ParseError, StaticError, parse_decimal, parse_spec
@@ -21,7 +22,8 @@ USAGE_ERROR = 2
 
 def _load_spec(path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark some editors save
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise SystemExit(_diag(f"cannot read {path}: {err}"))
@@ -198,7 +200,7 @@ def _cmd_accept(args) -> int:
     from .traces import parse_trace
 
     spec = _load_spec(args.spec_file)
-    trace = parse_trace(args.trace)
+    trace = parse_trace(args.trace.removeprefix("\ufeff"))
     verdict = accept(spec, trace)
     print(verdict)
     return 0 if verdict else 1
@@ -213,8 +215,25 @@ _COMMANDS = {
 }
 
 
+_RANGE_OPTIONS = ("--int-range", "--nat-range")
+_RANGE = re.compile(r"-?[0-9]+\.\.-?[0-9]+")
+
+
+def _join_ranges(argv: list[str]) -> list[str]:
+    """`--int-range -10..10` as `--int-range=-10..10`, which argparse reads:
+    given apart, it takes `-10..10` for an option, not a value."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RANGE_OPTIONS and _RANGE.fullmatch(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
+    argv = _join_ranges(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
@@ -229,8 +248,7 @@ def main(argv=None) -> int:
     except Exception as err:
         # Only a command that loaded the interpreters can raise their
         # errors, so they are looked up here rather than imported up front.
-        from .environment import EvalError
-        from .semantics import LimitExceededError
+        from .semantics import EvalError, LimitExceededError
 
         if isinstance(err, (EvalError, LimitExceededError)):
             return _diag(str(err))

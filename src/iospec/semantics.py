@@ -14,21 +14,37 @@ instead of spinning forever.
 That run is Python code generated from the specification, a specializing
 translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function and each loop another, with the variable
-histories as local lists: a branch is an `if`, a loop a `while True` with
-its own round counter, an exit a `break`, and a term an inline expression
-(see `environment`).  Every value of the tree is bound in the code's
-namespace, never written into its text.  The code is generated and
-compiled the first time a specification is run with a registry, which
-costs a few tenths of a millisecond for `tests/data/sum.iospec` on a
-2-vCPU x86_64 host; later runs on the same (equal) specification and
-registry reuse it from a bounded cache.
-Compiling reads nothing of the run: the limits and the inputs belong to
-each call.  Evaluation errors stay where the run meets them, so a bad term
-on a path the inputs never take raises nothing, and an exit outside all
-loops raises `SpecStructureError` when a run reaches it.  A hand-built
-tree nested deeper than `parser.MAX_NESTING` levels raises
-`SpecStructureError` when compiled, as its code would pass CPython's
-limits on nested blocks and expressions; a parsed one never nests deeper.
+histories as local lists, oldest value first: a branch is an `if`, a loop
+a `while True` with its own round counter, an exit a `break`, and a term
+an inline expression.  It is compiled the first time a specification is
+run with a registry (a few tenths of a millisecond for
+`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept in a bounded
+cache for equal specifications and registries.  Compiling reads nothing
+of the run: the limits and the inputs belong to each call.
+
+Terms are translated, not walked.  An `Emitter` turns a term, compiled
+against a registry, into one Python expression over the local histories:
+a function application becomes a call of its registry entry with its
+arguments evaluated left to right, and the default registry's own
+operators become Python operators.  A history that escapes into a
+registry function is copied, since the run appends to it; the default
+registry's own `len` and `sum` only read their argument, so they get the
+stored history itself, and aggregating over a history that grows by one
+value a round costs no copy each round.  No text from the tree reaches
+the source.  Every value taken from it (variable names, constants,
+registry functions, error messages) is bound in the code's namespace
+under a generated name, so a variable called ``"x; import os"`` is one
+more history.  A write becomes an expression for its bare factor: the
+frozenset of words it may emit, with no output set built around it.
+
+Compiling never fails on a bad term or action.  An unknown function or a
+value that is not a term becomes a call raising `EvalError`, and an exit
+outside all loops one raising `SpecStructureError`, so a bad part on a
+path the inputs never take raises nothing.  The one compile-time error is
+nesting: a hand-built tree nested deeper than `parser.MAX_NESTING`
+levels, counting a term's applications with the blocks around it, raises
+`SpecStructureError`, as its code would pass CPython's limits on nested
+blocks and expressions; a parsed one never nests deeper.
 
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
@@ -50,24 +66,29 @@ input step or output set for the steps of a run.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .environment import COMPILED_CACHE_SIZE, Emitter, cached, too_deep
 from .parser import MAX_NESTING
 from .syntax import (
+    AllVar,
+    Apply,
     Branch,
+    CurrentVar,
     DEFAULT_REGISTRY,
     ExplicitSet,
     Exit,
     FunctionRegistry,
     InputDomain,
+    IntConst,
     Integers,
     Naturals,
     ReadInput,
     Spec,
     SpecStructureError,
+    Term,
     TillExit,
     WriteOutput,
 )
@@ -113,6 +134,23 @@ class LimitExceededError(Exception):
     """A generation limit was hit before the run finished."""
 
 
+class EvalError(Exception):
+    """Term evaluation failed."""
+
+
+class UnboundCurrentError(EvalError):
+    """A current-value access on a variable that was never read.
+
+    The static use-before-read check counts a read anywhere earlier in
+    traversal order, even in a sibling branch, so a well-formed
+    specification can still hit this on a run that takes the other branch.
+    """
+
+    def __init__(self, name: str):
+        super().__init__(f"{name}_C has no value: nothing was read into {name!r}")
+        self.name = name
+
+
 class InterpretError(Exception):
     pass
 
@@ -152,6 +190,38 @@ def _ordinal(n: int) -> str:
 # Generalized trace generation
 
 
+# Registry entries known not to mutate a history; compared by identity, so
+# a user's override of the same name still gets a copy.
+_LEN = DEFAULT_REGISTRY.lookup("len")
+_SUM = DEFAULT_REGISTRY.lookup("sum")
+
+# The default integer operators, emitted as Python operators; an entry
+# counts only when it is the default registry's own (compared by identity),
+# so an override of the same name is still called.  `and` and `or` stay
+# calls: both operands are evaluated first, and a short-circuit would skip
+# the errors of the second.
+_OPERATORS = {
+    name: (DEFAULT_REGISTRY.lookup(name), template)
+    for name, template in [
+        ("+", "({} + {})"), ("-", "({} - {})"), ("*", "({} * {})"),
+        ("==", "({} == {})"), ("<", "({} < {})"), ("<=", "({} <= {})"),
+        (">", "({} > {})"), (">=", "({} >= {})"), ("not", "(not {})"),
+    ]
+}
+
+# How many compiled specifications are kept, keyed on the tree and the
+# registry.
+COMPILED_CACHE_SIZE = 64
+
+
+def _unbound(name):
+    raise UnboundCurrentError(name)
+
+
+def _fail(message: str):
+    raise EvalError(message)
+
+
 def _too_many_rounds(limit):
     raise LimitExceededError(f"loop ran more than {limit} rounds")
 
@@ -162,6 +232,99 @@ def _orphan_exit():
 
 def _not_an_action(message):
     raise TypeError(message)
+
+
+def too_deep() -> SpecStructureError:
+    return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
+
+
+class Emitter:
+    """Python source for terms over one registry, and the namespace that
+    source runs in.
+
+    The source holds fixed templates and generated identifiers only: `h<i>`
+    is the local holding the history of variable number i (whose name is
+    bound as `n<i>`), any other letter followed by a number is a value
+    bound in the namespace, and the remaining names are the run-time
+    helpers below.
+    """
+
+    def __init__(self, registry: FunctionRegistry) -> None:
+        self.registry = registry
+        self.namespace = {
+            "unbound": _unbound,
+            "fail": _fail,
+            "too_many_rounds": _too_many_rounds,
+            "orphan_exit": _orphan_exit,
+            "not_an_action": _not_an_action,
+        }
+        self.variables: dict = {}  # variable name -> its number
+        self._ids = itertools.count()
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}{next(self._ids)}"
+
+    def bind(self, value, prefix: str = "k") -> str:
+        name = self.fresh(prefix)
+        self.namespace[name] = value
+        return name
+
+    def variable(self, name) -> int:
+        """The number of the named variable: its history is the local
+        `h<i>`, its name bound as `n<i>`."""
+        i = self.variables.get(name)
+        if i is None:
+            i = self.variables[name] = next(self._ids)
+            self.namespace[f"n{i}"] = name
+        return i
+
+    def history(self, name) -> str:
+        return f"h{self.variable(name)}"
+
+    def histories(self) -> list[str]:
+        return [f"h{i}" for i in self.variables.values()]
+
+    def term(self, term: Term, level: int = 0) -> str:
+        """An expression evaluating the sort-correct term to an int, list
+        of ints or bool, for a term `level` levels deep."""
+        if isinstance(term, IntConst):
+            return self.bind(term.value)
+        if isinstance(term, CurrentVar):
+            i = self.variable(term.name)
+            return f"(h{i}[-1] if h{i} else unbound(n{i}))"
+        if isinstance(term, AllVar):
+            return f"list({self.history(term.name)})"
+        if isinstance(term, Apply):
+            level += 1
+            if level > MAX_NESTING:
+                raise too_deep()
+            entry = self.registry.lookup(term.fn)
+            if entry is None:
+                return f"fail({self.bind(f'unknown function {term.fn!r}', 'm')})"
+            args = term.args
+            if (entry is _LEN or entry is _SUM) and len(args) == 1 and isinstance(args[0], AllVar):
+                aggregate = "len" if entry is _LEN else "sum"
+                return f"{aggregate}({self.history(args[0].name)})"
+            operands = [self.term(a, level) for a in args]
+            default, template = _OPERATORS.get(term.fn, (None, ""))
+            if entry is default and template.count("{}") == len(operands):
+                return template.format(*operands)
+            return f"{self.bind(entry.fn, 'f')}({', '.join(operands)})"
+        return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
+
+    def factor(self, write: WriteOutput, level: int = 0) -> str:
+        """An expression giving the words the write may emit, as a bare
+        factor: a frozenset of one-value words, with the empty word when
+        the write is skippable."""
+        words = [f"({self.term(t, level)},)" for t in write.terms]
+        if write.includes_epsilon:
+            words.append("()")
+        return f"frozenset(({', '.join(words)},))"
+
+    def define(self, source: str, name: str) -> Callable:
+        """Run the source in the namespace and return what it calls `name`."""
+        exec(compile(source, "<iospec generated>", "exec"), self.namespace)
+        return self.namespace[name]
 
 
 # Every function of a compiled specification takes the run's state:
@@ -194,12 +357,7 @@ class _Compiler:
     a branch is an `if` and an exit is a `break`."""
 
     def __init__(self, registry: FunctionRegistry) -> None:
-        self.emitter = Emitter(
-            registry,
-            too_many_rounds=_too_many_rounds,
-            orphan_exit=_orphan_exit,
-            not_an_action=_not_an_action,
-        )
+        self.emitter = Emitter(registry)
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
 
     def compile(self, spec: Spec) -> Callable:
@@ -262,7 +420,12 @@ def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
     per non-empty gap, and growing it past `limits.max_trace_length`
     steps stops the run.
     """
-    run = cached(_compiled, spec, registry)
+    try:
+        run = _compiled(spec, registry)
+    except TypeError:
+        # a hand-built tree holding something unhashable still compiles,
+        # uncached, and raises only where a run reaches that part
+        run = _compiled.__wrapped__(spec, registry)
     gaps: list[tuple] = []
     pending: list[frozenset] = []
     close = gaps.append

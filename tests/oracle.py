@@ -12,7 +12,10 @@ continuations.  A frame remembers the loop body (to re-run when the body's
 sequence ends) and the actions following the whole loop (to resume on an
 exit marker, which discards whatever else was queued inside the loop).
 Alternatives share environments, so an environment is a persistent mapping
-from each variable to the tuple of values read into it.
+from each variable to the tuple of values read into it.  Terms are
+evaluated here too, by a plain walk over that mapping, not by the
+library's compiled code, so a fault in the term compiler shows as a
+disagreement.
 
 `covers` is the covering check as a walk over both traces' steps, the
 reference for the library's `covers`, which compares the inputs and then
@@ -25,14 +28,19 @@ import itertools
 from iospec import (
     DEFAULT_REGISTRY,
     AlignmentMismatch,
+    AllVar,
+    Apply,
     Covered,
+    CurrentVar,
     EPSILON,
     Branch,
+    EvalError,
     Exit,
     FunctionRegistry,
     GeneralizedTrace,
     GenerationLimits,
     In,
+    IntConst,
     LimitExceededError,
     Out,
     OutputMismatch,
@@ -42,8 +50,8 @@ from iospec import (
     Spec,
     TillExit,
     Trace,
+    UnboundCurrentError,
     WriteOutput,
-    eval_term,
     normalize_spec,
 )
 from iospec.semantics import SpecStructureError
@@ -53,6 +61,25 @@ from iospec.traces import CoverageResult
 def store(name: str, value: int, env: dict) -> dict:
     """Successor environment with `value` appended to `name`'s history."""
     return {**env, name: env.get(name, ()) + (value,)}
+
+
+def eval_term(term, env: dict, registry: FunctionRegistry):
+    """The value of a sort-correct term over the environment's histories."""
+    if isinstance(term, IntConst):
+        return term.value
+    if isinstance(term, CurrentVar):
+        history = env.get(term.name, ())
+        if not history:
+            raise UnboundCurrentError(term.name)
+        return history[-1]
+    if isinstance(term, AllVar):
+        return list(env.get(term.name, ()))
+    if isinstance(term, Apply):
+        entry = registry.lookup(term.fn)
+        if entry is None:
+            raise EvalError(f"unknown function {term.fn!r}")
+        return entry.fn(*[eval_term(arg, env, registry) for arg in term.args])
+    raise EvalError(f"not a term: {term!r}")
 
 
 def accept(

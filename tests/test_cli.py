@@ -67,6 +67,12 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"error: cannot read {bad}: ")
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        spec = tmp_path / "bom.iospec"
+        spec.write_bytes(b"\xef\xbb\xbfread x : ints\nwrite { x_C }\n")
+        code, out, err = run_cli(capsys, "check", str(spec))
+        assert (code, out, err) == (0, "ok\n", "")
+
 
 class TestInterpret:
     def test_golden(self, capsys):
@@ -190,6 +196,12 @@ class TestAccept:
         assert code == 2
         assert out == ""
         assert err.startswith("error: 4:1: ")
+
+    def test_byte_order_mark_is_skipped(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "accept", SUM_SPEC_FILE, "--trace", "\ufeff?1 !1 ?5 !5 stop"
+        )
+        assert (code, out) == (0, "True\n")
 
     def test_runaway_loop_exit_2(self, capsys, tmp_path):
         # accept runs the whole spec on the trace's inputs, so the loop
@@ -396,6 +408,32 @@ class TestNumericOptions:
         assert args.nat_range == (2, 7)
         args = build_arg_parser().parse_args(["sample", SUM_SPEC_FILE, "--seed=-1", "--count", "2"])
         assert (args.seed, args.count) == (-1, 2)
+
+    def test_negative_range_start_given_apart(self, capsys, tmp_path):
+        # `-5..-5` looks like an option to argparse; after `--args` it must
+        # still set iospec's range, not become an argument of the program
+        buggy = tmp_path / "drops_last.py"
+        buggy.write_text(
+            "import sys\n"
+            "n = int(sys.stdin.readline())\n"
+            "xs = [int(sys.stdin.readline()) for _ in range(n)]\n"
+            "print(sum(xs[:-1]), flush=True)\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "test", PLAIN_SPEC_FILE,
+            "--program", sys.executable, "--args", str(buggy),
+            "--int-range", "-5..-5", "--nat-range", "1..3",
+            "--tests", "30", "--seed", "4", "--quiescence", "30",
+        )
+        assert code == 1
+        (inputs,) = [line for line in out.splitlines() if line.startswith("Input sequence: ")]
+        count, *summands = inputs.removeprefix("Input sequence: ").split()
+        assert summands == ["?-5"] * int(count[1:])
+        code, out, _ = run_cli(
+            capsys, "test", SUM_SPEC_FILE, *SUM_PROGRAM_OPTIONS,
+            "--int-range", "-10..10", "--tests", "3", "--quiescence", "30",
+        )
+        assert (code, out) == (0, "+++ OK, passed 3 tests.\n")
 
 
 def test_module_entry_point():

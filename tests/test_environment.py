@@ -1,3 +1,10 @@
+"""Term evaluation over variable histories, as the compiled run does it.
+
+Each check reads the histories of an environment, oldest value first, and
+then writes its int terms or branches on its bool term, so every value
+comes out of the code `semantics` generates for the specification.
+"""
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,71 +12,116 @@ from iospec import (
     DEFAULT_REGISTRY,
     AllVar,
     Apply,
+    Branch,
     CurrentVar,
     EvalError,
     FunctionSpec,
     IntConst,
+    Integers,
+    ReadInput,
     Sort,
+    Spec,
     UnboundCurrentError,
     WriteOutput,
-    eval_output_set,
-    eval_term,
     interpret,
     parse_spec,
     render_trace,
 )
-from iospec.environment import Emitter
+from iospec.semantics import Emitter
 
 SUM_ALL_X = Apply("sum", (AllVar("x"),))
+
+# Shows a whole history in one written value.
+WITH_HISTORY = DEFAULT_REGISTRY.extended(
+    FunctionSpec("history", (Sort.INT_LIST,), Sort.INT, tuple)
+)
+
+
+def history(name: str) -> Apply:
+    return Apply("history", (AllVar(name),))
+
+
+def last_set(env: dict, actions, registry=DEFAULT_REGISTRY):
+    """The output set that ends the run of `actions` after reading every
+    history of `env`."""
+    reads = tuple(
+        ReadInput(name, Integers()) for name, values in env.items() for _ in values
+    )
+    inputs = [value for values in env.values() for value in values]
+    return interpret(Spec((*reads, *actions)), inputs, registry).steps[-1]
+
+
+def written(env: dict, *terms, registry=DEFAULT_REGISTRY) -> list:
+    """The values of the int terms, written one after another."""
+    writes = [WriteOutput((term,)) for term in terms]
+    return [value for ((value,),) in last_set(env, writes, registry).factors]
+
+
+def value(env: dict, term, registry=DEFAULT_REGISTRY):
+    (result,) = written(env, term, registry=registry)
+    return result
+
+
+def chosen(env: dict, condition, registry=DEFAULT_REGISTRY) -> bool:
+    """The value of the bool term, as the arm of a branch it takes."""
+    true, false = [Spec((WriteOutput((IntConst(taken),)),)) for taken in (1, 0)]
+    branch = Branch(condition, true_branch=true, false_branch=false)
+    (((taken,),),) = last_set(env, [branch], registry).factors
+    return taken == 1
 
 
 def test_store_appends_chronologically():
     env = {"x": [5, 3]}
-    assert eval_term(AllVar("x"), env) == [5, 3]
-    assert eval_term(CurrentVar("x"), env) == 3
+    assert value(env, history("x"), WITH_HISTORY) == (5, 3)
+    assert value(env, CurrentVar("x")) == 3
 
 
 def test_store_leaves_other_variables_alone():
     env = {"x": [7]}
-    assert eval_term(AllVar("y"), env) == []
+    assert value(env, history("y"), WITH_HISTORY) == ()
 
 
 def test_first_store_sets_current_and_history():
     env = {"n": [2]}
-    assert eval_term(CurrentVar("n"), env) == 2
-    assert eval_term(AllVar("n"), env) == [2]
+    assert value(env, CurrentVar("n")) == 2
+    assert value(env, history("n"), WITH_HISTORY) == (2,)
 
 
 def test_sum_over_history():
     env = {"x": [5, 3]}
-    assert eval_term(SUM_ALL_X, env) == 8
+    assert value(env, SUM_ALL_X) == 8
 
 
 def test_all_of_unread_variable_is_empty_list():
-    assert eval_term(AllVar("x"), {}) == []
+    assert value({}, history("x"), WITH_HISTORY) == ()
+    assert written({}, SUM_ALL_X, Apply("len", (AllVar("x"),))) == [0, 0]
 
 
 def test_current_of_unread_variable_fails():
     with pytest.raises(UnboundCurrentError):
-        eval_term(CurrentVar("x"), {})
+        value({}, CurrentVar("x"))
+    # read on the path not taken: the history is there, and empty
+    spec = parse_spec(
+        "if 1 == 1 then { skip } else { read x : ints }\nwrite { x_C }\n"
+    )
     with pytest.raises(UnboundCurrentError):
-        eval_term(CurrentVar("x"), {"x": []})
+        interpret(spec, [])
 
 
 def test_branching_condition_example():
     env = {"n": [2], "x": [5, 3]}
     cond = Apply("==", (Apply("len", (AllVar("x"),)), CurrentVar("n")))
-    assert eval_term(cond, env) is True
+    assert chosen(env, cond) is True
 
 
 def test_unknown_function():
     with pytest.raises(EvalError):
-        eval_term(Apply("nope", (IntConst(1),)), {})
+        value({}, Apply("nope", (IntConst(1),)))
 
 
 def test_arbitrary_precision():
     env = {"x": [10**30] * 5}
-    assert eval_term(SUM_ALL_X, env) == 5 * 10**30
+    assert value(env, SUM_ALL_X) == 5 * 10**30
 
 
 def test_mutating_function_leaves_history_alone():
@@ -77,10 +129,8 @@ def test_mutating_function_leaves_history_alone():
     # see a copy
     pop = FunctionSpec("pop", (Sort.INT_LIST,), Sort.INT, lambda xs: xs.pop())
     registry = DEFAULT_REGISTRY.extended(pop)
-    env = {"x": [5, 3]}
-    assert eval_term(Apply("pop", (AllVar("x"),)), env, registry) == 3
-    assert env == {"x": [5, 3]}
-    assert eval_term(CurrentVar("x"), env, registry) == 3
+    terms = [Apply("pop", (AllVar("x"),)), Apply("len", (AllVar("x"),)), CurrentVar("x")]
+    assert written({"x": [5, 3]}, *terms, *terms, registry=registry) == [3, 2, 3] * 2
 
 
 def test_overriding_len_still_gets_a_copy():
@@ -97,10 +147,10 @@ def test_overriding_len_still_gets_a_copy():
         FunctionSpec("len", (Sort.INT_LIST,), Sort.INT, clearing_len)
     )
     env = {"x": [5, 3]}
-    assert eval_term(Apply("len", (AllVar("x"),)), env, registry) == 0
+    length = Apply("len", (AllVar("x"),))
+    assert written(env, length, SUM_ALL_X, registry=registry) == [0, 8]
     assert calls == [[5, 3]]
-    assert env == {"x": [5, 3]}
-    assert eval_term(Apply("len", (AllVar("x"),)), env) == 2
+    assert value(env, length) == 2
 
 
 class TestOperators:
@@ -108,17 +158,18 @@ class TestOperators:
         # the default registry's own entries become Python operators
         emitter = Emitter(DEFAULT_REGISTRY)
         one, two = IntConst(1), IntConst(2)
-        for name, symbol in [("+", "+"), ("-", "-"), ("*", "*"), ("==", "=="),
-                             ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")]:
+        for name, symbol in [("+", "+"), ("-", "-"), ("*", "*")]:
             assert emitter.term(Apply(name, (one, two))).split()[1] == symbol
-            assert eval_term(Apply(name, (one, two)), {}) == (
-                DEFAULT_REGISTRY.lookup(name).fn(1, 2))
+            assert value({}, Apply(name, (one, two))) == DEFAULT_REGISTRY.lookup(name).fn(1, 2)
+        for name, symbol in [("==", "=="), ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")]:
+            assert emitter.term(Apply(name, (one, two))).split()[1] == symbol
+            assert chosen({}, Apply(name, (one, two))) is DEFAULT_REGISTRY.lookup(name).fn(1, 2)
         assert emitter.term(Apply("not", (Apply("<", (one, two)),))).startswith("(not ")
-        assert eval_term(Apply("not", (Apply("<", (one, two)),)), {}) is False
+        assert chosen({}, Apply("not", (Apply("<", (one, two)),))) is False
         # `and` and `or` stay calls, and so does a call of the wrong arity
         assert "and" not in emitter.term(Apply("and", (Apply("<", (one, two)),) * 2))
         with pytest.raises(TypeError):
-            eval_term(Apply("+", (one,)), {})
+            value({}, Apply("+", (one,)))
 
     def test_overriding_an_operator_still_calls_it(self):
         calls = []
@@ -131,9 +182,9 @@ class TestOperators:
             FunctionSpec("-", (Sort.INT, Sort.INT), Sort.INT, minus)
         )
         term = Apply("-", (CurrentVar("x"), IntConst(2)))
-        assert eval_term(term, {"x": [5]}, registry) == 7
+        assert value({"x": [5]}, term, registry) == 7
         assert calls == [(5, 2)]
-        assert eval_term(term, {"x": [5]}) == 3
+        assert value({"x": [5]}, term) == 3
 
     def test_conjunction_evaluates_both_operands(self):
         # `1 > 2` is false, but x was never read: the right operand still
@@ -150,38 +201,35 @@ class TestOperators:
 
 class TestOutputSet:
     def test_optional_countdown(self):
-        env = {"n": [3]}
         theta = WriteOutput(
             (Apply("-", (CurrentVar("n"), Apply("len", (AllVar("x"),)))),),
             includes_epsilon=True,
         )
-        assert eval_output_set(theta, env).words == frozenset({(), (3,)})
+        assert last_set({"n": [3]}, [theta]).words == frozenset({(), (3,)})
 
     def test_sum_output(self):
-        env = {"x": [5, 3]}
-        assert eval_output_set(WriteOutput((SUM_ALL_X,)), env).words == {(8,)}
+        assert last_set({"x": [5, 3]}, [WriteOutput((SUM_ALL_X,))]).words == {(8,)}
 
     def test_duplicate_values_collapse(self):
         theta = WriteOutput(
             (IntConst(0), Apply("+", (IntConst(0), IntConst(0)))),
             includes_epsilon=True,
         )
-        words = eval_output_set(theta, {}).words
-        assert words == frozenset({(), (0,)})
+        assert last_set({}, [theta]).words == frozenset({(), (0,)})
 
     def test_propagates_unbound_current(self):
         theta = WriteOutput((CurrentVar("x"),))
         with pytest.raises(UnboundCurrentError):
-            eval_output_set(theta, {})
+            last_set({}, [theta])
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=20))
 def test_current_is_last_of_all(values):
     env = {"x": values}
-    assert eval_term(CurrentVar("x"), env) == eval_term(AllVar("x"), env)[-1]
+    assert value(env, CurrentVar("x")) == value(env, history("x"), WITH_HISTORY)[-1]
 
 
 @given(st.lists(st.integers(), max_size=10))
 def test_evaluation_is_deterministic(values):
     env = {"x": values}
-    assert eval_term(SUM_ALL_X, env) == eval_term(SUM_ALL_X, env)
+    assert value(env, SUM_ALL_X) == value(env, SUM_ALL_X) == sum(values)

@@ -17,7 +17,7 @@ SUM_SPEC_FILE = str(DATA_DIR / "sum.iospec")
 # that run a spec need the interpreters.
 NOT_FOR_ANY_SPEC_RUN = {"iospec.runner", "iospec.harness", "subprocess"}
 NOT_FOR_PARSING = NOT_FOR_ANY_SPEC_RUN | {
-    "iospec.semantics", "iospec.environment", "iospec.traces", "selectors",
+    "iospec.semantics", "iospec.traces", "selectors",
 }
 
 

@@ -37,7 +37,6 @@ from iospec import (
     WriteOutput,
     accept,
     covers,
-    eval_term,
     interpret,
     normalize,
     normalize_spec,
@@ -49,6 +48,7 @@ from iospec import (
     well_formed,
 )
 
+from iospec import semantics
 from iospec.parser import MAX_NESTING
 from iospec.semantics import SpecStructureError
 
@@ -413,10 +413,20 @@ class TestCompiledWalk:
             {(1,), (2,)},
             {(10,), (90,), (30,), (40,), (50,), (60,)},
         )
-        env = {name: [i] for i, name in enumerate(names)}
-        for i, name in enumerate(names):
-            assert eval_term(CurrentVar(name), env) == i
-            assert eval_term(AllVar(name), env) == [i]
+        # one read each, and a registry function sees each history whole
+        registry = DEFAULT_REGISTRY.extended(
+            FunctionSpec("history", (Sort.INT_LIST,), Sort.INT, tuple)
+        )
+        spec = Spec((
+            *[ReadInput(name, Integers()) for name in names],
+            WriteOutput(tuple(CurrentVar(name) for name in names)),
+            WriteOutput(tuple(Apply("history", (AllVar(name),)) for name in names)),
+        ))
+        gt = interpret(spec, range(len(names)), registry)
+        assert gt.steps[-1] == OutputWordSet(
+            {(i,) for i in range(len(names))},
+            {((i,),) for i in range(len(names))},
+        )
 
     def test_any_value_is_a_constant_or_function_name(self):
         odd = IntConst("1) or (1")
@@ -437,13 +447,14 @@ class TestCompiledWalk:
             with pytest.raises(error):
                 interpret(spec, [1])
         with pytest.raises(EvalError, match="unknown function"):
-            eval_term(Apply(quoted, (IntConst(1),)), {})
+            interpret(Spec((WriteOutput((Apply(quoted, (IntConst(1),)),)),)), [])
         spec = Spec((
             ReadInput("x", Integers()),
             WriteOutput((Apply(quoted, (CurrentVar("x"),)),)),
         ))
         assert render_trace(interpret(spec, [4], registry)) == "?4 !{-4} stop"
-        assert eval_term(Apply(quoted, (IntConst(2),)), {}, registry) == -2
+        spec = Spec((WriteOutput((Apply(quoted, (IntConst(2),)),)),))
+        assert render_trace(interpret(spec, [], registry)) == "!{-2} stop"
 
     @pytest.mark.parametrize("kind", ["if", "loop", "term"])
     def test_nesting_past_the_limit_is_a_structure_error(self, kind):
@@ -675,6 +686,19 @@ class TestEquivalence:
         # the closing sum never counts against the limit
         assert length == 10 and raised == list(range(1, 9))
         assert accept(sum_spec, trace, limits=GenerationLimits(max_trace_length=9)) is valid
+
+    def test_oracle_evaluates_terms_itself(self, monkeypatch):
+        # a fault in the library's term compiler must not reach the oracle
+        plus, _ = semantics._OPERATORS["+"]
+        monkeypatch.setitem(semantics._OPERATORS, "+", (plus, "({} - {})"))
+        semantics._compiled.cache_clear()
+        try:
+            spec = parse_spec("read x : ints\nwrite { x_C + 1 }\n")
+            trace = parse_trace("?4 !5 stop")
+            assert accept(spec, trace) is False
+            assert oracle.accept(spec, trace) is True
+        finally:
+            semantics._compiled.cache_clear()
 
     def test_unmutated_samples_always_accepted(self):
         rng = random.Random(7)
