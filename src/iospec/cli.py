@@ -219,12 +219,19 @@ _RANGE_OPTIONS = ("--int-range", "--nat-range")
 _RANGE = re.compile(r"-?[0-9]+\.\.-?[0-9]+")
 
 
+def _is_range_option(arg: str) -> bool:
+    """Whether `arg` names a range option in full or abbreviated, as in
+    `--int`: argparse takes any prefix that only one option of `test` has,
+    and no other option of `test` starts with `--i` or `--n`."""
+    return len(arg) > 2 and any(option.startswith(arg) for option in _RANGE_OPTIONS)
+
+
 def _join_ranges(argv: list[str]) -> list[str]:
     """`--int-range -10..10` as `--int-range=-10..10`, which argparse reads:
     given apart, it takes `-10..10` for an option, not a value."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _RANGE_OPTIONS and _RANGE.fullmatch(arg):
+        if joined and _is_range_option(joined[-1]) and _RANGE.fullmatch(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

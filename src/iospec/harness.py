@@ -196,7 +196,8 @@ def format_feedback(
     if report_format is ReportFormat.MACHINE_LINES:
         return _machine_lines(report)
     if report.verdict is Verdict.ALL_PASSED:
-        return f"+++ OK, passed {report.tests_run} tests."
+        plural = "" if report.tests_run == 1 else "s"
+        return f"+++ OK, passed {report.tests_run} test{plural}."
     if report.verdict is Verdict.GENERATION_STUCK:
         return (
             "*** Gave up! Could not generate a test case:\n" + report.detail

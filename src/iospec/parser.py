@@ -38,7 +38,6 @@ text printed by :func:`render_spec` never nests deeper than its tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     AllVar,
@@ -58,16 +57,23 @@ from .syntax import (
     TillExit,
     Violation,
     WriteOutput,
+    _Record,
     well_formed,
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Record):
     start_line: int
     start_column: int
     end_line: int
     end_column: int
+
+    def __init__(self, start_line: int, start_column: int, end_line: int,
+                 end_column: int) -> None:
+        # A direct __init__, as Token's: one span is built per token.
+        self.__dict__.update(start_line=start_line, start_column=start_column,
+                             end_line=end_line, end_column=end_column)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if (self.start_line, self.start_column) > (self.end_line, self.end_column):
@@ -133,11 +139,15 @@ def parse_decimal(text: str) -> int:
     return int(text.strip())
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Record):
     kind: str  # keyword or operator text, "eof", or the pattern group's name
     text: str
     span: SourceSpan
+
+    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
+        # The scanners build one token per lexeme: a direct __init__ is
+        # faster than `_Record.__init__`'s general binding of arguments.
+        self.__dict__.update(kind=kind, text=text, span=span)
 
 
 def _scan(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:

@@ -6,13 +6,17 @@ nothing at all), branch on a condition, iterate until an exit marker, or
 exit the innermost iteration.  Terms are integer/boolean expressions over
 the *history* of values read into each variable: ``CurrentVar`` is the most
 recently read value, ``AllVar`` the full chronological list.
+
+Tree nodes are frozen records (`_Record`), not dataclasses:
+``dataclasses.fields`` and ``dataclasses.replace`` do not apply to them,
+while ``__match_args__`` names their fields, so ``match``/``case`` takes
+them apart positionally.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 
@@ -31,31 +35,106 @@ class SortError(Exception):
     """A term does not sort-check against the function registry."""
 
 
+class _Record:
+    """A frozen value with named fields: the tree nodes here and the
+    parser's tokens and spans.
+
+    A subclass lists its fields as annotations, which are never evaluated,
+    and gives a field a default as a class attribute of the same name.  An
+    instance takes its fields by position or keyword, then runs
+    ``__post_init__``; it compares and hashes as its class and field values
+    and rejects assignment.  Unlike a dataclass, whose decorator execs the
+    source of several methods per class, a subclass gets no methods of its
+    own, so the classes every command loads cost next to nothing to define.
+    """
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the class's own annotations only, in order, as strings
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with defaults or keywords."""
+        fields = cls.__match_args__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        for name in fields[: len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values = list(args)
+        defaults = vars(cls)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{cls.__name__}() got an unexpected keyword argument {next(iter(kwargs))!r}"
+            )
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class IntConst:
+class IntConst(_Record):
     value: int
 
 
-@dataclass(frozen=True)
-class CurrentVar:
+class CurrentVar(_Record):
     """The last value read into a variable (fails if none was read yet)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class AllVar:
+class AllVar(_Record):
     """All values read into a variable so far, oldest first (may be empty)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(_Record):
     fn: str
     args: tuple["Term", ...]
 
@@ -70,14 +149,13 @@ Term = Union[IntConst, CurrentVar, AllVar, Apply]
 # Input domains
 
 
-class InputDomain:
+class InputDomain(_Record):
     """Set of integers a read action accepts.  Membership is total."""
 
     def contains(self, value: int) -> bool:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Integers(InputDomain):
     def contains(self, value: int) -> bool:
         return True
@@ -86,7 +164,6 @@ class Integers(InputDomain):
         return "ints"
 
 
-@dataclass(frozen=True)
 class Naturals(InputDomain):
     def contains(self, value: int) -> bool:
         return value >= 0
@@ -95,7 +172,6 @@ class Naturals(InputDomain):
         return "nats"
 
 
-@dataclass(frozen=True)
 class ExplicitSet(InputDomain):
     values: frozenset[int]
 
@@ -115,14 +191,12 @@ class ExplicitSet(InputDomain):
 # Actions and specifications
 
 
-@dataclass(frozen=True)
-class ReadInput:
+class ReadInput(_Record):
     var: str
     domain: InputDomain
 
 
-@dataclass(frozen=True)
-class WriteOutput:
+class WriteOutput(_Record):
     """One output step allowing any of `terms`; epsilon permits no output.
 
     At least one real term is required: an all-epsilon write would be
@@ -142,8 +216,7 @@ class WriteOutput:
             raise ValueError("write action needs at least one non-epsilon term")
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Record):
     """Run `true_branch` when the condition holds, else `false_branch`."""
 
     condition: Term
@@ -151,23 +224,20 @@ class Branch:
     true_branch: "Spec"
 
 
-@dataclass(frozen=True)
-class TillExit:
+class TillExit(_Record):
     """Repeat `body` until an Exit inside it is reached."""
 
     body: "Spec"
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(_Record):
     """Leave the innermost iteration, discarding the rest of its sequence."""
 
 
 Action = Union[ReadInput, WriteOutput, Branch, TillExit, Exit]
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(_Record):
     """A sequence of actions; the empty sequence is the empty specification.
 
     Always flat: a ``Spec`` item given to the constructor stands for a
@@ -229,8 +299,7 @@ def normalize_spec(spec: Spec) -> Spec:
 # Function registry
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(_Record):
     name: str
     param_sorts: tuple[Sort, ...]
     result_sort: Sort
@@ -349,8 +418,7 @@ class ViolationKind(enum.Enum):
 Path = tuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     kind: ViolationKind
     path: Path
     detail: str = ""

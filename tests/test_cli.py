@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from iospec.cli import build_arg_parser, main
+from iospec.cli import _join_ranges, build_arg_parser, main
 
 from conftest import DATA_DIR, FIXTURES_DIR
 
@@ -409,9 +409,10 @@ class TestNumericOptions:
         args = build_arg_parser().parse_args(["sample", SUM_SPEC_FILE, "--seed=-1", "--count", "2"])
         assert (args.seed, args.count) == (-1, 2)
 
-    def test_negative_range_start_given_apart(self, capsys, tmp_path):
-        # `-5..-5` looks like an option to argparse; after `--args` it must
-        # still set iospec's range, not become an argument of the program
+    @staticmethod
+    def check_every_summand_is_minus_5(capsys, tmp_path, int_option, nat_option):
+        """Test a program that drops the last summand with `-5..-5` given
+        apart after `int_option`: it fails on summands that are all `-5`."""
         buggy = tmp_path / "drops_last.py"
         buggy.write_text(
             "import sys\n"
@@ -422,18 +423,43 @@ class TestNumericOptions:
         code, out, _ = run_cli(
             capsys, "test", PLAIN_SPEC_FILE,
             "--program", sys.executable, "--args", str(buggy),
-            "--int-range", "-5..-5", "--nat-range", "1..3",
+            int_option, "-5..-5", nat_option, "1..3",
             "--tests", "30", "--seed", "4", "--quiescence", "30",
         )
         assert code == 1
         (inputs,) = [line for line in out.splitlines() if line.startswith("Input sequence: ")]
         count, *summands = inputs.removeprefix("Input sequence: ").split()
         assert summands == ["?-5"] * int(count[1:])
+
+    def test_negative_range_start_given_apart(self, capsys, tmp_path):
+        # `-5..-5` looks like an option to argparse; after `--args` it must
+        # still set iospec's range, not become an argument of the program
+        self.check_every_summand_is_minus_5(capsys, tmp_path, "--int-range", "--nat-range")
         code, out, _ = run_cli(
             capsys, "test", SUM_SPEC_FILE, *SUM_PROGRAM_OPTIONS,
             "--int-range", "-10..10", "--tests", "3", "--quiescence", "30",
         )
         assert (code, out) == (0, "+++ OK, passed 3 tests.\n")
+
+    def test_abbreviated_range_option_given_apart(self, capsys, tmp_path):
+        # argparse takes `--int` for `--int-range`, so the range after it
+        # must reach iospec too
+        self.check_every_summand_is_minus_5(capsys, tmp_path, "--int", "--nat")
+
+    @pytest.mark.parametrize("option, dest", [
+        (option[:end], dest)
+        for option, dest in (("--int-range", "int_range"), ("--nat-range", "nat_range"))
+        for end in range(3, len(option) + 1)
+    ])
+    def test_every_abbreviation_of_a_range_option_takes_a_range_given_apart(
+        self, option, dest
+    ):
+        argv = _join_ranges(
+            ["test", SUM_SPEC_FILE, "--program", "prog", "--args", "a", option, "-3..-2"]
+        )
+        args = build_arg_parser().parse_args(argv)
+        assert getattr(args, dest) == (-3, -2)
+        assert args.args == ["a"]
 
 
 def test_module_entry_point():

@@ -83,6 +83,12 @@ class TestFormatFeedback:
         report = TestReport(Verdict.ALL_PASSED, 100, 0)
         assert format_feedback(report) == "+++ OK, passed 100 tests."
 
+    def test_one_round_passed_is_singular(self):
+        report = TestReport(Verdict.ALL_PASSED, 1, 0)
+        assert format_feedback(report) == "+++ OK, passed 1 test."
+        machine = format_feedback(report, ReportFormat.MACHINE_LINES)
+        assert machine == "verdict=AllPassed\ntests=1\nseed=0"
+
     def test_alignment_block_exact(self):
         report = make_report(alignment_counterexample())
         assert format_feedback(report) == ALIGNMENT_BLOCK

@@ -16,8 +16,10 @@ SUM_SPEC_FILE = str(DATA_DIR / "sum.iospec")
 # Only `test` needs the harness and the subprocess runner; only commands
 # that run a spec need the interpreters.
 NOT_FOR_ANY_SPEC_RUN = {"iospec.runner", "iospec.harness", "subprocess"}
+# Tree nodes and tokens are plain frozen records: parsing loads neither
+# `dataclasses` nor the `inspect` it imports.
 NOT_FOR_PARSING = NOT_FOR_ANY_SPEC_RUN | {
-    "iospec.semantics", "iospec.traces", "selectors",
+    "iospec.semantics", "iospec.traces", "selectors", "dataclasses", "inspect",
 }
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -29,7 +31,7 @@ from iospec import (
     render_term,
 )
 
-from iospec.parser import MAX_NESTING, _Parser, _scan
+from iospec.parser import MAX_NESTING, SourceSpan, Token, _Parser, _scan
 
 from conftest import SUM_SPEC_TEXT
 from randgen import random_spec
@@ -290,3 +292,50 @@ class TestNestingLimit:
         for make in NESTINGS:
             with pytest.raises(ParseError):
                 parse_spec(make(2000))
+
+
+class TestTokens:
+    def test_repr_shows_every_field_by_name(self):
+        assert [repr(t) for t in _scan("read x")] == [
+            "Token(kind='read', text='read', span=SourceSpan("
+            "start_line=1, start_column=1, end_line=1, end_column=4))",
+            "Token(kind='ident', text='x', span=SourceSpan("
+            "start_line=1, start_column=6, end_line=1, end_column=6))",
+            "Token(kind='eof', text='', span=SourceSpan("
+            "start_line=1, start_column=7, end_line=1, end_column=7))",
+        ]
+
+    def test_values_compare_hash_pickle_and_copy(self):
+        a, b = _scan("write { x_C }\n"), _scan("write { x_C }\n")
+        assert a == b
+        assert [hash(t) for t in a] == [hash(t) for t in b]
+        assert _scan("x")[0] != _scan(" x")[0]  # the same text at another place
+        for token in a:
+            for twin in (pickle.loads(pickle.dumps(token)), copy.copy(token),
+                         copy.deepcopy(token)):
+                assert twin == token and hash(twin) == hash(token)
+                assert repr(twin) == repr(token)
+
+    def test_construction(self):
+        span = SourceSpan(start_line=1, start_column=2, end_line=1, end_column=3)
+        assert span == SourceSpan(1, 2, 1, 3) and str(span) == "1:2"
+        assert Token(kind="int", text="7", span=span) == Token("int", "7", span)
+        assert Token.__match_args__ == ("kind", "text", "span")
+        with pytest.raises(TypeError):
+            Token("int", "7")
+        with pytest.raises(TypeError):
+            SourceSpan(1, 2, 1, 3, end=4)
+
+    def test_fields_cannot_change(self):
+        token = _scan("x")[0]
+        with pytest.raises(AttributeError):
+            token.kind = "int"
+        with pytest.raises(AttributeError):
+            del token.span.start_line
+        assert token == _scan("x")[0]
+
+    def test_span_must_not_end_before_it_starts(self):
+        with pytest.raises(ValueError):
+            SourceSpan(2, 1, 1, 1)
+        with pytest.raises(ValueError):
+            SourceSpan(1, 5, 1, 4)

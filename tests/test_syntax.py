@@ -22,6 +22,7 @@ from iospec import (
     SortError,
     Spec,
     TillExit,
+    Violation,
     ViolationKind,
     WriteOutput,
     accept,
@@ -292,3 +293,110 @@ class TestConstructors:
         for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert vars(twin) == {"actions": a.actions}
             assert twin == a and hash(twin) == hash(a)
+
+
+# The parsed `sum.iospec`: each node's class and every field by keyword,
+# as `dataclasses` prints them.
+SUM_SPEC_REPR = (
+    "Spec(actions=(ReadInput(var='n', domain=Naturals()), TillExit(body=Spec(actions=("
+    "Branch(condition=Apply(fn='==', args=(Apply(fn='len', args=(AllVar(name='x'),)), "
+    "CurrentVar(name='n'))), false_branch=Spec(actions=(WriteOutput(terms=("
+    "Apply(fn='-', args=(CurrentVar(name='n'), Apply(fn='len', args=(AllVar(name='x'),)))),"
+    "), includes_epsilon=True), ReadInput(var='x', domain=Integers()))), "
+    "true_branch=Spec(actions=(Exit(),))),))), WriteOutput(terms=("
+    "Apply(fn='sum', args=(AllVar(name='x'),)),), includes_epsilon=False)))"
+)
+
+
+def subtree_nodes(node):
+    """`node` and every node below it, in pre-order."""
+    yield node
+    for name in node.__match_args__:
+        value = getattr(node, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if hasattr(item, "__match_args__"):
+                yield from subtree_nodes(item)
+
+
+class TestFrozenRecords:
+    def test_repr_shows_every_field_by_name(self):
+        assert repr(parse_spec(SUM_SPEC_TEXT)) == SUM_SPEC_REPR
+        assert repr(ExplicitSet({2})) == "ExplicitSet(values=frozenset({2}))"
+        assert repr(Violation(ViolationKind.ORPHAN_EXIT, (0,))) == (
+            "Violation(kind=<ViolationKind.ORPHAN_EXIT: 'orphan-exit'>, path=(0,), detail='')"
+        )
+
+    def test_equality_needs_the_same_class(self):
+        assert CurrentVar("x") != AllVar("x")
+        assert Integers() != Naturals()
+        assert Integers() == Integers()
+        assert IntConst(1) != 1 and not IntConst(1) == (1,)
+        assert Apply("+", [IntConst(1)]) == Apply("+", (IntConst(1),))
+
+    def test_equal_nodes_hash_equal(self):
+        a = list(subtree_nodes(parse_spec(SUM_SPEC_TEXT)))
+        b = list(subtree_nodes(parse_spec(SUM_SPEC_TEXT)))
+        assert len(a) == 23
+        for x, y in zip(a, b):
+            assert x == y and x is not y
+            assert hash(x) == hash(y)
+        assert hash(Exit()) == hash(Exit())
+
+    def test_construction(self):
+        one = (IntConst(1),)
+        assert WriteOutput(one) == WriteOutput(one, False) == WriteOutput(terms=one)
+        assert WriteOutput(one, includes_epsilon=True).includes_epsilon
+        assert WriteOutput(includes_epsilon=True, terms=one) == WriteOutput(one, True)
+        assert Spec() == EMPTY and Spec().actions == ()
+        assert Violation(ViolationKind.ORPHAN_EXIT, (0,)).detail == ""
+        assert IntConst(value=3).value == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda: IntConst(),
+        lambda: ReadInput("x"),
+        lambda: IntConst(valu=1),
+        lambda: IntConst(1, 2),
+        lambda: IntConst(1, value=2),
+        lambda: Exit(1),
+        lambda: WriteOutput(includes_epsilon=True),
+    ], ids=["missing", "missing-second", "unknown", "too-many", "twice", "no-fields",
+            "missing-before-default"])
+    def test_bad_arguments_are_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_fields_cannot_change(self):
+        node = Apply("+", (IntConst(1), IntConst(2)))
+        with pytest.raises(AttributeError):
+            node.fn = "-"
+        with pytest.raises(AttributeError):
+            del node.fn
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            EMPTY.actions = ()
+        assert node == Apply("+", (IntConst(1), IntConst(2)))
+
+    def test_match_takes_fields_by_position(self):
+        assert Apply.__match_args__ == ("fn", "args")
+        assert Exit.__match_args__ == ()
+        match parse_spec("write { 1 + 2 }").actions[0]:
+            case WriteOutput((Apply(fn, (IntConst(a), IntConst(b))),), eps):
+                assert (fn, a, b, eps) == ("+", 1, 2, False)
+            case _:
+                pytest.fail("no case matched")
+
+    def test_pickle_and_copy(self):
+        nodes = list(subtree_nodes(parse_spec(SUM_SPEC_TEXT)))
+        nodes += [ExplicitSet({1, 2}), Violation(ViolationKind.MISSING_EXIT, (1, "body"), "x")]
+        for node in nodes:
+            for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+                assert type(twin) is type(node)
+                assert twin == node and hash(twin) == hash(node)
+                assert repr(twin) == repr(node)
+
+    def test_validators_still_fire(self):
+        with pytest.raises(ValueError):
+            ExplicitSet(())
+        with pytest.raises(ValueError):
+            WriteOutput(())
