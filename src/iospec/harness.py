@@ -11,7 +11,7 @@ branching conditions can make random generation hopeless.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .runner import (
     ExitKind,
@@ -27,7 +27,7 @@ from .semantics import (
     SamplingPolicy,
     sample_generalized_trace,
 )
-from .syntax import DEFAULT_REGISTRY, FunctionRegistry, Spec
+from .syntax import DEFAULT_REGISTRY, FunctionRegistry, Spec, _Record
 from .traces import (
     AlignmentMismatch,
     CoverageResult,
@@ -58,8 +58,7 @@ class FeedbackMode(enum.Enum):
     EXAMPLE = "example"    # show just one valid run for the inputs
 
 
-@dataclass(frozen=True)
-class TestConfig:
+class TestConfig(_Record):
     __test__ = False  # domain class, not a pytest suite
 
     num_tests: int = 100
@@ -80,8 +79,7 @@ class Verdict(enum.Enum):
     GENERATION_STUCK = "GenerationStuck"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     inputs: tuple[int, ...]
     expected: GeneralizedTrace
     actual: Trace
@@ -90,8 +88,7 @@ class Counterexample:
     run_detail: str = ""
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Record):
     __test__ = False  # domain class, not a pytest suite
 
     verdict: Verdict

@@ -68,13 +68,6 @@ class SourceSpan(_Record):
     end_line: int
     end_column: int
 
-    def __init__(self, start_line: int, start_column: int, end_line: int,
-                 end_column: int) -> None:
-        # A direct __init__, as Token's: one span is built per token.
-        self.__dict__.update(start_line=start_line, start_column=start_column,
-                             end_line=end_line, end_column=end_column)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if (self.start_line, self.start_column) > (self.end_line, self.end_column):
             raise ValueError("span start after span end")
@@ -143,11 +136,6 @@ class Token(_Record):
     kind: str  # keyword or operator text, "eof", or the pattern group's name
     text: str
     span: SourceSpan
-
-    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
-        # The scanners build one token per lexeme: a direct __init__ is
-        # faster than `_Record.__init__`'s general binding of arguments.
-        self.__dict__.update(kind=kind, text=text, span=span)
 
 
 def _scan(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:

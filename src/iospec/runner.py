@@ -43,20 +43,18 @@ import signal
 import subprocess
 import termios
 import time
-from dataclasses import dataclass
 from typing import Callable, Generator
 
 from .parser import parse_decimal
+from .syntax import _Record
 from .traces import In, Out, Trace, TraceStep
 
 
-@dataclass(frozen=True)
-class Read:
+class Read(_Record):
     """Effect: request the next input integer."""
 
 
-@dataclass(frozen=True)
-class Write:
+class Write(_Record):
     """Effect: emit one output integer."""
 
     value: int
@@ -72,8 +70,7 @@ class ExitKind(enum.Enum):
     PROTOCOL_ERROR = "ProtocolError"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(_Record):
     trace: Trace
     exit_kind: ExitKind
     detail: str = ""
@@ -130,14 +127,15 @@ def run_scripted(program: ScriptedProgram, inputs) -> RunOutcome:
 # External processes
 
 
-@dataclass(frozen=True)
-class SubprocessConfig:
+class SubprocessConfig(_Record):
     executable: str
     args: tuple[str, ...] = ()
     per_run_timeout_ms: int = 5000
     quiescence_window_ms: int = 50
 
     def __post_init__(self) -> None:
+        if isinstance(self.args, (str, bytes)):
+            raise TypeError("args must be a sequence of arguments, not one string")
         object.__setattr__(self, "args", tuple(self.args))
         if not self.per_run_timeout_ms > self.quiescence_window_ms > 0:
             raise ValueError("need timeout > quiescence window > 0")

@@ -91,12 +91,12 @@ from .syntax import (
     Term,
     TillExit,
     WriteOutput,
+    _Record,
 )
 from .traces import GeneralizedTrace, Trace, first_uncovered
 
 
-@dataclass(frozen=True)
-class GenerationLimits:
+class GenerationLimits(_Record):
     """Runtime bounds substituting for static termination checks."""
 
     max_loop_iterations: int = 1000
@@ -107,6 +107,7 @@ class GenerationLimits:
             raise ValueError("limits must be at least 1")
 
 
+# A dataclass, not a `_Record`: bench/run.py derives each round's policy by `replace`.
 @dataclass(frozen=True)
 class SamplingPolicy:
     """Inclusive ranges inputs are drawn from, plus the generator seed."""

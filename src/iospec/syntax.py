@@ -7,10 +7,12 @@ exit the innermost iteration.  Terms are integer/boolean expressions over
 the *history* of values read into each variable: ``CurrentVar`` is the most
 recently read value, ``AllVar`` the full chronological list.
 
-Tree nodes are frozen records (`_Record`), not dataclasses:
-``dataclasses.fields`` and ``dataclasses.replace`` do not apply to them,
-while ``__match_args__`` names their fields, so ``match``/``case`` takes
-them apart positionally.
+Tree nodes are frozen records (`_Record`), not dataclasses, as are the
+other small values the layers pass on: tokens, trace steps, coverage
+results, and the runner's and harness's configs and outcomes.  Each record
+class gets a generated ``__init__``; ``dataclasses.fields`` and
+``dataclasses.replace`` do not apply to records, while ``__match_args__``
+names their fields, so ``match``/``case`` takes them apart positionally.
 """
 
 from __future__ import annotations
@@ -36,61 +38,44 @@ class SortError(Exception):
 
 
 class _Record:
-    """A frozen value with named fields: the tree nodes here and the
-    parser's tokens and spans.
+    """A frozen value with named fields: the tree nodes here, the parser's
+    tokens and spans, trace steps and coverage results, and the runner's
+    and harness's configs and outcomes.
 
     A subclass lists its fields as annotations, which are never evaluated,
-    and gives a field a default as a class attribute of the same name.  An
-    instance takes its fields by position or keyword, then runs
-    ``__post_init__``; it compares and hashes as its class and field values
-    and rejects assignment.  Unlike a dataclass, whose decorator execs the
-    source of several methods per class, a subclass gets no methods of its
-    own, so the classes every command loads cost next to nothing to define.
+    and gives a field a default as a class attribute of the same name;
+    fields with defaults come last.  Defining the subclass generates its
+    ``__init__``, which takes the fields by position or keyword, stores
+    them, and calls ``__post_init__`` if the class has one, so Python's own
+    argument binding supplies the defaults and the ``TypeError``s.  An
+    instance compares and hashes as its class and field values and rejects
+    assignment.  Unlike a dataclass, whose decorator execs the source of
+    several methods per class, a subclass gets only its ``__init__``.
     """
 
     __match_args__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "__init__" in own:
+            raise TypeError(f"{cls.__name__} defines __init__: give it a __post_init__")
         # the class's own annotations only, in order, as strings
-        cls.__match_args__ = tuple(cls.__annotations__)
-
-    def __init__(self, *args, **kwargs) -> None:
-        fields = self.__match_args__
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call with defaults or keywords."""
-        fields = cls.__match_args__
-        if len(args) > len(fields):
-            raise TypeError(
-                f"{cls.__name__}() takes {len(fields)} positional arguments "
-                f"but {len(args)} were given"
-            )
-        for name in fields[: len(args)]:
-            if name in kwargs:
-                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-        values = list(args)
-        defaults = vars(cls)
-        for name in fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in defaults:
-                values.append(defaults[name])
-            else:
-                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
-        if kwargs:
-            raise TypeError(
-                f"{cls.__name__}() got an unexpected keyword argument {next(iter(kwargs))!r}"
-            )
-        return values
-
-    def __post_init__(self) -> None:
-        pass
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        defaults = tuple([own[name] for name in fields if name in own])
+        if any(name not in own for name in fields[len(fields) - len(defaults):]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
+        # A class body mangles a `__name` annotation, so no field is `__fields`.
+        lines = [f"def __init__({', '.join(('self',) + fields)}):",
+                 "    __fields = self.__dict__"]
+        lines += [f"    __fields[{name!r}] = {name}" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .parser import _Cursor, _scan
+from .syntax import _Record
 
 # An output word: the values of a run of consecutive prints; () is the
 # empty word (no output at all).
@@ -44,16 +44,14 @@ Word = tuple
 EPSILON: Word = ()
 
 
-@dataclass(frozen=True)
-class In:
+class In(_Record):
     value: int
 
     def __str__(self) -> str:
         return f"?{self.value}"
 
 
-@dataclass(frozen=True)
-class Out:
+class Out(_Record):
     value: int
 
     def __str__(self) -> str:
@@ -372,13 +370,11 @@ def normalize(trace: Trace) -> GeneralizedTrace:
 # Covering
 
 
-@dataclass(frozen=True)
-class Covered:
+class Covered(_Record):
     pass
 
 
-@dataclass(frozen=True)
-class AlignmentMismatch:
+class AlignmentMismatch(_Record):
     """The traces disagree structurally; `position` indexes the normalized
     trace's first step (or its end, at len) that found no counterpart."""
 
@@ -387,8 +383,7 @@ class AlignmentMismatch:
     position: int
 
 
-@dataclass(frozen=True)
-class OutputMismatch:
+class OutputMismatch(_Record):
     """Both sides are outputs, but the produced word is not allowed."""
 
     word: Word

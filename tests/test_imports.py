@@ -16,10 +16,12 @@ SUM_SPEC_FILE = str(DATA_DIR / "sum.iospec")
 # Only `test` needs the harness and the subprocess runner; only commands
 # that run a spec need the interpreters.
 NOT_FOR_ANY_SPEC_RUN = {"iospec.runner", "iospec.harness", "subprocess"}
-# Tree nodes and tokens are plain frozen records: parsing loads neither
-# `dataclasses` nor the `inspect` it imports.
+# Tree nodes, tokens, trace steps and run outcomes are `_Record`s, not
+# dataclasses: parsing loads neither `dataclasses` nor the `inspect` it
+# imports, and neither do the trace and runner modules.
+NO_DATACLASSES = {"dataclasses", "inspect"}
 NOT_FOR_PARSING = NOT_FOR_ANY_SPEC_RUN | {
-    "iospec.semantics", "iospec.traces", "selectors", "dataclasses", "inspect",
+    "iospec.semantics", "iospec.traces", "selectors", *NO_DATACLASSES,
 }
 
 
@@ -59,6 +61,13 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
     loaded = set(run_fresh(LOADED_AFTER_MAIN, *argv).splitlines()[-1].split())
     assert not absent & loaded
     assert present <= loaded
+
+
+@pytest.mark.parametrize("module", ["iospec.traces", "iospec.runner"])
+def test_records_load_no_dataclasses(module):
+    loaded = set(run_fresh(f"import sys, {module}; print(' '.join(sys.modules))").split())
+    assert module in loaded
+    assert not NO_DATACLASSES & loaded
 
 
 def test_every_export_is_the_defining_modules_object():

@@ -8,32 +8,49 @@ from iospec import (
     AllVar,
     Apply,
     Branch,
+    Covered,
     CurrentVar,
     DEFAULT_REGISTRY,
     EMPTY,
+    ExitKind,
     ExplicitSet,
     Exit,
     FunctionSpec,
+    GenerationLimits,
+    In,
     IntConst,
     Integers,
     Naturals,
+    Out,
+    OutputMismatch,
+    OutputWordSet,
+    Read,
     ReadInput,
+    RunOutcome,
     Sort,
     SortError,
     Spec,
+    SubprocessConfig,
+    TestConfig,
     TillExit,
+    Trace,
+    Verdict,
     Violation,
     ViolationKind,
+    Write,
     WriteOutput,
     accept,
     node_at,
     normalize_spec,
     parse_trace,
+    run_test_suite,
     variables_of,
     well_formed,
 )
-from iospec.syntax import sort_of
+from iospec.harness import ConfigError
+from iospec.syntax import _Record, sort_of
 
+import programs
 from conftest import SUM_SPEC_TEXT
 from randgen import random_spec
 from iospec import parse_spec, render_spec
@@ -325,12 +342,19 @@ class TestFrozenRecords:
         assert repr(Violation(ViolationKind.ORPHAN_EXIT, (0,))) == (
             "Violation(kind=<ViolationKind.ORPHAN_EXIT: 'orphan-exit'>, path=(0,), detail='')"
         )
+        assert repr(In(value=3)) == "In(value=3)" and repr(Out(-1)) == "Out(value=-1)"
+        assert repr(Read()) == "Read()" and repr(Covered()) == "Covered()"
+        assert repr(GenerationLimits(7)) == (
+            "GenerationLimits(max_loop_iterations=7, max_trace_length=10000)"
+        )
 
     def test_equality_needs_the_same_class(self):
         assert CurrentVar("x") != AllVar("x")
         assert Integers() != Naturals()
         assert Integers() == Integers()
         assert IntConst(1) != 1 and not IntConst(1) == (1,)
+        assert In(1) != Out(1) and In(1) != IntConst(1) and Write(1) == Write(value=1)
+        assert Read() == Read() and hash(Covered()) == hash(Covered())
         assert Apply("+", [IntConst(1)]) == Apply("+", (IntConst(1),))
 
     def test_equal_nodes_hash_equal(self):
@@ -350,6 +374,16 @@ class TestFrozenRecords:
         assert Spec() == EMPTY and Spec().actions == ()
         assert Violation(ViolationKind.ORPHAN_EXIT, (0,)).detail == ""
         assert IntConst(value=3).value == 3
+        trace = Trace((In(1), Out(1)))
+        outcome = RunOutcome(trace, ExitKind.CLEAN_HALT)
+        assert outcome == RunOutcome(exit_kind=ExitKind.CLEAN_HALT, trace=trace, detail="")
+        assert (outcome.detail, outcome.exit_code, outcome.stderr) == ("", None, "")
+        assert outcome.clean and outcome.consumed_inputs == 1
+        config = TestConfig()
+        assert (config.num_tests, config.max_generation_attempts) == (100, 10)
+        assert config.limits == GenerationLimits(1000, 10000)
+        assert TestConfig(num_tests=1) == TestConfig(1, config.policy, config.limits, 10)
+        assert SubprocessConfig("prog", ["-c", "x"]).args == ("-c", "x")
 
     @pytest.mark.parametrize("build", [
         lambda: IntConst(),
@@ -359,11 +393,35 @@ class TestFrozenRecords:
         lambda: IntConst(1, value=2),
         lambda: Exit(1),
         lambda: WriteOutput(includes_epsilon=True),
+        lambda: Read(1),
+        lambda: Write(),
+        lambda: RunOutcome(Trace()),
+        lambda: RunOutcome(Trace(), ExitKind.CRASHED, kind=ExitKind.CRASHED),
+        lambda: TestConfig(tests=1),
+        lambda: TestConfig(1, num_tests=1),
+        lambda: GenerationLimits(1, 2, 3),
+        lambda: SubprocessConfig("/bin/echo", "12"),
+        lambda: SubprocessConfig("/bin/echo", b"12"),
     ], ids=["missing", "missing-second", "unknown", "too-many", "twice", "no-fields",
-            "missing-before-default"])
+            "missing-before-default", "read-no-fields", "write-missing",
+            "outcome-missing-kind", "outcome-unknown", "config-unknown", "config-twice",
+            "limits-too-many", "args-one-string", "args-one-bytes"])
     def test_bad_arguments_are_a_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    def test_a_record_class_gets_its_init_from_its_fields(self):
+        assert GenerationLimits.__init__.__qualname__ == "GenerationLimits.__init__"
+        with pytest.raises(TypeError, match="defines __init__"):
+            class Direct(_Record):
+                value: int
+
+                def __init__(self, value):
+                    pass
+        with pytest.raises(TypeError, match="without a default"):
+            class Misordered(_Record):
+                first: int = 0
+                second: int
 
     def test_fields_cannot_change(self):
         node = Apply("+", (IntConst(1), IntConst(2)))
@@ -376,6 +434,14 @@ class TestFrozenRecords:
         with pytest.raises(AttributeError):
             EMPTY.actions = ()
         assert node == Apply("+", (IntConst(1), IntConst(2)))
+        config = TestConfig()
+        with pytest.raises(AttributeError):
+            config.num_tests = 5
+        with pytest.raises(AttributeError):
+            In(1).value = 2
+        with pytest.raises(AttributeError):
+            del RunOutcome(Trace(), ExitKind.CRASHED).detail
+        assert config.num_tests == 100
 
     def test_match_takes_fields_by_position(self):
         assert Apply.__match_args__ == ("fn", "args")
@@ -385,10 +451,20 @@ class TestFrozenRecords:
                 assert (fn, a, b, eps) == ("+", 1, 2, False)
             case _:
                 pytest.fail("no case matched")
+        allowed = OutputWordSet({(1,)})
+        match OutputMismatch((0,), allowed, 2):
+            case OutputMismatch(word, words, position):
+                assert (word, words, position) == ((0,), allowed, 2)
+            case _:
+                pytest.fail("no case matched")
 
     def test_pickle_and_copy(self):
         nodes = list(subtree_nodes(parse_spec(SUM_SPEC_TEXT)))
         nodes += [ExplicitSet({1, 2}), Violation(ViolationKind.MISSING_EXIT, (1, "body"), "x")]
+        report = run_test_suite(parse_spec(SUM_SPEC_TEXT), programs.sum_drops_last)
+        assert report.verdict is Verdict.FALSIFIED
+        assert isinstance(report.counterexample.error, OutputMismatch)
+        nodes += [report, report.counterexample]
         for node in nodes:
             for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
                 assert type(twin) is type(node)
@@ -400,3 +476,9 @@ class TestFrozenRecords:
             ExplicitSet(())
         with pytest.raises(ValueError):
             WriteOutput(())
+        with pytest.raises(ValueError):
+            GenerationLimits(0)
+        with pytest.raises(ValueError):
+            SubprocessConfig("prog", per_run_timeout_ms=50, quiescence_window_ms=50)
+        with pytest.raises(ConfigError):
+            TestConfig(num_tests=0)

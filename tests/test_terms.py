@@ -1,8 +1,9 @@
 """Term evaluation over variable histories, as the compiled run does it.
 
-Each check reads the histories of an environment, oldest value first, and
-then writes its int terms or branches on its bool term, so every value
-comes out of the code `semantics` generates for the specification.
+Each check first runs reads that give each variable its history (a dict
+from variable name to its values, oldest first), then writes its int terms
+or branches on its bool term, so every value comes out of the code
+`semantics` generates for the specification through `interpret`.
 """
 
 import pytest
