@@ -11,7 +11,6 @@ branching conditions can make random generation hopeless.
 from __future__ import annotations
 
 import enum
-from dataclasses import replace
 
 from .runner import (
     ExitKind,
@@ -123,7 +122,9 @@ def run_test_suite(
         gt = None
         last_failure = None
         for _ in range(cfg.max_generation_attempts):
-            attempt_policy = replace(cfg.policy, seed=rng.getrandbits(64))
+            attempt_policy = SamplingPolicy(
+                cfg.policy.integer_range, cfg.policy.natural_range, rng.getrandbits(64)
+            )
             try:
                 gt = sample_generalized_trace(
                     spec, registry, attempt_policy, cfg.limits

@@ -137,8 +137,10 @@ class SubprocessConfig(_Record):
         if isinstance(self.args, (str, bytes)):
             raise TypeError("args must be a sequence of arguments, not one string")
         object.__setattr__(self, "args", tuple(self.args))
-        if not self.per_run_timeout_ms > self.quiescence_window_ms > 0:
-            raise ValueError("need timeout > quiescence window > 0")
+        # Each on its own: the window applies only where /proc cannot tell,
+        # and one longer than the time left ends the run as a timeout.
+        if self.per_run_timeout_ms <= 0 or self.quiescence_window_ms <= 0:
+            raise ValueError("need timeout > 0 and quiescence window > 0")
 
 
 class SpawnError(Exception):

@@ -16,14 +16,14 @@ translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function and each loop another, with the variable
 histories as local lists, oldest value first: a branch is an `if`, a loop
 a `while True` with its own round counter, an exit a `break`, and a term
-an inline expression.  It is compiled the first time a specification is
-run with a registry (a few tenths of a millisecond for
-`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept in a bounded
-cache for equal specifications and registries.  Compiling reads nothing
-of the run: the limits and the inputs belong to each call.
+an inline expression.  It is compiled the first time a specification
+object is run with a registry (a few tenths of a millisecond for
+`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that object
+for its lifetime; a copy or an equal tree compiles its own.  Compiling
+reads nothing of the run: the limits and the inputs belong to each call.
 
-Terms are translated, not walked.  An `Emitter` turns a term, compiled
-against a registry, into one Python expression over the local histories:
+Terms are translated, not walked.  The compiler turns a term, against
+its registry, into one Python expression over the local histories:
 a function application becomes a call of its registry entry with its
 arguments evaluated left to right, and the default registry's own
 operators become Python operators.  A history that escapes into a
@@ -65,7 +65,6 @@ input step or output set for the steps of a run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -107,7 +106,8 @@ class GenerationLimits(_Record):
             raise ValueError("limits must be at least 1")
 
 
-# A dataclass, not a `_Record`: bench/run.py derives each round's policy by `replace`.
+# A dataclass, not a `_Record`: bench/run.py derives each round's policy
+# by `replace`, the only caller that does.
 @dataclass(frozen=True)
 class SamplingPolicy:
     """Inclusive ranges inputs are drawn from, plus the generator seed."""
@@ -210,10 +210,6 @@ _OPERATORS = {
     ]
 }
 
-# How many compiled specifications are kept, keyed on the tree and the
-# registry.
-COMPILED_CACHE_SIZE = 64
-
 
 def _unbound(name):
     raise UnboundCurrentError(name)
@@ -239,9 +235,36 @@ def too_deep() -> SpecStructureError:
     return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
 
-class Emitter:
-    """Python source for terms over one registry, and the namespace that
-    source runs in.
+# Every function of a compiled specification takes the run's state:
+# `read(domain)`, which takes the next input and closes the output gap
+# before it, the `pending` factors of the writes since the last read (the
+# gap the next read or the end closes), the call's limit on loop rounds,
+# and every variable's history.
+
+_STATE = "read, pending, max_rounds"
+
+# Stands for the whole state in a loop call, until every variable is known.
+_ALL_STATE = "@state"
+
+_LOOP_HEAD = """\
+def {name}({state}):
+    rounds = 1
+    while True:"""
+
+_LOOP_TAIL = """\
+        rounds += 1
+        if rounds > max_rounds:
+            too_many_rounds(max_rounds)"""
+
+
+class _Compiler:
+    """Python source for a specification over one registry, and the
+    namespace that source runs in.
+
+    The top level is the function `run(read, pending, max_rounds)`, and
+    each loop is a function of its own, so that no function nests loops
+    (CPython allows only 20 nested blocks).  Inside a function, histories
+    are local lists, a branch is an `if` and an exit is a `break`.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
@@ -260,7 +283,19 @@ class Emitter:
             "not_an_action": _not_an_action,
         }
         self.variables: dict = {}  # variable name -> its number
+        self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
+
+    def compile(self, spec: Spec) -> Callable:
+        body = self.block(spec.actions, 0, False, "    ")
+        histories = [f"h{i}" for i in self.variables.values()]
+        state = ", ".join([_STATE, *histories])
+        parts = [f"def run({_STATE}):", *[f"    {h} = []" for h in histories], *body]
+        for name, loop_body in self.loops:
+            parts += [_LOOP_HEAD.format(name=name, state=state), *loop_body, _LOOP_TAIL]
+        source = "\n".join(parts).replace(_ALL_STATE, state) + "\n"
+        exec(compile(source, "<iospec generated>", "exec"), self.namespace)
+        return self.namespace["run"]
 
     def fresh(self, prefix: str) -> str:
         return f"{prefix}{next(self._ids)}"
@@ -281,9 +316,6 @@ class Emitter:
 
     def history(self, name) -> str:
         return f"h{self.variable(name)}"
-
-    def histories(self) -> list[str]:
-        return [f"h{i}" for i in self.variables.values()]
 
     def term(self, term: Term, level: int = 0) -> str:
         """An expression evaluating the sort-correct term to an int, list
@@ -322,55 +354,6 @@ class Emitter:
             words.append("()")
         return f"frozenset(({', '.join(words)},))"
 
-    def define(self, source: str, name: str) -> Callable:
-        """Run the source in the namespace and return what it calls `name`."""
-        exec(compile(source, "<iospec generated>", "exec"), self.namespace)
-        return self.namespace[name]
-
-
-# Every function of a compiled specification takes the run's state:
-# `read(domain)`, which takes the next input and closes the output gap
-# before it, the `pending` factors of the writes since the last read (the
-# gap the next read or the end closes), the call's limit on loop rounds,
-# and every variable's history.
-
-_STATE = "read, pending, max_rounds"
-
-# Stands for the whole state in a loop call, until every variable is known.
-_ALL_STATE = "@state"
-
-_LOOP_HEAD = """\
-def {name}({state}):
-    rounds = 1
-    while True:"""
-
-_LOOP_TAIL = """\
-        rounds += 1
-        if rounds > max_rounds:
-            too_many_rounds(max_rounds)"""
-
-
-class _Compiler:
-    """Python source for a specification over one registry: the top level
-    is the function `run(read, pending, max_rounds)`, and each loop is a
-    function of its own, so that no function nests loops (CPython allows
-    only 20 nested blocks).  Inside a function, histories are local lists,
-    a branch is an `if` and an exit is a `break`."""
-
-    def __init__(self, registry: FunctionRegistry) -> None:
-        self.emitter = Emitter(registry)
-        self.loops: list[tuple[str, list[str]]] = []  # name, indented body
-
-    def compile(self, spec: Spec) -> Callable:
-        body = self.block(spec.actions, 0, False, "    ")
-        histories = self.emitter.histories()
-        state = ", ".join([_STATE, *histories])
-        parts = [f"def run({_STATE}):", *[f"    {h} = []" for h in histories], *body]
-        for name, loop_body in self.loops:
-            parts += [_LOOP_HEAD.format(name=name, state=state), *loop_body, _LOOP_TAIL]
-        source = "\n".join(parts).replace(_ALL_STATE, state)
-        return self.emitter.define(source + "\n", "run")
-
     def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
         if level > MAX_NESTING:
             raise too_deep()
@@ -380,34 +363,28 @@ class _Compiler:
         return lines or [pad + "pass"]
 
     def action(self, action, level: int, in_loop: bool, pad: str) -> list[str]:
-        emit = self.emitter
         if isinstance(action, ReadInput):
-            domain = emit.bind(action.domain, "d")
-            return [f"{pad}{emit.history(action.var)}.append(read({domain}))"]
+            domain = self.bind(action.domain, "d")
+            return [f"{pad}{self.history(action.var)}.append(read({domain}))"]
         if isinstance(action, WriteOutput):
-            return [f"{pad}pending.append({emit.factor(action, level)})"]
+            return [f"{pad}pending.append({self.factor(action, level)})"]
         if isinstance(action, Branch):
             inner = pad + "    "
             return [
-                f"{pad}if {emit.term(action.condition, level)}:",
+                f"{pad}if {self.term(action.condition, level)}:",
                 *self.block(action.true_branch.actions, level + 1, in_loop, inner),
                 f"{pad}else:",
                 *self.block(action.false_branch.actions, level + 1, in_loop, inner),
             ]
         if isinstance(action, TillExit):
-            name = emit.fresh("loop")
+            name = self.fresh("loop")
             body = self.block(action.body.actions, level + 1, True, " " * 8)
             self.loops.append((name, body))
             return [f"{pad}{name}({_ALL_STATE})"]
         if isinstance(action, Exit):
             return [pad + ("break" if in_loop else "orphan_exit()")]
-        message = emit.bind(f"not an action: {action!r}", "m")
+        message = self.bind(f"not an action: {action!r}", "m")
         return [f"{pad}not_an_action({message})"]
-
-
-@functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
-def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
-    return _Compiler(registry).compile(spec)
 
 
 def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
@@ -421,12 +398,14 @@ def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
     per non-empty gap, and growing it past `limits.max_trace_length`
     steps stops the run.
     """
-    try:
-        run = _compiled(spec, registry)
-    except TypeError:
-        # a hand-built tree holding something unhashable still compiles,
-        # uncached, and raises only where a run reaches that part
-        run = _compiled.__wrapped__(spec, registry)
+    # The code is kept on the specification object for its lifetime, one
+    # per registry; a copy or an equal tree compiles its own.
+    runs = spec.__dict__.get("_runs")
+    if runs is None:
+        runs = spec.__dict__["_runs"] = {}
+    run = runs.get(registry)
+    if run is None:
+        run = runs[registry] = _Compiler(registry).compile(spec)
     gaps: list[tuple] = []
     pending: list[frozenset] = []
     close = gaps.append

@@ -232,10 +232,6 @@ class Spec(_Record):
 
     actions: tuple = ()
 
-    # The hash of the whole tree, kept once computed: the interpreters key
-    # their compiled code on the specification at every call.  Not a field.
-    _hash = None
-
     def __post_init__(self) -> None:
         # One level suffices: an inner Spec was flattened when it was built.
         actions: list[Action] = []
@@ -246,18 +242,10 @@ class Spec(_Record):
                 actions.append(item)
         object.__setattr__(self, "actions", tuple(actions))
 
-    def __hash__(self) -> int:
-        # A tree holding something unhashable raises here on every call.
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.actions,)))
-        return self._hash
-
     def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a pickled or copied
-        # specification computes its hash afresh.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # The interpreters keep a specification's compiled code on it; a
+        # pickle or copy carries the fields alone and compiles afresh.
+        return {"actions": self.actions}
 
     def __iter__(self) -> Iterator:
         return iter(self.actions)

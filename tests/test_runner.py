@@ -87,9 +87,13 @@ class TestRunScripted:
 
 
 class TestSubprocessConfig:
-    def test_timeout_must_exceed_quiescence(self):
-        with pytest.raises(ValueError):
-            SubprocessConfig("prog", per_run_timeout_ms=50, quiescence_window_ms=50)
+    def test_timeout_and_window_must_each_be_positive(self):
+        for timeout, window in [(0, 50), (-1, 50), (5000, 0), (5000, -1)]:
+            with pytest.raises(ValueError):
+                SubprocessConfig("prog", per_run_timeout_ms=timeout, quiescence_window_ms=window)
+        # a timeout within the default window is fine: the window applies
+        # only where /proc cannot tell
+        assert SubprocessConfig("prog", per_run_timeout_ms=40).quiescence_window_ms == 50
 
     def test_spawn_error(self):
         cfg = SubprocessConfig("/nonexistent/never-here", **FAST)
@@ -235,6 +239,17 @@ class TestTurnTaking:
         assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
         assert len(probes) == 1
+
+    def test_window_longer_than_the_timeout(self, monkeypatch):
+        cfg = _cfg("sum_prog.py", per_run_timeout_ms=3000, quiescence_window_ms=60000)
+        outcome = run_subprocess(cfg, [2, 5, 3])
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+        # where /proc cannot tell, the window outlasts the run's time
+        monkeypatch.setattr(runner, "_tree_waits", lambda pid, calls: None)
+        cfg = _cfg("sum_prog.py", per_run_timeout_ms=300, quiescence_window_ms=60000)
+        outcome = run_subprocess(cfg, [2, 5, 3])
+        assert outcome.exit_kind is ExitKind.TIMED_OUT
+        assert outcome.consumed_inputs == 0
 
 
 def _ended_within(pid: int, seconds: float) -> bool:

@@ -1,5 +1,9 @@
+import copy
+import gc
+import pickle
 import random
 import time
+import weakref
 
 import pytest
 
@@ -53,7 +57,7 @@ from iospec.parser import MAX_NESTING
 from iospec.semantics import SpecStructureError
 
 import oracle
-from conftest import STUCK_SPEC
+from conftest import STUCK_SPEC, SUM_SPEC_TEXT
 from randgen import concretization_as_trace, mutate_trace, random_spec
 
 ALWAYS = Apply("==", (IntConst(0), IntConst(0)))
@@ -375,6 +379,58 @@ class TestCompiledWalk:
         assert interpret(b, [2, 5, 3]) == first
         assert accept(b, parse_trace("?2 !2 ?5 !1 ?3 !8 stop")) is True
 
+    @pytest.fixture
+    def compiled(self, monkeypatch) -> list:
+        """The specifications compiled from here on, one item per compile."""
+        specs = []
+        compile_spec = semantics._Compiler.compile
+
+        def counted(compiler, spec):
+            specs.append(spec)
+            return compile_spec(compiler, spec)
+
+        monkeypatch.setattr(semantics._Compiler, "compile", counted)
+        return specs
+
+    def test_each_spec_object_compiles_once(self, compiled):
+        spec = parse_spec(SUM_SPEC_TEXT)
+        for _ in range(2):
+            interpret(spec, [2, 5, 3])
+            assert accept(spec, parse_trace("?2 ?5 ?3 !8 stop")) is True
+            sample_generalized_trace(spec)
+        assert len(compiled) == 1 and compiled[0] is spec
+        # an equal tree is another object, and compiles its own code
+        twin = parse_spec(SUM_SPEC_TEXT)
+        assert interpret(twin, [2, 5, 3]) == interpret(spec, [2, 5, 3])
+        assert len(compiled) == 2 and compiled[1] is twin
+
+    def test_copies_carry_fields_only_and_compile_afresh(self, compiled):
+        spec = parse_spec(SUM_SPEC_TEXT)
+        trace = parse_trace("?2 ?5 ?3 !8 stop")
+        assert accept(spec, trace) is True
+        twins = [pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)]
+        for twin in twins:
+            assert vars(twin) == {"actions": spec.actions}
+            assert accept(twin, trace) is True
+            assert accept(twin, parse_trace("?2 ?5 ?3 !9 stop")) is False
+            assert interpret(twin, [1, 4]) == interpret(spec, [1, 4])
+        assert len(compiled) == 4 and all(a is b for a, b in zip(compiled, [spec, *twins]))
+
+    def test_compiled_code_does_not_keep_its_spec_alive(self):
+        enabled = gc.isenabled()
+        gc.disable()  # a reference cycle would keep the spec until a collection
+        try:
+            # a tree no other test builds, so no cache could hold an equal one
+            spec = parse_spec("read kept_alive : nats\nwrite { kept_alive_C * 7 }\n")
+            assert render_trace(interpret(spec, [3])) == "?3 !{21} stop"
+            sample_generalized_trace(spec)
+            alive = weakref.ref(spec)
+            del spec
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_limits_belong_to_each_call(self):
         runaway = Spec((
             TillExit(Spec((
@@ -691,14 +747,10 @@ class TestEquivalence:
         # a fault in the library's term compiler must not reach the oracle
         plus, _ = semantics._OPERATORS["+"]
         monkeypatch.setitem(semantics._OPERATORS, "+", (plus, "({} - {})"))
-        semantics._compiled.cache_clear()
-        try:
-            spec = parse_spec("read x : ints\nwrite { x_C + 1 }\n")
-            trace = parse_trace("?4 !5 stop")
-            assert accept(spec, trace) is False
-            assert oracle.accept(spec, trace) is True
-        finally:
-            semantics._compiled.cache_clear()
+        spec = parse_spec("read x : ints\nwrite { x_C + 1 }\n")
+        trace = parse_trace("?4 !5 stop")
+        assert accept(spec, trace) is False
+        assert oracle.accept(spec, trace) is True
 
     def test_unmutated_samples_always_accepted(self):
         rng = random.Random(7)

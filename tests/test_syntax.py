@@ -301,12 +301,12 @@ class TestConstructors:
         assert ExplicitSet(frozenset({1, 3})).contains(3)
         assert not ExplicitSet(frozenset({1, 3})).contains(2)
 
-    def test_spec_hash_is_kept_but_not_pickled(self):
+    def test_equal_specs_hash_equal_and_copies_carry_fields_only(self):
         a = parse_spec(SUM_SPEC_TEXT)
         b = parse_spec(SUM_SPEC_TEXT)
         assert a == b and a is not b
         assert hash(a) == hash(b) == hash(a)
-        # the kept hash stays behind: string hashes differ between processes
+        # a pickle or copy holds the one field, and nothing else kept on `a`
         for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert vars(twin) == {"actions": a.actions}
             assert twin == a and hash(twin) == hash(a)
@@ -478,7 +478,9 @@ class TestFrozenRecords:
             WriteOutput(())
         with pytest.raises(ValueError):
             GenerationLimits(0)
-        with pytest.raises(ValueError):
-            SubprocessConfig("prog", per_run_timeout_ms=50, quiescence_window_ms=50)
+        for timeout, window in [(0, 50), (-1, 50), (5000, 0), (5000, -1)]:
+            with pytest.raises(ValueError):
+                SubprocessConfig("prog", per_run_timeout_ms=timeout, quiescence_window_ms=window)
+        assert SubprocessConfig("prog", per_run_timeout_ms=40).quiescence_window_ms == 50
         with pytest.raises(ConfigError):
             TestConfig(num_tests=0)

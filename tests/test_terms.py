@@ -28,7 +28,7 @@ from iospec import (
     parse_spec,
     render_trace,
 )
-from iospec.semantics import Emitter
+from iospec.semantics import _Compiler
 
 SUM_ALL_X = Apply("sum", (AllVar("x"),))
 
@@ -157,18 +157,18 @@ def test_overriding_len_still_gets_a_copy():
 class TestOperators:
     def test_default_operators_are_inlined(self):
         # the default registry's own entries become Python operators
-        emitter = Emitter(DEFAULT_REGISTRY)
+        compiler = _Compiler(DEFAULT_REGISTRY)
         one, two = IntConst(1), IntConst(2)
         for name, symbol in [("+", "+"), ("-", "-"), ("*", "*")]:
-            assert emitter.term(Apply(name, (one, two))).split()[1] == symbol
+            assert compiler.term(Apply(name, (one, two))).split()[1] == symbol
             assert value({}, Apply(name, (one, two))) == DEFAULT_REGISTRY.lookup(name).fn(1, 2)
         for name, symbol in [("==", "=="), ("<", "<"), ("<=", "<="), (">", ">"), (">=", ">=")]:
-            assert emitter.term(Apply(name, (one, two))).split()[1] == symbol
+            assert compiler.term(Apply(name, (one, two))).split()[1] == symbol
             assert chosen({}, Apply(name, (one, two))) is DEFAULT_REGISTRY.lookup(name).fn(1, 2)
-        assert emitter.term(Apply("not", (Apply("<", (one, two)),))).startswith("(not ")
+        assert compiler.term(Apply("not", (Apply("<", (one, two)),))).startswith("(not ")
         assert chosen({}, Apply("not", (Apply("<", (one, two)),))) is False
         # `and` and `or` stay calls, and so does a call of the wrong arity
-        assert "and" not in emitter.term(Apply("and", (Apply("<", (one, two)),) * 2))
+        assert "and" not in compiler.term(Apply("and", (Apply("<", (one, two)),) * 2))
         with pytest.raises(TypeError):
             value({}, Apply("+", (one,)))
 
