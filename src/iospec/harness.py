@@ -2,10 +2,14 @@
 
 Each test round samples a generalized trace from the specification,
 extracts its input sequence, runs the program under test on those inputs,
-and checks that the recorded run is covered.  The first uncovered run (or
-abnormal program exit) falsifies; if generation keeps failing, the verdict
-is GenerationStuck rather than a failure of the program, since narrow
-branching conditions can make random generation hopeless.
+and checks that the recorded run is covered.  The check reads the run's
+own inputs and gaps, the word printed in each, and so needs no
+normalized trace: it is the gap check inside `traces.covers`, and gives
+the verdict and mismatch `covers(gt, normalize(run))` would.  The first
+uncovered run (or abnormal program exit) falsifies; if generation keeps
+failing, the verdict is GenerationStuck rather than a failure of the
+program, since narrow branching conditions can make random generation
+hopeless.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from .traces import (
     OutputMismatch,
     OutputWordSet,
     Trace,
-    covers,
-    normalize,
+    _cover,
     render_trace,
 )
 
@@ -142,18 +145,20 @@ def run_test_suite(
                     f"{last_failure}"
                 ),
             )
-        inputs = gt.inputs()
+        inputs = gt.input_values
         outcome = _run_target(target, inputs)
-        result = covers(gt, normalize(outcome.trace))
+        actual = outcome.trace
+        # covers(gt, normalize(actual)), checked on the run's own gaps
+        result = _cover(gt, actual.input_values, actual.gaps)
         if not isinstance(result, Covered) or not outcome.clean:
             return TestReport(
                 Verdict.FALSIFIED,
                 tests_run=test_index + 1,
                 seed=cfg.policy.seed,
                 counterexample=Counterexample(
-                    inputs=tuple(inputs),
+                    inputs=inputs,
                     expected=gt,
-                    actual=outcome.trace,
+                    actual=actual,
                     error=result,
                     exit_kind=outcome.exit_kind,
                     run_detail=outcome.detail,

@@ -13,6 +13,9 @@ request the next integer (delivered as the value of the yield) and
             total += x
         yield Write(total)
 
+A scripted run is recorded directly in the form a `Trace` keeps: the
+inputs read and the word written in each gap, however the run ends.
+
 External executables speak a line protocol on stdin/stdout (one decimal
 integer per line) and take turns with the runner: an input is written only
 once the program's previous turn is over, that is when its stdout has
@@ -47,7 +50,7 @@ from typing import Callable, Generator
 
 from .parser import parse_decimal
 from .syntax import _Record
-from .traces import In, Out, Trace, TraceStep
+from .traces import In, Out, Trace, TraceStep, Word
 
 
 class Read(_Record):
@@ -92,35 +95,41 @@ def run_scripted(program: ScriptedProgram, inputs) -> RunOutcome:
 
     Requesting input with none left is a protocol error ending the run;
     halting with inputs left over is tolerated (the trace simply consumes
-    fewer inputs, which the coverage check will judge).
+    fewer inputs, which the coverage check will judge).  The trace is
+    built from its gaps: the word written before each input read and the
+    one after the last, cut short where the run ends.
     """
-    values = list(inputs)
-    steps: list[TraceStep] = []
-    consumed = 0
+    values = tuple(inputs)
+    gaps: list[Word] = []
+    word: list[int] = []
     gen = program()
     feed = None
     while True:
         try:
             effect = gen.send(feed)
         except StopIteration:
-            return RunOutcome(Trace(steps), ExitKind.CLEAN_HALT)
+            kind, detail = ExitKind.CLEAN_HALT, ""
+            break
         except Exception as err:  # the program under test blew up
-            return RunOutcome(Trace(steps), ExitKind.CRASHED, detail=repr(err))
+            kind, detail = ExitKind.CRASHED, repr(err)
+            break
         feed = None
         if isinstance(effect, Read):
-            if consumed == len(values):
+            if len(gaps) == len(values):
                 gen.close()
-                return RunOutcome(Trace(steps), ExitKind.PROTOCOL_ERROR,
-                                  detail="InputUnderflow: program wants more input")
-            feed = values[consumed]
-            steps.append(In(feed))
-            consumed += 1
+                kind, detail = ExitKind.PROTOCOL_ERROR, "InputUnderflow: program wants more input"
+                break
+            feed = values[len(gaps)]
+            gaps.append(tuple(word))
+            word.clear()
         elif isinstance(effect, Write):
-            steps.append(Out(effect.value))
+            word.append(effect.value)
         else:
             gen.close()
-            return RunOutcome(Trace(steps), ExitKind.PROTOCOL_ERROR,
-                              detail=f"BadEffect: yielded {effect!r}")
+            kind, detail = ExitKind.PROTOCOL_ERROR, f"BadEffect: yielded {effect!r}"
+            break
+    gaps.append(tuple(word))
+    return RunOutcome(Trace._of(values[:len(gaps) - 1], tuple(gaps)), kind, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ demand.  A `Trace` keeps in each gap the word printed there, and a
 yields only its factor, a frozenset of words); either is () where nothing
 is.  Covering then means that the inputs agree and that each gap can print
 its word (`first_uncovered`), which is also the check `semantics.accept`
-makes after running the specification on a trace's inputs.
+makes after running the specification on a trace's inputs.  `covers`
+reads those words off a normalized trace; the harness hands a recorded
+run's own gaps to the same check, with no normalized trace in between.
 
 The text format is read with the scanner and token cursor of `parser`;
 this module adds only its token pattern and grammar, so an error in a
@@ -452,12 +454,20 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
     steps.  Output mismatches win over alignment mismatches when both
     readings fail at the same step.
     """
-    words = _one_words(nt)
-    inputs, got = gt.input_values, nt.input_values
-    gaps = gt.gaps
+    return _cover(gt, nt.input_values, _one_words(nt))
+
+
+_COVERED = Covered()
+
+
+def _cover(gt: GeneralizedTrace, got: tuple, words) -> CoverageResult:
+    """`covers` on a run given as its inputs `got` and the word it prints
+    in each gap, one more than the inputs: on a `Trace`'s `input_values`
+    and `gaps` it gives what `covers(gt, normalize(trace))` gives."""
+    inputs, gaps = gt.input_values, gt.gaps
     if inputs == got:
         k = first_uncovered(gaps, words)
-        return Covered() if k is None else _mismatch(gt, nt, words, k)
+        return _COVERED if k is None else _mismatch(gt, got, words, k)
     # The inputs part at index `last`: compare the gaps up to it.
     last = next(
         (i for i, (a, b) in enumerate(zip(inputs, got)) if a != b),
@@ -465,7 +475,7 @@ def covers(gt: GeneralizedTrace, nt: GeneralizedTrace) -> CoverageResult:
     )
     k = first_uncovered(gaps[:last + 1], words[:last + 1])
     if k is not None:
-        return _mismatch(gt, nt, words, k)
+        return _mismatch(gt, got, words, k)
     position = _position(words, last) + (1 if words[last] else 0)
     return AlignmentMismatch(_input(inputs, last), _input(got, last), position)
 
@@ -474,21 +484,21 @@ def _input(inputs: tuple, k: int) -> In | None:
     return In(inputs[k]) if k < len(inputs) else None
 
 
-def _position(words: list[Word], k: int) -> int:
+def _position(words, k: int) -> int:
     """The index in the normalized trace's steps where gap `k` starts."""
     return k + sum([1 for word in words[:k] if word])
 
 
-def _mismatch(gt, nt, words: list[Word], k: int) -> CoverageResult:
-    """Why gap `k` of `nt`, whose word is `words[k]`, is not covered by
-    the same gap of `gt`."""
+def _mismatch(gt, got: tuple, words, k: int) -> CoverageResult:
+    """Why gap `k` of the run with inputs `got`, whose word is
+    `words[k]`, is not covered by the same gap of `gt`."""
     gap, word = gt.gaps[k], words[k]
     position = _position(words, k)
     if gap and word:
         return OutputMismatch(word, _gap_set(gap), position)
     if gap:  # an unskippable set facing the next input or the end
-        return AlignmentMismatch(_gap_set(gap), _input(nt.input_values, k), position)
-    return AlignmentMismatch(_input(gt.input_values, k), _gap_set(nt.gaps[k]), position)
+        return AlignmentMismatch(_gap_set(gap), _input(got, k), position)
+    return AlignmentMismatch(_input(gt.input_values, k), _gap_set((frozenset((word,)),)), position)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +558,12 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
         if gap:
             append("!" + _render_factors(gap))
     else:
-        for step in trace.steps:
-            append(str(step))
+        for word, value in zip(trace.gaps, trace.input_values):
+            for v in word:
+                append(f"!{v}")
+            append(f"?{value}")
+        for v in trace.gaps[-1]:
+            append(f"!{v}")
     append("stop")
     return " ".join(parts)
 

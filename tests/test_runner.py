@@ -9,10 +9,14 @@ import pytest
 
 from iospec import (
     ExitKind,
+    In,
+    Out,
     Read,
     SamplingPolicy,
     SpawnError,
     SubprocessConfig,
+    Trace,
+    Write,
     normalize,
     parse_trace,
     render_trace,
@@ -79,6 +83,32 @@ class TestRunScripted:
             outcome = run_scripted(program, inputs)
             assert outcome.exit_kind is kind
             assert outcome.consumed_inputs == len(outcome.trace.inputs()) > 0
+
+    @pytest.mark.parametrize("ending, inputs, kind, detail", [
+        ("crash", [1], ExitKind.CRASHED, "RuntimeError('boom')"),
+        ("underflow", [1], ExitKind.PROTOCOL_ERROR, "InputUnderflow: program wants more input"),
+        ("bad effect", [1], ExitKind.PROTOCOL_ERROR, "BadEffect: yielded 'print'"),
+        ("halt", [1, 7, 8], ExitKind.CLEAN_HALT, ""),
+    ])
+    def test_output_cut_short_keeps_its_last_word(self, ending, inputs, kind, detail):
+        def program():
+            yield Write(0)
+            x = yield Read()
+            yield Write(x)
+            yield Write(x + 1)
+            if ending == "crash":
+                raise RuntimeError("boom")
+            if ending == "underflow":
+                yield Read()
+            if ending == "bad effect":
+                yield "print"
+
+        outcome = run_scripted(program, inputs)
+        assert (outcome.exit_kind, outcome.detail) == (kind, detail)
+        assert outcome.trace == Trace((Out(0), In(1), Out(1), Out(2)))
+        assert outcome.trace.gaps == ((0,), (1, 2))
+        assert render_trace(outcome.trace) == "!0 ?1 !1 !2 stop"
+        assert outcome.consumed_inputs == 1
 
     def test_deterministic(self):
         a = run_scripted(programs.sum_with_progress, [3, 1, 2, 3])

@@ -17,18 +17,20 @@ from iospec import (
     OutputWordSet,
     ParseError,
     PreconditionViolation,
+    SamplingPolicy,
     Trace,
     covers,
     normalize,
     parse_generalized_trace,
     parse_trace,
     render_trace,
+    sample_generalized_trace,
 )
-from iospec.traces import RENDER_LIMIT, spells
+from iospec.traces import RENDER_LIMIT, _cover, spells
 
 import oracle
 from oracle import BoundExceededError, concretize
-from randgen import concretization_as_trace, mutate_trace, random_generalized_trace
+from randgen import concretization_as_trace, mutate_trace, random_generalized_trace, random_spec
 
 
 def ows(*words) -> OutputWordSet:
@@ -240,8 +242,53 @@ class TestGapsAgainstTheStepWalk:
                      "?1 ?2 ?4 stop", "?1 !1 ?2 !2 !4 ?4 stop", "?1 ?2 !2 ?5 stop",
                      "?1 ?2 !2 stop", "?1 ?2 !2 ?4 ?4 stop", "?1 ?2 !2 ?4 !0 stop",
                      "?1 !1 ?3 stop", "!7 ?1 stop", "stop"]:
-            nt = normalize(parse_trace(text))
+            trace = parse_trace(text)
+            nt = normalize(trace)
             assert covers(gt, nt) == oracle.covers(gt, nt), text
+            assert _cover(gt, trace.input_values, trace.gaps) == covers(gt, nt), text
+
+
+def with_inputs(trace: Trace, inputs: list) -> Trace:
+    """The trace with `inputs` in place of its own: gap k keeps the
+    trace's word k, the words past the last input fuse into the final
+    gap, and gaps the trace lacks are empty."""
+    gaps = list(trace.gaps[:len(inputs)])
+    gaps += [()] * (len(inputs) - len(gaps))
+    tail = [v for gap in trace.gaps[len(inputs):] for v in gap]
+    return Trace._of(tuple(inputs), (*gaps, tuple(tail)))
+
+
+class TestCoverOnRunGaps:
+    """The harness checks a run's own gaps with `_cover`; that must give
+    the result `covers` gives on the normalized run.  Results compare
+    field by field, so a mismatch must agree in its steps or word, its
+    allowed set and its `position`."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_cover_on_gaps_is_covers_on_the_normalized_run(self, seed):
+        rng = random.Random(seed)
+        spec = random_spec(rng, depth=3)
+        gt = sample_generalized_trace(spec, policy=SamplingPolicy(seed=rng.getrandbits(32)))
+        run = concretization_as_trace(rng, gt)
+        inputs = list(run.input_values)
+        changed, missing, surplus = list(inputs), list(inputs), list(inputs)
+        if inputs:
+            changed[rng.randrange(len(inputs))] += rng.choice([-1, 1, 7])
+            del missing[rng.randrange(len(inputs))]
+        surplus.insert(rng.randint(0, len(inputs)), rng.randint(-5, 5))
+        candidates = [
+            run,
+            mutate_trace(rng, run, rounds=rng.randint(1, 3)),
+            with_inputs(run, changed),
+            with_inputs(run, missing),
+            with_inputs(run, surplus),
+            with_inputs(run, inputs[:-1]),
+            with_inputs(run, inputs + [0]),
+        ]
+        for trace in candidates:
+            expected = covers(gt, normalize(trace))
+            got = _cover(gt, trace.input_values, trace.gaps)
+            assert got == expected, (render_trace(gt), render_trace(trace))
 
 
 class TestConcretize:
