@@ -15,6 +15,7 @@ hopeless.
 from __future__ import annotations
 
 import enum
+import random
 
 from .runner import (
     ExitKind,
@@ -28,7 +29,7 @@ from .semantics import (
     GenerationFailureError,
     GenerationLimits,
     SamplingPolicy,
-    sample_generalized_trace,
+    _sample,
 )
 from .syntax import DEFAULT_REGISTRY, FunctionRegistry, Spec, _Record
 from .traces import (
@@ -120,18 +121,17 @@ def run_test_suite(
     Deterministic for a given configuration and scripted target: all
     per-round sampling seeds derive from `cfg.policy.seed`.
     """
+    ranges = cfg.policy.integer_range, cfg.policy.natural_range
     rng = cfg.policy.rng()
     for test_index in range(cfg.num_tests):
         gt = None
         last_failure = None
         for _ in range(cfg.max_generation_attempts):
-            attempt_policy = SamplingPolicy(
-                cfg.policy.integer_range, cfg.policy.natural_range, rng.getrandbits(64)
-            )
+            # the generator `SamplingPolicy(..., seed=derived).rng()` starts:
+            # a derived seed is never negative
+            attempt_rng = random.Random(rng.getrandbits(64))
             try:
-                gt = sample_generalized_trace(
-                    spec, registry, attempt_policy, cfg.limits
-                )
+                gt = _sample(spec, registry, ranges, attempt_rng, cfg.limits)
                 break
             except GenerationFailureError as err:
                 last_failure = err

@@ -117,6 +117,10 @@ class SamplingPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("integer_range", "natural_range"):
+            bounds = getattr(self, name)
+            if not all(isinstance(bound, int) for bound in bounds):
+                raise TypeError(f"{name} bounds must be ints, got {bounds!r}")
         if self.integer_range[0] > self.integer_range[1]:
             raise ValueError("empty integer range")
         if self.natural_range[0] > self.natural_range[1]:
@@ -387,16 +391,21 @@ class _Compiler:
         return [f"{pad}not_an_action({message})"]
 
 
-def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
+def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tuple, list]:
     """Run the specification; return the inputs it read and its gaps.
 
-    Each read takes the next of the fixed `values`, or, when `draw` is
-    given, `draw(domain)`.  The writes between two reads fill one gap of
-    the run: their factors wait in `pending` until the next read or the
-    end closes the gap, as the tuple of them, or () where nothing was
-    written.  A run's generalized trace holds one step per input and one
-    per non-empty gap, and growing it past `limits.max_trace_length`
-    steps stops the run.
+    Each read takes the next of the fixed `values`, or, when a generator
+    `rng` is given, draws from it: an integer read from the first of the
+    two inclusive `ranges`, a natural-number read from the second, and an
+    explicit set's read one of its values.  A draw takes exactly the
+    bits `rng.randint(lo, hi)` and `rng.choice(sorted(values))` would,
+    by CPython's own bounded loop, so a seed samples the same inputs as
+    those calls on every supported Python.  The writes between two reads
+    fill one gap of the run: their factors wait in `pending` until the
+    next read or the end closes the gap, as the tuple of them, or ()
+    where nothing was written.  A run's generalized trace holds one step
+    per input and one per non-empty gap, and growing it past
+    `limits.max_trace_length` steps stops the run.
     """
     # The code is kept on the specification object for its lifetime, one
     # per registry; a copy or an equal tree compiles its own.
@@ -410,19 +419,35 @@ def _generate(spec, registry, limits, values, draw=None) -> tuple[tuple, list]:
     pending: list[frozenset] = []
     close = gaps.append
     count = len(values)
-    drawn = values if draw is None else []
     max_steps = limits.max_trace_length
     steps = 0
+    if rng is None:
+        drawn = values
+    else:
+        drawn = []
+        getrandbits = rng.getrandbits
+        # (lo, width, bits) of each range: `randint`'s `_randbelow` draws
+        # `bits` random bits until they fall below the width
+        (int_lo, int_hi), (nat_lo, nat_hi) = ranges
+        ints = int_lo, int_hi - int_lo + 1, (int_hi - int_lo + 1).bit_length()
+        nats = nat_lo, nat_hi - nat_lo + 1, (nat_hi - nat_lo + 1).bit_length()
 
     def read(domain: InputDomain) -> int:
         nonlocal steps
-        used = len(gaps)
-        if draw is not None:
-            value = draw(domain)
+        if rng is not None:
+            if isinstance(domain, ExplicitSet):
+                value = rng.choice(sorted(domain.values))
+            else:
+                lo, width, bits = nats if isinstance(domain, Naturals) else ints
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                value = lo + r
             drawn.append(value)
-        elif used == count:
-            raise InputsExhaustedError(used)
         else:
+            used = len(gaps)
+            if used == count:
+                raise InputsExhaustedError(used)
             value = values[used]
             # every value is an integer: skip the call for the common domain
             if type(domain) is not Integers and not domain.contains(value):
@@ -477,26 +502,25 @@ def sample_generalized_trace(
 ) -> GeneralizedTrace:
     """Generate a random generalized trace; deterministic in `policy.seed`.
 
-    Inputs are drawn uniformly: integer reads from `policy.integer_range`,
-    natural-number reads from `policy.natural_range`, and explicit value
-    sets as given (ignoring the ranges).  Raises GenerationFailureError
-    when a limit is hit first, which for specifications with very narrow
-    exit conditions is the expected outcome rather than a defect.
+    Inputs are drawn uniformly from `policy.rng()`: integer reads from
+    `policy.integer_range`, natural-number reads from
+    `policy.natural_range`, and explicit value sets as given (ignoring the
+    ranges).  Each draw is the one `rng.randint(lo, hi)`, or
+    `rng.choice(sorted(values))` for a set, would make, so a seed samples
+    the inputs those calls give.  Raises GenerationFailureError when a
+    limit is hit first, which for specifications with very narrow exit
+    conditions is the expected outcome rather than a defect.
     """
-    rng = policy.rng()
+    ranges = policy.integer_range, policy.natural_range
+    return _sample(spec, registry, ranges, policy.rng(), limits)
 
-    def draw(domain: InputDomain) -> int:
-        if isinstance(domain, ExplicitSet):
-            return rng.choice(sorted(domain.values))
-        lo, hi = (
-            policy.natural_range
-            if isinstance(domain, Naturals)
-            else policy.integer_range
-        )
-        return rng.randint(lo, hi)
 
+def _sample(spec, registry, ranges, rng, limits) -> GeneralizedTrace:
+    """`sample_generalized_trace` with the policy's two ranges and the
+    generator it would start given apart; the test harness calls it with
+    a generator of its own each attempt."""
     try:
-        inputs, gaps = _generate(spec, registry, limits, (), draw)
+        inputs, gaps = _generate(spec, registry, limits, (), rng, ranges)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
     return GeneralizedTrace._of(inputs, tuple(gaps))

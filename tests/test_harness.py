@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -9,15 +10,18 @@ from iospec import (
     ExitKind,
     FeedbackMode,
     GeneralizedTrace,
+    GenerationFailureError,
     GenerationLimits,
     In,
     OutputMismatch,
     OutputWordSet,
+    Read,
     ReportFormat,
     SamplingPolicy,
     TestConfig,
     TestReport,
     Verdict,
+    Write,
     covers,
     format_feedback,
     interpret,
@@ -25,6 +29,7 @@ from iospec import (
     parse_spec,
     parse_trace,
     run_test_suite,
+    sample_generalized_trace,
 )
 from iospec.harness import ConfigError
 
@@ -281,6 +286,55 @@ class TestRunTestSuite:
         n, *summands = report.counterexample.inputs
         assert 0 <= n <= 10
         assert all(-10 <= v <= 10 for v in summands)
+
+    @pytest.mark.parametrize("ranges, limits, verdicts", [
+        ({}, GenerationLimits(), {Verdict.ALL_PASSED}),
+        ({"integer_range": (-1000, 1000), "natural_range": (2, 5)}, GenerationLimits(),
+         {Verdict.ALL_PASSED}),
+        # a sample of 2 or more summands grows past 4 steps, so most
+        # attempts fail and the next one draws a fresh seed
+        ({}, GenerationLimits(max_trace_length=4),
+         {Verdict.ALL_PASSED, Verdict.GENERATION_STUCK}),
+    ])
+    def test_rounds_feed_the_inputs_of_public_sampling(self, sum_spec, ranges, limits, verdicts):
+        # Each attempt samples with the seed drawn next from
+        # `Random(seed)`, through `sample_generalized_trace`: the replay
+        # a benchmark or a user makes of a round rests on this.
+        def replay(seed, cfg):
+            rng = random.Random(seed)
+            rounds = []
+            for _ in range(cfg.num_tests):
+                for _ in range(cfg.max_generation_attempts):
+                    policy = SamplingPolicy(**ranges, seed=rng.getrandbits(64))
+                    try:
+                        gt = sample_generalized_trace(sum_spec, policy=policy, limits=limits)
+                        break
+                    except GenerationFailureError:
+                        continue
+                else:
+                    return rounds, Verdict.GENERATION_STUCK
+                rounds.append(gt.input_values)
+            return rounds, Verdict.ALL_PASSED
+
+        seen = set()
+        for seed in range(50):
+            recorded = []
+
+            def recorder():
+                n = yield Read()
+                values = [n]
+                for i in range(n):
+                    yield Write(n - i)
+                    values.append((yield Read()))
+                recorded.append(tuple(values))
+                yield Write(sum(values[1:]))
+
+            cfg = TestConfig(num_tests=3, policy=SamplingPolicy(**ranges, seed=seed),
+                             limits=limits)
+            report = run_test_suite(sum_spec, recorder, cfg)
+            assert (recorded, report.verdict) == replay(seed, cfg)
+            seen.add(report.verdict)
+        assert seen == verdicts
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

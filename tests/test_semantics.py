@@ -6,6 +6,7 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iospec import (
     AllVar,
@@ -603,6 +604,60 @@ class TestSample:
                 limits=GenerationLimits(max_loop_iterations=1000),
             )
 
+    # Golden streams: the inputs `randint` and `choice` draw for each seed.
+    # Sampling draws inline, and must take the same bits.
+    @pytest.mark.parametrize("seed, inputs", [
+        (0, (6, 3, -9, -2, 6, 5, 2)),
+        (1, (2, 8, -8)),
+        (-1, (1, -5)),
+    ])
+    def test_golden_sum_streams(self, sum_spec, seed, inputs):
+        gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
+        assert gt.input_values == inputs
+
+    def test_golden_custom_ranges(self, sum_spec):
+        policy = SamplingPolicy(integer_range=(-1000, 1000), natural_range=(0, 5), seed=7)
+        assert sample_generalized_trace(sum_spec, policy=policy).input_values == (2, 941, -692)
+
+    @pytest.mark.parametrize("seed, inputs", [
+        (0, (99991896773263558274, 3, 4, 5, 1143104147282976958217)),
+        (1, (161663107527885274672, 3, 4, 5, 1115096291009398468420)),
+        (2, (203957373542483079112, -2, 4, 5, 595979924803801113576)),
+        (3, (1116943549932561913461, 3, 4, 5, 913541449522985799092)),
+    ])
+    def test_golden_explicit_sets_and_one_value_range(self, seed, inputs):
+        # a one-value range and a one-value set still take their bits
+        spec = parse_spec(
+            "read a : nats\nread x : {3, -2, 7}\nread y : ints\n"
+            "read z : {5}\nread w : nats\n"
+        )
+        policy = SamplingPolicy(integer_range=(4, 4), natural_range=(0, 2**70), seed=seed)
+        assert sample_generalized_trace(spec, policy=policy).input_values == inputs
+
+    @given(
+        seed=st.integers(0, 2**64),
+        int_lo=st.integers(-(2**70), 2**70),
+        nat_lo=st.integers(0, 2**70),
+        widths=st.lists(
+            st.one_of(
+                st.integers(0, 80).flatmap(lambda j: st.sampled_from([2**j, 2**j + 1])),
+                st.integers(1, 2**70),
+            ),
+            min_size=2, max_size=2,
+        ),
+        domains=st.lists(st.sampled_from(["ints", "nats", "{3, -2, 7}"]), max_size=12),
+    )
+    def test_draws_are_randint_and_choice(self, seed, int_lo, nat_lo, widths, domains):
+        ranges = (int_lo, int_lo + widths[0] - 1), (nat_lo, nat_lo + widths[1] - 1)
+        spec = parse_spec("".join(f"read x : {d}\n" for d in domains))
+        policy = SamplingPolicy(integer_range=ranges[0], natural_range=ranges[1], seed=seed)
+        rng = random.Random(seed)
+        expected = tuple(
+            rng.choice([-2, 3, 7]) if d.startswith("{") else rng.randint(*ranges[d == "nats"])
+            for d in domains
+        )
+        assert sample_generalized_trace(spec, policy=policy).input_values == expected
+
     def test_reproduced_by_interpret(self, sum_spec):
         for seed in range(50):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
@@ -621,6 +676,17 @@ class TestConfigTypes:
             SamplingPolicy(integer_range=(5, 4))
         with pytest.raises(ValueError):
             SamplingPolicy(natural_range=(-1, 5))
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("natural_range", (0, 3.0)),
+        ("natural_range", (0, 2.5)),
+        ("natural_range", ("0", "3")),
+        ("integer_range", (-1.0, 1)),
+        ("integer_range", (0, None)),
+    ])
+    def test_policy_bounds_must_be_ints(self, name, bounds):
+        with pytest.raises(TypeError, match=name):
+            SamplingPolicy(**{name: bounds})
 
 
 def interpret_then_cover(spec, trace, limits=GenerationLimits()) -> bool:
