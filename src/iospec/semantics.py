@@ -121,6 +121,8 @@ class SamplingPolicy:
             bounds = getattr(self, name)
             if not all(isinstance(bound, int) for bound in bounds):
                 raise TypeError(f"{name} bounds must be ints, got {bounds!r}")
+        if not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
         if self.integer_range[0] > self.integer_range[1]:
             raise ValueError("empty integer range")
         if self.natural_range[0] > self.natural_range[1]:
@@ -426,6 +428,7 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
     else:
         drawn = []
         getrandbits = rng.getrandbits
+        choices: dict[frozenset, tuple] = {}  # each explicit set, sorted once
         # (lo, width, bits) of each range: `randint`'s `_randbelow` draws
         # `bits` random bits until they fall below the width
         (int_lo, int_hi), (nat_lo, nat_hi) = ranges
@@ -436,7 +439,10 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
         nonlocal steps
         if rng is not None:
             if isinstance(domain, ExplicitSet):
-                value = rng.choice(sorted(domain.values))
+                options = choices.get(domain.values)
+                if options is None:
+                    options = choices[domain.values] = tuple(sorted(domain.values))
+                value = rng.choice(options)
             else:
                 lo, width, bits = nats if isinstance(domain, Naturals) else ints
                 r = getrandbits(bits)

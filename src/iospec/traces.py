@@ -13,7 +13,9 @@ therefore keeps the factors of that concatenation and answers membership
 with a pass over them (`spells`).  Hashing uses invariants of the language
 that the factors give in closed form; only `words` builds the whole set,
 and so does equality between differently factored sets that agree on
-those invariants.
+those invariants.  Rendering decides from the factors whether a set
+prints as one brace group or in product form, and builds words only when
+the factors' longest words alone leave it within RENDER_LIMIT words.
 
 Both kinds of trace are kept as their inputs and their output gaps, one
 before each input and one after the last, and build their `steps` only on
@@ -204,7 +206,10 @@ class OutputWordSet:
     writes of a few values each keeps k small factors where the
     concatenated set has exponentially many words, so membership,
     `includes_epsilon` and `smallest_word` work on the factors.  `words`
-    is the materialized set, built on first use and kept.
+    is the materialized set, built on first use and kept.  Printing
+    decides its form from the factors (see `_render_factors`) and builds
+    words, up to RENDER_LIMIT + 1 of them, only for a set that may print
+    as one group.
 
     Equality and hashing compare languages, whatever the factors.  The
     hash covers invariants every factoring of a language shares, computed
@@ -528,10 +533,30 @@ def _render_group(words: frozenset) -> str:
 
 
 def _render_factors(factors: tuple) -> str:
+    """One brace group when the set holds at most RENDER_LIMIT words,
+    else one per factor.  The factors' longest words concatenate
+    one-to-one into the set's longest words, so the product of their
+    counts bounds the set's size from below: past the limit, the set
+    prints per factor without a word of it built."""
     if len(factors) == 1:
         return _render_group(factors[0])
-    words = _language(factors, RENDER_LIMIT)
-    return "".join([_render_group(g) for g in (factors if words is None else (words,))])
+    # Repeated writes give equal factors: each distinct one is looked at once.
+    longest: dict[frozenset, int] = {}  # a factor's number of longest words
+    bound = 1
+    for factor in factors:
+        count = longest.get(factor)
+        if count is None:
+            lengths = list(map(len, factor))
+            count = longest[factor] = lengths.count(max(lengths))
+        bound *= count
+        if bound > RENDER_LIMIT:
+            break
+    else:
+        words = _language(factors, RENDER_LIMIT)
+        if words is not None:
+            return _render_group(words)
+    texts = {factor: _render_group(factor) for factor in set(factors)}
+    return "".join([texts[factor] for factor in factors])
 
 
 def render_trace(trace: Trace | GeneralizedTrace) -> str:

@@ -658,6 +658,19 @@ class TestSample:
         )
         assert sample_generalized_trace(spec, policy=policy).input_values == expected
 
+    def test_reading_from_a_wide_set_stays_fast(self):
+        # 999 reads from one set of 20,000 values in scattered order: the
+        # set is sorted once per sample, not once per read
+        values = random.Random(0).sample(range(-10**9, 10**9), 20000)
+        spec = parse_spec(
+            "read n : {999}\nloop {\n  if len(x_A) == n_C then {\n    exit\n"
+            f"  }} else {{\n    read x : {{{', '.join(map(str, values))}}}\n  }}\n}}\n"
+        )
+        start = time.perf_counter()
+        gt = sample_generalized_trace(spec, policy=SamplingPolicy(seed=5))
+        assert time.perf_counter() - start < 1.0
+        assert len(gt.input_values) == 1000 and set(gt.input_values[1:]) <= set(values)
+
     def test_reproduced_by_interpret(self, sum_spec):
         for seed in range(50):
             gt = sample_generalized_trace(sum_spec, policy=SamplingPolicy(seed=seed))
@@ -687,6 +700,12 @@ class TestConfigTypes:
     def test_policy_bounds_must_be_ints(self, name, bounds):
         with pytest.raises(TypeError, match=name):
             SamplingPolicy(**{name: bounds})
+
+    @pytest.mark.parametrize(
+        "seed", ["3", None, 1.5, (1,)], ids=["text", "none", "float", "tuple"])
+    def test_policy_seed_must_be_an_int(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            SamplingPolicy(seed=seed)
 
 
 def interpret_then_cover(spec, trace, limits=GenerationLimits()) -> bool:

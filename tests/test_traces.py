@@ -567,6 +567,52 @@ def materialized(fs) -> frozenset:
     return frozenset(words)
 
 
+def _runs_within(runs, cap=4096):
+    """The factors of (factor, repeats) `runs`, each repeat an equal copy,
+    cut where the product of the factor sizes would pass `cap`, so that
+    the language stays cheap to build."""
+    fs, size = [], 1
+    for factor, repeats in runs:
+        for _ in range(repeats):
+            size *= len(factor)
+            if size > cap:
+                return fs
+            fs.append(frozenset(set(factor)))
+    return fs
+
+
+# Runs of equal factors whose words have mixed lengths, with languages
+# from a handful of words to far past RENDER_LIMIT.
+factor_runs = st.lists(
+    st.tuples(
+        st.frozensets(
+            st.lists(st.integers(-2, 2), max_size=3).map(tuple), min_size=1, max_size=4),
+        st.integers(1, 7),
+    ),
+    min_size=1,
+    max_size=6,
+).map(_runs_within).filter(lambda fs: any(w for f in fs for w in f))
+
+
+def reference_text(fs) -> str:
+    """The printed form of the product of `fs`, from its built language:
+    one group of every word, by length and then by value, when it has at
+    most RENDER_LIMIT words, and otherwise one group per factor."""
+    def word_text(word):
+        if not word:
+            return "eps"
+        if len(word) == 1:
+            return str(word[0])
+        return "<" + " ".join(map(str, word)) + ">"
+
+    words = materialized(fs)
+    groups = [words] if len(words) <= RENDER_LIMIT else fs
+    return "!" + "".join(
+        "{" + ", ".join(word_text(w) for w in sorted(g, key=lambda w: (len(w), w))) + "}"
+        for g in groups
+    )
+
+
 class TestLazySets:
     @given(factor_lists, st.lists(candidate_words, max_size=10))
     def test_factors_agree_with_the_materialized_set(self, fs, probes):
@@ -587,6 +633,24 @@ class TestLazySets:
         else:
             assert str(lazy).count("{") == len(fs)
         assert parse_generalized_trace(f"{lazy} stop") == GeneralizedTrace((lazy,))
+
+    @given(factor_runs)
+    def test_render_equals_the_reference(self, fs):
+        assert str(OutputWordSet(*fs)) == reference_text(fs)
+
+    def test_render_either_side_of_the_longest_words_bound(self):
+        digits = frozenset({(), (1,), (2,)})
+        # 2^6 longest words, within the limit, but 127 words in all
+        assert str(OutputWordSet(*[digits] * 6)) == "!" + "{eps, 1, 2}" * 6
+        # 2^7 longest words: product form without building a word
+        assert str(OutputWordSet(*[digits] * 7)) == "!" + "{eps, 1, 2}" * 7
+        # one longest word, and 15 words in all: one group
+        ones = OutputWordSet(*[frozenset({(), (1,)})] * 14)
+        assert str(ones) == "!{eps, 1, " + ", ".join(
+            "<" + " ".join(["1"] * n) + ">" for n in range(2, 15)) + "}"
+        # hash(-1) == hash(-2): the words of x = -2 would all collide
+        colliding = [frozenset({(), (-2,), (-1,)}) for _ in range(12)]
+        assert str(OutputWordSet(*colliding)) == "!" + "{eps, -2, -1}" * 12
 
     def test_hashing_a_wide_set_stays_fast(self):
         factor = frozenset({(), (3,), (4,)})
