@@ -13,7 +13,7 @@ request the next integer (delivered as the value of the yield) and
             total += x
         yield Write(total)
 
-A scripted run is recorded directly in the form a `Trace` keeps: the
+Both runners record a run directly in the form a `Trace` keeps: the
 inputs read and the word written in each gap, however the run ends.
 
 External executables speak a line protocol on stdin/stdout (one decimal
@@ -50,7 +50,7 @@ from typing import Callable, Generator
 
 from .parser import parse_decimal
 from .syntax import _Record
-from .traces import In, Out, Trace, TraceStep, Word
+from .traces import Trace, Word
 
 
 class Read(_Record):
@@ -236,15 +236,17 @@ class _Run:
     stdout and stderr pipes.
     """
 
-    def __init__(self, cfg: SubprocessConfig, proc: subprocess.Popen) -> None:
+    def __init__(self, cfg: SubprocessConfig, proc: subprocess.Popen, values: tuple) -> None:
         self.cfg = cfg
         self.proc = proc
+        self.values = values
         self.deadline = time.monotonic() + cfg.per_run_timeout_ms / 1000.0
         self.calls = _STDIN_WAITS.get(os.uname().machine)  # None: use the window
         self.selector = selectors.DefaultSelector()
         self.selector.register(proc.stdout, selectors.EVENT_READ)
         self.selector.register(proc.stderr, selectors.EVENT_READ)
-        self.steps: list[TraceStep] = []
+        self.gaps: list[Word] = []
+        self.word: list[int] = []
         self.eof = False
         self.partial = b""  # stdout bytes after the last complete line
         self.out_bytes = 0
@@ -259,7 +261,8 @@ class _Run:
 
     def pump(self, timeout: float) -> bool:
         """Wait up to `timeout` for output and take what came; True if
-        stdout had any."""
+        stdout had any or closed, either of which restarts the probe
+        back-off (after a close, the wait for exit)."""
         if timeout < 0.001:  # epoll waits whole milliseconds at least
             time.sleep(timeout)
             timeout = 0
@@ -269,7 +272,7 @@ class _Run:
             if not data:
                 self.selector.unregister(key.fileobj)
                 if key.fileobj is self.proc.stdout:
-                    self.eof = True
+                    got = self.eof = True
                     if self.partial:
                         self.take_line(self.partial)
             elif key.fileobj is self.proc.stdout:
@@ -297,7 +300,7 @@ class _Run:
         if not text.strip():
             raise _Abort(ExitKind.PROTOCOL_ERROR, "UnparsableOutput: blank line")
         try:
-            self.steps.append(Out(parse_decimal(text)))
+            self.word.append(parse_decimal(text))
         except ValueError:
             raise _Abort(ExitKind.PROTOCOL_ERROR, f"UnparsableOutput: {text!r}") from None
 
@@ -311,23 +314,6 @@ class _Run:
         return (waits and _unread_bytes(self.proc.stdin.fileno()) == 0
                 and _unread_bytes(self.proc.stdout.fileno()) == 0)
 
-    def await_turn(self) -> None:
-        """Take output until stdout closes or the program waits for input."""
-        wait = _PROBE_MIN_S
-        quiet_since = time.monotonic()
-        while not self.eof:
-            if self.calls is None:  # no /proc signal: wait for a silent window
-                silent_for = quiet_since + self.cfg.quiescence_window_ms / 1000.0 - time.monotonic()
-                if silent_for <= 0:
-                    return
-                if self.pump(self.until_deadline(silent_for)):
-                    quiet_since = time.monotonic()
-                continue
-            got = self.pump(self.until_deadline(wait))
-            if self.waits_for_input():
-                return
-            wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
-
     def exited(self) -> bool:
         """Whether the program has exited.  It is left unreaped, so its pid,
         which is also its process group's id, cannot be reused before
@@ -338,27 +324,35 @@ class _Run:
         except ChildProcessError:  # reaped already, as when SIGCHLD is ignored
             return True
 
-    def await_exit(self) -> None:
-        """Take output until the program exits; waiting for more input
-        after the last one is an input underflow."""
+    def await_turn(self, last: bool) -> None:
+        """Take output until the program waits for input or has exited.
+        After the `last` input, waiting is an input underflow; before it,
+        where /proc cannot tell, a turn ends once a window passes silent."""
         wait = _PROBE_MIN_S
-        while not self.eof:
+        quiet_since = time.monotonic()
+        while not (self.eof and self.exited()):
+            if self.calls is None and not last and not self.eof:  # wait for a silent window
+                silent_for = quiet_since + self.cfg.quiescence_window_ms / 1000.0 - time.monotonic()
+                if silent_for <= 0:
+                    return
+                if self.pump(self.until_deadline(silent_for)):
+                    quiet_since = time.monotonic()
+                continue
             got = self.pump(self.until_deadline(wait))
             if not self.eof and self.calls is not None and self.waits_for_input():
-                raise _Abort(ExitKind.PROTOCOL_ERROR,
-                             "InputUnderflow: program wants more input")
+                if last:
+                    raise _Abort(ExitKind.PROTOCOL_ERROR,
+                                 "InputUnderflow: program wants more input")
+                return
             wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
-        wait = _PROBE_MIN_S
-        while not self.exited():
-            self.pump(self.until_deadline(wait))  # stderr may be open
-            wait = min(2 * wait, _PROBE_MAX_S)
 
     def send(self, value: int) -> bool:
         try:
             os.write(self.proc.stdin.fileno(), f"{value}\n".encode())
         except OSError:  # the program closed stdin or exited
             return False
-        self.steps.append(In(value))
+        self.gaps.append(tuple(self.word))
+        self.word.clear()
         return True
 
     def finish(self, kind: ExitKind, detail: str = "") -> RunOutcome:
@@ -382,7 +376,8 @@ class _Run:
         if kind is ExitKind.CLEAN_HALT and code != 0:
             kind, detail = ExitKind.CRASHED, f"exit code {code}"
         return RunOutcome(
-            Trace(self.steps), kind, detail=detail,
+            Trace._of(self.values[:len(self.gaps)], (*self.gaps, tuple(self.word))),
+            kind, detail=detail,
             exit_code=code, stderr=self.stderr.decode(errors="replace"),
         )
 
@@ -396,6 +391,7 @@ def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
     ends, its whole process group is killed and the child reaped, so
     nothing it started outlives the run.
     """
+    values = tuple(inputs)
     try:
         proc = subprocess.Popen(
             [cfg.executable, *cfg.args],
@@ -408,13 +404,13 @@ def run_subprocess(cfg: SubprocessConfig, inputs) -> RunOutcome:
     except OSError as err:
         raise SpawnError(f"cannot start {cfg.executable!r}: {err}") from err
 
-    run = _Run(cfg, proc)
+    run = _Run(cfg, proc, values)
     try:
-        for value in list(inputs):
-            run.await_turn()
+        for value in values:
+            run.await_turn(last=False)
             if run.eof or not run.send(value):
                 break  # output or input closed: the observable interaction is over
-        run.await_exit()
+        run.await_turn(last=True)
     except _Abort as abort:
         return run.finish(abort.kind, abort.detail)
     except BaseException:

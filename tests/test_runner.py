@@ -17,7 +17,6 @@ from iospec import (
     SubprocessConfig,
     Trace,
     Write,
-    normalize,
     parse_trace,
     render_trace,
     run_scripted,
@@ -143,27 +142,60 @@ def _default_cfg(name: str) -> SubprocessConfig:
 
 
 class TestRunSubprocess:
-    def test_sum_binary_golden(self):
-        outcome = run_subprocess(_cfg("sum_prog.py"), [2, 5, 3])
-        assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
-        assert outcome.exit_kind is ExitKind.CLEAN_HALT
-        assert outcome.consumed_inputs == 3
+    @pytest.mark.parametrize("name, options, inputs, trace_inputs, gaps, rendered, kind, detail", [
+        ("sum_prog.py", {}, [2, 5, 3], (2, 5, 3), ((), (), (), (8,)), "?2 ?5 ?3 !8 stop",
+         ExitKind.CLEAN_HALT, ""),
+        ("quit_now.py", {}, [1], (), ((),), "stop", ExitKind.CLEAN_HALT, ""),
+        ("exit_code_3.py", {}, [6], (6,), ((), (6,)), "?6 !6 stop",
+         ExitKind.CRASHED, "exit code 3"),
+        ("sum_prog.py", {}, [3, 1], (3, 1), ((), (), ()), "?3 ?1 stop",
+         ExitKind.PROTOCOL_ERROR, "InputUnderflow: program wants more input"),
+        ("chatty.py", {}, [1], (1,), ((), ()), "?1 stop",
+         ExitKind.PROTOCOL_ERROR, "UnparsableOutput: 'thinking...'"),
+        ("sleeper.py", {"per_run_timeout_ms": 600}, [], (), ((1,),), "!1 stop",
+         ExitKind.TIMED_OUT, "per-run timeout hit"),
+        ("print_forever.py", {}, [], (), None, None,
+         ExitKind.PROTOCOL_ERROR, f"OutputOverflow: more than {runner.MAX_OUTPUT_LINES} lines"),
+    ], ids=["halt", "quit", "crash", "underflow", "unparsable", "timeout", "overflow"])
+    def test_every_ending_records_its_gaps(
+        self, name, options, inputs, trace_inputs, gaps, rendered, kind, detail,
+    ):
+        outcome = run_subprocess(_cfg(name, **options), inputs)
+        assert (outcome.exit_kind, outcome.detail) == (kind, detail)
+        if gaps is None:  # endless output, cut at the line cap
+            assert outcome.trace.input_values == () and len(outcome.trace.gaps) == 1
+            assert len(outcome.trace.gaps[0]) <= runner.MAX_OUTPUT_LINES
+            return
+        assert outcome.trace == Trace._of(trace_inputs, gaps)
+        assert render_trace(outcome.trace) == rendered
+        assert outcome.consumed_inputs == len(trace_inputs)
 
-    def test_immediate_exit_consumes_nothing(self):
-        outcome = run_subprocess(_default_cfg("quit_now.py"), [1])
+    def test_stdout_closed_program_is_waited_for(self, monkeypatch):
+        # not killed when stdout closes: a kill would read as a crash
+        pump = runner._Run.pump
+        waits_after_eof = []
+
+        def logged_pump(run, timeout):
+            if run.eof:
+                waits_after_eof.append(timeout)
+            return pump(run, timeout)
+
+        monkeypatch.setattr(runner._Run, "pump", logged_pump)
+        code = "import os, time; os.close(1); time.sleep(0.3)"
+        start = time.monotonic()
+        outcome = run_subprocess(SubprocessConfig(sys.executable, ("-c", code), **FAST), [1])
+        assert time.monotonic() - start >= 0.3
+        assert outcome.exit_kind is ExitKind.CLEAN_HALT
         assert outcome.trace == parse_trace("stop")
-        assert outcome.consumed_inputs == 0
-        assert outcome.exit_kind is ExitKind.CLEAN_HALT
+        # the exit is probed at once, not after the back-off the turn built
+        assert waits_after_eof[0] == runner._PROBE_MIN_S
 
-    def test_timeout_returns_partial_trace(self):
-        outcome = run_subprocess(_cfg("sleeper.py", per_run_timeout_ms=600), [])
+    def test_stdout_closed_program_reading_on_times_out(self):
+        code = "import os, sys; os.close(1); sys.stdin.readline(); sys.stdin.readline()"
+        cfg = SubprocessConfig(sys.executable, ("-c", code), per_run_timeout_ms=600)
+        outcome = run_subprocess(cfg, [1])
         assert outcome.exit_kind is ExitKind.TIMED_OUT
-        assert render_trace(outcome.trace) == "!1 stop"
-
-    def test_unparsable_output(self):
-        outcome = run_subprocess(_cfg("chatty.py"), [1])
-        assert outcome.exit_kind is ExitKind.PROTOCOL_ERROR
-        assert "UnparsableOutput" in outcome.detail
+        assert outcome.trace == parse_trace("stop")
 
     @pytest.mark.parametrize("line", ["1_000", "\u0667"])
     def test_only_ascii_decimal_integers_parse(self, line):
@@ -187,7 +219,7 @@ class TestRunSubprocess:
 
     def test_agrees_with_scripted_oracle(self, sum_spec):
         # the external program and the scripted program implement the same
-        # behavior; their normalized traces must agree on sampled inputs
+        # behavior; their traces and exits must agree on sampled inputs
         pairs = [
             (programs.sum_program, _cfg("sum_prog.py")),
             (programs.sum_with_progress, _cfg("sum_progress_prog.py")),
@@ -198,10 +230,11 @@ class TestRunSubprocess:
             for scripted, cfg in pairs:
                 expected = run_scripted(scripted, inputs)
                 actual = run_subprocess(cfg, inputs)
-                assert normalize(actual.trace) == normalize(expected.trace), (
+                assert actual.trace == expected.trace, (
                     f"seed {seed}: {render_trace(actual.trace)} "
                     f"!= {render_trace(expected.trace)}"
                 )
+                assert actual.exit_kind is expected.exit_kind
 
 
 class TestTurnTaking:
