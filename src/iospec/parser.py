@@ -201,6 +201,22 @@ class _Cursor:
         raise ParseError(self.here.span, f"{message}, got {got!r}", expected)
 
 
+# Each binary operator's token, the function it applies and its level, from
+# the loosest binding up.  The parser climbs this table and the printer
+# parenthesizes by it.  Prefix `not` binds at level _NOT, between `&&` and
+# the comparisons; comparisons cannot be chained.
+_NOT, _COMPARE = 3, 4
+_BINARY = {
+    "||": ("or", 1),
+    "&&": ("and", 2),
+    **{op: (op, _COMPARE) for op in ("==", "<", "<=", ">", ">=")},
+    "+": ("+", 5),
+    "-": ("-", 5),
+    "*": ("*", 6),
+}
+_NO_OPERATOR = ("", 0)
+
+
 class _Parser(_Cursor):
     def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
@@ -309,60 +325,38 @@ class _Parser(_Cursor):
         value = int(tok.text)
         return -value if negative else value
 
-    # -- terms (precedence climbing) -------------------------------------
+    # -- terms ---------------------------------------------------------
     #
-    # Below `term`, each method returns the term and its height: the
-    # levels of operators and calls in its tree.  Parsing a prefix operator
-    # or an argument list already counted that level when it opened, so only
+    # `operation` climbs `_BINARY`: it reads one operand, a `not` only where
+    # `lowest` admits its level, then folds in each operator of at least
+    # `lowest` level, reading that operator's right operand one level up so
+    # equal levels associate to the left.  Below
+    # `term`, each method returns the term and its height: the levels of
+    # operators and calls in its tree.  Parsing a prefix operator or an
+    # argument list already counted that level when it opened, so only
     # binary operators check the height.
 
-    _COMPARISONS = ("==", "<", "<=", ">", ">=")
-    _FUNCTION_OF = {"||": "or", "&&": "and"}
-
     def term(self) -> Term:
-        return self.or_term()[0]
+        return self.operation()[0]
 
-    def or_term(self) -> tuple[Term, int]:
-        return self.chain(("||",), self.and_term)
-
-    def and_term(self) -> tuple[Term, int]:
-        return self.chain(("&&",), self.not_term)
-
-    def chain(self, ops, operand) -> tuple[Term, int]:
-        """A left-associative run of `operand`s joined by any of `ops`."""
-        left, height = operand()
-        while self.here.kind in ops:
+    def operation(self, lowest: int = 1) -> tuple[Term, int]:
+        if lowest <= _NOT and self.at("not"):
+            self.enter(self.advance())
+            operand, height = self.operation(_NOT)
+            self.depth -= 1
+            left, height = Apply("not", (operand,)), height + 1
+        else:
+            left, height = self.unary()
+        while True:
+            fn, level = _BINARY.get(self.here.kind, _NO_OPERATOR)
+            if level < lowest:
+                return left, height
             tok = self.advance()
-            right, right_height = operand()
-            fn = self._FUNCTION_OF.get(tok.kind, tok.kind)
+            right, right_height = self.operation(level + 1)
+            if level == _COMPARE == _BINARY.get(self.here.kind, _NO_OPERATOR)[1]:
+                self.fail("comparisons cannot be chained")
             left = Apply(fn, (left, right))
             height = self.check_depth(tok, 1 + max(height, right_height))
-        return left, height
-
-    def not_term(self) -> tuple[Term, int]:
-        if self.at("not"):
-            self.enter(self.advance())
-            operand, height = self.not_term()
-            self.depth -= 1
-            return Apply("not", (operand,)), height + 1
-        return self.comparison()
-
-    def comparison(self) -> tuple[Term, int]:
-        left, height = self.additive()
-        if self.here.kind in self._COMPARISONS:
-            tok = self.advance()
-            right, right_height = self.additive()
-            if self.here.kind in self._COMPARISONS:
-                self.fail("comparisons cannot be chained")
-            height = self.check_depth(tok, 1 + max(height, right_height))
-            return Apply(tok.kind, (left, right)), height
-        return left, height
-
-    def additive(self) -> tuple[Term, int]:
-        return self.chain(("+", "-"), self.multiplicative)
-
-    def multiplicative(self) -> tuple[Term, int]:
-        return self.chain(("*",), self.unary)
 
     def unary(self) -> tuple[Term, int]:
         if self.at("-"):
@@ -382,7 +376,7 @@ class _Parser(_Cursor):
             return IntConst(int(tok.text)), 0
         if tok.kind == "(":
             self.enter(self.advance())
-            inner, height = self.or_term()
+            inner, height = self.operation()
             self.expect(")", "expected ')'")
             self.depth -= 1
             return inner, height
@@ -405,10 +399,10 @@ class _Parser(_Cursor):
         self.fail("expected a term", ["int", "ident", "(", "-", "not"])
 
     def arguments(self) -> list[tuple[Term, int]]:
-        args = [self.or_term()]
+        args = [self.operation()]
         while self.at(","):
             self.advance()
-            args.append(self.or_term())
+            args.append(self.operation())
         self.expect(")", "expected ')' closing the argument list")
         return args
 
@@ -435,9 +429,8 @@ def parse_spec(
 # Pretty-printer
 
 
-_LEVELS = {"or": 1, "and": 2, "not": 3, "==": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-           "+": 5, "-": 5, "*": 6}
-_OP_TEXT = {"or": "||", "and": "&&"}
+# the operator text and level of each function `_BINARY` applies
+_OPERATORS = {fn: (op, level) for op, (fn, level) in _BINARY.items()}
 
 
 def render_term(term: Term) -> str:
@@ -452,20 +445,20 @@ def _render_term(term: Term, level: int) -> str:
     if isinstance(term, AllVar):
         return f"{term.name}_A"
     if isinstance(term, Apply):
-        own = _LEVELS.get(term.fn)
-        if own is None or len(term.args) not in (1, 2):
-            inner = ", ".join(_render_term(a, 0) for a in term.args)
-            return f"{term.fn}({inner})"
-        if term.fn == "not":
-            text = f"not {_render_term(term.args[0], _LEVELS['not'])}"
-        else:
-            op = _OP_TEXT.get(term.fn, term.fn)
+        if term.fn == "not" and len(term.args) == 1:
+            own = _NOT
+            text = f"not {_render_term(term.args[0], _NOT)}"
+        elif term.fn in _OPERATORS and len(term.args) == 2:
+            op, own = _OPERATORS[term.fn]
             # left-associative: the right operand needs one level more;
             # comparisons are non-associative, so both sides do.
-            left_level = own + 1 if own == 4 else own
+            left_level = own + 1 if own == _COMPARE else own
             left = _render_term(term.args[0], left_level)
             right = _render_term(term.args[1], own + 1)
             text = f"{left} {op} {right}"
+        else:
+            inner = ", ".join(_render_term(a, 0) for a in term.args)
+            return f"{term.fn}({inner})"
         return f"({text})" if own < level else text
     raise TypeError(f"not a term: {term!r}")
 

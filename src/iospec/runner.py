@@ -29,8 +29,10 @@ syscall numbers are not known here), a turn ends instead once no output
 has arrived for the quiescence window, and output flushed later than that
 is attributed to the next input.  A program that waits for input after
 the last one ends its run with an input underflow, as a scripted program
-does; one that prints more than MAX_OUTPUT_BYTES or MAX_OUTPUT_LINES ends
-it with an output overflow.  The program leads a session of its own, and
+does, except where /proc cannot tell: a program silent after its last
+input may still be computing, so there it runs until the per-run timeout.
+One that prints more than MAX_OUTPUT_BYTES or MAX_OUTPUT_LINES ends its
+run with an output overflow.  The program leads a session of its own, and
 its whole process group is killed when the run ends, so nothing it starts
 outlives the run.
 """

@@ -184,6 +184,41 @@ class TestTerms:
         assert term_of("foo_A + 0") == Apply("+", (AllVar("foo"), IntConst(0)))
 
 
+BINARY_OPERATORS = ("||", "&&", "==", "<", "<=", ">", ">=", "+", "-", "*")
+
+
+def binary(op: str, left, right) -> Apply:
+    return Apply({"||": "or", "&&": "and"}.get(op, op), (left, right))
+
+
+def operator_trees():
+    """Each ordered pair of binary operators nested either way, and each
+    operator under `not`, beside `not`, beside `0 - a` and between two
+    negative constants."""
+    a, b, c = CurrentVar("a"), CurrentVar("b"), CurrentVar("c")
+    for op1 in BINARY_OPERATORS:
+        for op2 in BINARY_OPERATORS:
+            yield binary(op2, binary(op1, a, b), c)
+            yield binary(op1, a, binary(op2, b, c))
+    for op in BINARY_OPERATORS:
+        yield Apply("not", (binary(op, a, b),))
+        yield binary(op, Apply("not", (a,)), b)
+        yield binary(op, a, Apply("not", (b,)))
+        yield binary(op, Apply("-", (IntConst(0), a)), b)
+        yield binary(op, IntConst(-1), IntConst(-2))
+
+
+def without_each_pair(text: str):
+    """`text` with each matching pair of parentheses taken out in turn."""
+    opened = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            j = opened.pop()
+            yield text[:j] + text[j + 1:i] + text[i + 1:]
+
+
 class TestRendering:
     def test_empty_spec(self):
         assert render_spec(EMPTY) == "skip\n"
@@ -200,6 +235,22 @@ class TestRendering:
         assert render_term(t) == "(1 + 2) * 3"
         t = Apply("+", (IntConst(1), Apply("*", (IntConst(2), IntConst(3)))))
         assert render_term(t) == "1 + 2 * 3"
+        for t in operator_trees():
+            text = render_term(t)
+            assert term_of(text) == t, text
+            # each pair of parentheses printed is needed
+            for bare in without_each_pair(text):
+                try:
+                    assert term_of(bare) != t, (text, bare)
+                except ParseError:
+                    pass
+
+    def test_wrong_arity_prints_as_a_call(self):
+        # not well formed, so the text need not re-parse, but no argument
+        # may be lost
+        assert render_term(Apply("+", (IntConst(1),))) == "+(1)"
+        assert render_term(Apply("-", (CurrentVar("x"),))) == "-(x_C)"
+        assert render_term(Apply("not", (IntConst(1), IntConst(2)))) == "not(1, 2)"
 
     def test_right_nested_subtraction_keeps_parens(self):
         t = Apply("-", (IntConst(1), Apply("-", (IntConst(2), IntConst(3)))))

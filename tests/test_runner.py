@@ -302,6 +302,14 @@ class TestTurnTaking:
         assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
         assert len(probes) == 1
+        # a program silent after its last input may still be computing, so
+        # one that waits for more input runs until the timeout
+        start = time.monotonic()
+        outcome = run_subprocess(_cfg("sum_prog.py", per_run_timeout_ms=600), [3, 1])
+        assert time.monotonic() - start >= 0.6
+        assert render_trace(outcome.trace) == "?3 ?1 stop"
+        assert outcome.exit_kind is ExitKind.TIMED_OUT
+        assert outcome.detail == "per-run timeout hit"
 
     def test_window_longer_than_the_timeout(self, monkeypatch):
         cfg = _cfg("sum_prog.py", per_run_timeout_ms=3000, quiescence_window_ms=60000)
