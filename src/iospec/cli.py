@@ -93,7 +93,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="test a program against a spec")
     test.add_argument("spec_file")
     test.add_argument("--program", required=True, help="path to the executable")
-    test.add_argument("--args", nargs="*", default=[], help="extra program arguments")
+    test.add_argument("--args", nargs="*", action="extend", default=[],
+                      help="extra program arguments, repeatable; pass one "
+                           "starting with '-' as --args=-jar")
     test.add_argument("--tests", type=_parse_int, default=100)
     test.add_argument("--seed", type=_parse_int, default=0)
     test.add_argument("--timeout", type=_parse_int, default=5000, metavar="MS")

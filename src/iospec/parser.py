@@ -287,10 +287,9 @@ class _Parser(_Cursor):
             self.expect("else", "expected 'else'")
             false_branch = self.block()
             return Branch(condition, false_branch, true_branch)
-        if tok.kind == "loop":
-            self.advance()
-            return TillExit(self.block())
-        self.fail("expected a statement", list(self._STMT_START))
+        # `spec` calls this only at a _STMT_START token: what is left is `loop`
+        self.advance()
+        return TillExit(self.block())
 
     def block(self) -> Spec:
         self.enter(self.expect("{", "expected '{'"))

@@ -70,7 +70,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .parser import MAX_NESTING
+from .parser import _BINARY, MAX_NESTING
 from .syntax import (
     AllVar,
     Apply,
@@ -202,19 +202,17 @@ def _ordinal(n: int) -> str:
 _LEN = DEFAULT_REGISTRY.lookup("len")
 _SUM = DEFAULT_REGISTRY.lookup("sum")
 
-# The default integer operators, emitted as Python operators; an entry
-# counts only when it is the default registry's own (compared by identity),
-# so an override of the same name is still called.  `and` and `or` stay
-# calls: both operands are evaluated first, and a short-circuit would skip
-# the errors of the second.
+# The parser's operators, emitted as Python operators; an entry counts only
+# when it is the default registry's own (compared by identity), so an
+# override of the same name is still called.  `and` and `or` stay calls:
+# both operands are evaluated first, and a short-circuit would skip the
+# errors of the second.
 _OPERATORS = {
-    name: (DEFAULT_REGISTRY.lookup(name), template)
-    for name, template in [
-        ("+", "({} + {})"), ("-", "({} - {})"), ("*", "({} * {})"),
-        ("==", "({} == {})"), ("<", "({} < {})"), ("<=", "({} <= {})"),
-        (">", "({} > {})"), (">=", "({} >= {})"), ("not", "(not {})"),
-    ]
+    fn: (DEFAULT_REGISTRY.lookup(fn), f"({{}} {fn} {{}})")
+    for fn, _level in _BINARY.values()
+    if fn not in ("and", "or")
 }
+_OPERATORS["not"] = (DEFAULT_REGISTRY.lookup("not"), "(not {})")
 
 
 def _unbound(name):

@@ -346,13 +346,14 @@ def sort_of(term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Sort:
     raise SortError(f"not a term: {term!r}")
 
 
-def term_variables(term: Term) -> set[str]:
-    if isinstance(term, (CurrentVar, AllVar)):
+def term_variables(term: Term, kinds: type | tuple = (CurrentVar, AllVar)) -> set[str]:
+    """The names of the variables of the given kinds that `term` uses."""
+    if isinstance(term, kinds):
         return {term.name}
     if isinstance(term, Apply):
         names: set[str] = set()
         for a in term.args:
-            names |= term_variables(a)
+            names |= term_variables(a, kinds)
         return names
     return set()
 
@@ -419,23 +420,12 @@ def node_at(spec: Spec, path: Path):
     return node
 
 
-def _binds_exit(spec: Spec) -> bool:
-    # An Exit belonging to this iteration level; nested TillExits bind their own.
-    for action in spec.actions:
-        if isinstance(action, Exit):
-            return True
-        if isinstance(action, Branch):
-            if _binds_exit(action.false_branch) or _binds_exit(action.true_branch):
-                return True
-    return False
-
-
 def well_formed(
     spec: Spec, registry: FunctionRegistry = DEFAULT_REGISTRY
 ) -> list[Violation]:
     """Static checks on a specification; empty result means OK.
 
-    Checks, in one left-to-right pre-order pass:
+    Checks, all in one left-to-right pre-order pass over the tree:
 
     * every ``CurrentVar`` use is preceded by a read of that variable
       (conservatively: a read anywhere earlier in traversal order counts,
@@ -444,6 +434,9 @@ def well_formed(
     * no exit marker occurs outside all iterations;
     * every term sort-checks against the registry (write terms must be
       integers, branch conditions booleans).
+
+    Violations come in the order the pass meets them, a loop's missing
+    exit before what its body holds.
     """
     violations: list[Violation] = []
     reads_seen: set[str] = set()
@@ -461,7 +454,7 @@ def well_formed(
                 )
         except SortError as err:
             violations.append(Violation(ViolationKind.SORT_ERROR, path, str(err)))
-        for name in _current_uses(term):
+        for name in term_variables(term, CurrentVar):
             if name not in reads_seen:
                 violations.append(
                     Violation(
@@ -471,7 +464,10 @@ def well_formed(
                     )
                 )
 
-    def walk(s: Spec, path: Path, loop_depth: int) -> None:
+    def walk(s: Spec, path: Path, loop_depth: int) -> bool:
+        # Whether `s` holds an exit of the innermost loop around it, in
+        # itself or in a branch arm; a nested loop's exits are its own.
+        exits = False
         for i, action in enumerate(s.actions):
             here = path + (i,)
             if isinstance(action, ReadInput):
@@ -481,36 +477,29 @@ def well_formed(
                     check_term(t, Sort.INT, here, "output term")
             elif isinstance(action, Branch):
                 check_term(action.condition, Sort.BOOL, here, "branch condition")
-                walk(action.false_branch, here + ("false",), loop_depth)
-                walk(action.true_branch, here + ("true",), loop_depth)
+                exits |= walk(action.false_branch, here + ("false",), loop_depth)
+                exits |= walk(action.true_branch, here + ("true",), loop_depth)
             elif isinstance(action, TillExit):
-                if not _binds_exit(action.body):
-                    violations.append(
+                at = len(violations)  # before the body's own violations
+                if not walk(action.body, here + ("body",), loop_depth + 1):
+                    violations.insert(
+                        at,
                         Violation(
                             ViolationKind.MISSING_EXIT,
                             here,
                             "iteration body has no exit of its own",
-                        )
+                        ),
                     )
-                walk(action.body, here + ("body",), loop_depth + 1)
             elif isinstance(action, Exit):
+                exits = True
                 if loop_depth == 0:
                     violations.append(
                         Violation(
                             ViolationKind.ORPHAN_EXIT, here, "exit outside any loop"
                         )
                     )
+        return exits
 
     walk(spec, (), 0)
     return violations
 
-
-def _current_uses(term: Term) -> set[str]:
-    if isinstance(term, CurrentVar):
-        return {term.name}
-    if isinstance(term, Apply):
-        names: set[str] = set()
-        for a in term.args:
-            names |= _current_uses(a)
-        return names
-    return set()

@@ -154,9 +154,7 @@ def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
     """The concatenation of `factors`, or None once it holds more than
     `limit` words.  Appending a factor never shrinks the set (a fixed
     suffix maps words one-to-one), so an early prefix over the limit
-    decides it."""
-    if len(factors) == 1:
-        return factors[0]
+    decides it.  Callers take a single factor as it is."""
     words = {EPSILON}
     for factor in factors:
         words = {a + b for a in words for b in factor}

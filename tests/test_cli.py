@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +346,27 @@ class TestTest:
         assert code == 0
         assert "verdict=AllPassed" in out.strip().splitlines()
 
+    def test_args_may_be_repeated_and_start_with_a_dash(self):
+        base = ["test", SUM_SPEC_FILE, "--program", "java"]
+        parse = build_arg_parser().parse_args
+        assert parse([*base, "--args", "a", "--args", "b"]).args == ["a", "b"]
+        assert parse([*base, "--args=-jar", "--args", "Main.jar"]).args == [
+            "-jar", "Main.jar"
+        ]
+        assert parse([*base, "--args", "a", "b"]).args == ["a", "b"]
+        assert parse(base).args == []
+
+    def test_dash_argument_reaches_the_program(self, capsys):
+        prog, script = sum_program_argv()
+        for args in (["--args=-u", "--args", script],
+                     # without `-c`, python would take the source for a file name
+                     ["--args=-c", "--args", Path(script).read_text()]):
+            code, out, _ = run_cli(
+                capsys, "test", SUM_SPEC_FILE, "--program", prog, *args,
+                "--tests", "3", "--quiescence", "30",
+            )
+            assert (code, out) == (0, "+++ OK, passed 3 tests.\n")
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "test", SUM_SPEC_FILE)
         assert code == 2
@@ -495,7 +517,15 @@ SUM_PROGRAM_OPTIONS = ["--program", sys.executable, "--args", str(FIXTURES_DIR /
     # a LimitExceededError
     ("loop { if 0 == 1 then { exit } else { write { 1 } } }\n",
      ["accept", "--trace", "stop"], 2, "", "error: loop ran more than 1000 rounds\n"),
-], ids=["check", "interpret", "sample", "accept", "test", "eval_error", "limit_exceeded"])
+    # all four violation kinds, in the order the checks meet them
+    ("loop { write { x_C } loop { exit } } exit if 1 then { skip } else { skip }\n",
+     ["check"], 1,
+     "missing-exit at 0: iteration body has no exit of its own\n"
+     "use-before-read at 0/body/0: x_C used before any read of x\n"
+     "orphan-exit at 1: exit outside any loop\n"
+     "sort-error at 2: branch condition has sort int, expected bool\n", ""),
+], ids=["check", "interpret", "sample", "accept", "test", "eval_error", "limit_exceeded",
+        "check_violations"])
 def test_command_in_a_fresh_process(tmp_path, spec_text, argv, code, out, err):
     # main() in this process finds every module already loaded; a fresh
     # interpreter catches a command that forgot to import what it runs

@@ -9,15 +9,18 @@ from iospec import (
     Apply,
     Branch,
     CurrentVar,
+    DEFAULT_REGISTRY,
     EMPTY,
     ExplicitSet,
     Exit,
+    FunctionSpec,
     In,
     IntConst,
     Integers,
     Naturals,
     ParseError,
     ReadInput,
+    Sort,
     Trace,
     Spec,
     StaticError,
@@ -29,6 +32,7 @@ from iospec import (
     parse_spec,
     render_spec,
     render_term,
+    render_trace,
 )
 
 from iospec.parser import MAX_NESTING, SourceSpan, Token, _Parser, _scan
@@ -113,6 +117,21 @@ class TestGrammar:
         with pytest.raises(ParseError) as exc:
             parse_spec("read x :\nwobble")
         assert exc.value.span.start_line == 2
+
+    def test_function_of_two_arguments(self):
+        maximum = FunctionSpec("max", (Sort.INT, Sort.INT), Sort.INT, max)
+        registry = DEFAULT_REGISTRY.extended(maximum)
+        spec = parse_spec("read x : ints\nwrite { max(x_C, 3) }\n", registry)
+        assert parse_spec(render_spec(spec), registry) == spec
+        assert render_trace(interpret(spec, [1], registry)) == "?1 !{3} stop"
+        with pytest.raises(ParseError) as exc:
+            parse_spec("read x : ints\nwrite { max(x_C,) }\n", registry)
+        assert str(exc.value).startswith("2:17: expected a term")
+
+    def test_text_after_the_last_statement(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("write { 1 } }")
+        assert str(exc.value).startswith("1:13: expected a statement or end of input")
 
     def test_literals_are_ascii_digits(self):
         # `\d` would also match the Arabic-Indic digit 7

@@ -156,7 +156,13 @@ class TestRunSubprocess:
          ExitKind.TIMED_OUT, "per-run timeout hit"),
         ("print_forever.py", {}, [], (), None, None,
          ExitKind.PROTOCOL_ERROR, f"OutputOverflow: more than {runner.MAX_OUTPUT_LINES} lines"),
-    ], ids=["halt", "quit", "crash", "underflow", "unparsable", "timeout", "overflow"])
+        # the last line is taken when stdout closes, newline or not
+        ("sum_no_newline.py", {}, [2, 5, 3], (2, 5, 3), ((), (), (), (8,)),
+         "?2 ?5 ?3 !8 stop", ExitKind.CLEAN_HALT, ""),
+        ("long_line.py", {}, [], (), ((),), "stop",
+         ExitKind.PROTOCOL_ERROR, f"OutputOverflow: more than {runner.MAX_OUTPUT_BYTES} bytes"),
+    ], ids=["halt", "quit", "crash", "underflow", "unparsable", "timeout", "overflow",
+            "unterminated_last_line", "overlong_line"])
     def test_every_ending_records_its_gaps(
         self, name, options, inputs, trace_inputs, gaps, rendered, kind, detail,
     ):

@@ -179,14 +179,23 @@ class TestWellFormed:
 
     def test_missing_exit(self):
         loop = TillExit(Spec((READ_X,)))
-        kinds = [v.kind for v in well_formed(Spec((loop,)))]
-        assert kinds == [ViolationKind.MISSING_EXIT]
+        found = [(v.kind, v.path) for v in well_formed(Spec((loop,)))]
+        assert found == [(ViolationKind.MISSING_EXIT, (0,))]
 
     def test_exit_in_nested_loop_does_not_count(self):
         inner = TillExit(Spec((Exit(),)))
         outer = TillExit(Spec((inner,)))
-        kinds = [v.kind for v in well_formed(Spec((outer,)))]
-        assert ViolationKind.MISSING_EXIT in kinds
+        found = [(v.kind, v.path) for v in well_formed(Spec((outer,)))]
+        assert found == [(ViolationKind.MISSING_EXIT, (0,))]
+        # each loop's missing exit comes before what its body holds
+        inner = TillExit(Spec((WRITE_XC,)))
+        outer = TillExit(Spec((inner,)))
+        found = [(v.kind, v.path) for v in well_formed(Spec((outer,)))]
+        assert found == [
+            (ViolationKind.MISSING_EXIT, (0,)),
+            (ViolationKind.MISSING_EXIT, (0, "body", 0)),
+            (ViolationKind.USE_BEFORE_READ, (0, "body", 0, "body", 0)),
+        ]
 
     def test_exit_under_branch_counts(self):
         body = Branch(
