@@ -152,13 +152,9 @@ def _scan(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
             span = SourceSpan(line, col, line, col)
             raise ParseError(span, f"unexpected character {text[pos]!r}")
         lexeme = m.group(0)
-        end_line, end_col = line, col
-        for ch in lexeme:
-            if ch == "\n":
-                end_line += 1
-                end_col = 1
-            else:
-                end_col += 1
+        newlines = lexeme.count("\n")
+        end_line = line + newlines
+        end_col = len(lexeme) - lexeme.rfind("\n") if newlines else col + len(lexeme)
         kind = m.lastgroup
         if kind != "ws":
             if kind == "op" or kind == "ident" and lexeme in KEYWORDS:

@@ -13,14 +13,15 @@ instead of spinning forever.
 
 That run is Python code generated from the specification, a specializing
 translation of the walk it replaces (the first Futamura projection).  The
-top level becomes one function and each loop another, with the variable
-histories as local lists, oldest value first: a branch is an `if`, a loop
-a `while True` with its own round counter, an exit a `break`, and a term
-an inline expression.  It is compiled the first time a specification
-object is run with a registry (a few tenths of a millisecond for
-`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that object
-for its lifetime; a copy or an equal tree compiles its own.  Compiling
-reads nothing of the run: the limits and the inputs belong to each call.
+top level becomes one function holding the variable histories as local
+lists, oldest value first, and each loop a function defined inside it that
+shares them: a branch is an `if`, a loop a `for` over its allowed rounds,
+an exit a `break`, and a term an inline expression.  It is compiled the
+first time a specification object is run with a registry (a few tenths
+of a millisecond for `tests/data/sum.iospec` on a 2-vCPU x86_64 host) and
+kept on that object for its lifetime; a copy or an equal tree compiles
+its own.  Compiling reads nothing of the run: the limits and the inputs
+belong to each call.
 
 Terms are translated, not walked.  The compiler turns a term, against
 its registry, into one Python expression over the local histories:
@@ -239,36 +240,20 @@ def too_deep() -> SpecStructureError:
     return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
 
-# Every function of a compiled specification takes the run's state:
-# `read(domain)`, which takes the next input and closes the output gap
-# before it, the `pending` factors of the writes since the last read (the
-# gap the next read or the end closes), the call's limit on loop rounds,
-# and every variable's history.
-
-_STATE = "read, pending, max_rounds"
-
-# Stands for the whole state in a loop call, until every variable is known.
-_ALL_STATE = "@state"
-
-_LOOP_HEAD = """\
-def {name}({state}):
-    rounds = 1
-    while True:"""
-
-_LOOP_TAIL = """\
-        rounds += 1
-        if rounds > max_rounds:
-            too_many_rounds(max_rounds)"""
-
-
 class _Compiler:
     """Python source for a specification over one registry, and the
     namespace that source runs in.
 
-    The top level is the function `run(read, pending, max_rounds)`, and
-    each loop is a function of its own, so that no function nests loops
-    (CPython allows only 20 nested blocks).  Inside a function, histories
-    are local lists, a branch is an `if` and an exit is a `break`.
+    The top level is the function `run(read, pending, max_rounds)`:
+    `read(domain)` takes the next input and closes the output gap before
+    it, `pending` holds the factors of the writes since the last read (the
+    gap the next read or the end closes), and `max_rounds` is the call's
+    limit on a loop's rounds.  The histories are local lists of `run`.
+    Each loop is a function without parameters defined at the top of
+    `run`, sharing all of these, so that no function nests loops (CPython
+    allows only 20 nested blocks); its body runs under `for _ in
+    range(max_rounds)`, whose `else` raises.  A branch is an `if` and an
+    exit is a `break`.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
@@ -292,12 +277,12 @@ class _Compiler:
 
     def compile(self, spec: Spec) -> Callable:
         body = self.block(spec.actions, 0, False, "    ")
-        histories = [f"h{i}" for i in self.variables.values()]
-        state = ", ".join([_STATE, *histories])
-        parts = [f"def run({_STATE}):", *[f"    {h} = []" for h in histories], *body]
+        parts = ["def run(read, pending, max_rounds):"]
+        parts += [f"    h{i} = []" for i in self.variables.values()]
         for name, loop_body in self.loops:
-            parts += [_LOOP_HEAD.format(name=name, state=state), *loop_body, _LOOP_TAIL]
-        source = "\n".join(parts).replace(_ALL_STATE, state) + "\n"
+            parts += [f"    def {name}():", "        for _ in range(max_rounds):", *loop_body,
+                      "        else:", "            too_many_rounds(max_rounds)"]
+        source = "\n".join(parts + body) + "\n"
         exec(compile(source, "<iospec generated>", "exec"), self.namespace)
         return self.namespace["run"]
 
@@ -382,9 +367,9 @@ class _Compiler:
             ]
         if isinstance(action, TillExit):
             name = self.fresh("loop")
-            body = self.block(action.body.actions, level + 1, True, " " * 8)
+            body = self.block(action.body.actions, level + 1, True, " " * 12)
             self.loops.append((name, body))
-            return [f"{pad}{name}({_ALL_STATE})"]
+            return [f"{pad}{name}()"]
         if isinstance(action, Exit):
             return [pad + ("break" if in_loop else "orphan_exit()")]
         message = self.bind(f"not an action: {action!r}", "m")

@@ -346,16 +346,14 @@ def sort_of(term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Sort:
     raise SortError(f"not a term: {term!r}")
 
 
-def term_variables(term: Term, kinds: type | tuple = (CurrentVar, AllVar)) -> set[str]:
-    """The names of the variables of the given kinds that `term` uses."""
+def term_variables(term: Term, kinds: type | tuple = (CurrentVar, AllVar)) -> tuple[str, ...]:
+    """The names of the variables of the given kinds that `term` uses, each
+    once, in the order they first appear, left to right."""
     if isinstance(term, kinds):
-        return {term.name}
+        return (term.name,)
     if isinstance(term, Apply):
-        names: set[str] = set()
-        for a in term.args:
-            names |= term_variables(a, kinds)
-        return names
-    return set()
+        return tuple(dict.fromkeys(n for a in term.args for n in term_variables(a, kinds)))
+    return ()
 
 
 def variables_of(spec: Spec) -> set[str]:
@@ -366,9 +364,9 @@ def variables_of(spec: Spec) -> set[str]:
             names.add(action.var)
         elif isinstance(action, WriteOutput):
             for t in action.terms:
-                names |= term_variables(t)
+                names.update(term_variables(t))
         elif isinstance(action, Branch):
-            names |= term_variables(action.condition)
+            names.update(term_variables(action.condition))
             names |= variables_of(action.false_branch)
             names |= variables_of(action.true_branch)
         elif isinstance(action, TillExit):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -541,3 +542,20 @@ def test_command_in_a_fresh_process(tmp_path, spec_text, argv, code, out, err):
         timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+def test_check_order_does_not_follow_the_string_hash(tmp_path):
+    # one term's use-before-read violations come in the order its
+    # variables first appear, under every string hash seed
+    spec_file = tmp_path / "spec.iospec"
+    spec_file.write_text("write { a_C + b_C + c_C }\n")
+    out = "".join(f"use-before-read at 0: {v}_C used before any read of {v}\n" for v in "abc")
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-m", "iospec", "check", str(spec_file)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, out, ""), seed

@@ -161,8 +161,10 @@ class TestRunSubprocess:
          "?2 ?5 ?3 !8 stop", ExitKind.CLEAN_HALT, ""),
         ("long_line.py", {}, [], (), ((),), "stop",
          ExitKind.PROTOCOL_ERROR, f"OutputOverflow: more than {runner.MAX_OUTPUT_BYTES} bytes"),
+        # no input reaches a program that closed its stdin
+        ("close_stdin.py", {}, [3, 4], (), ((1, 2),), "!1 !2 stop", ExitKind.CLEAN_HALT, ""),
     ], ids=["halt", "quit", "crash", "underflow", "unparsable", "timeout", "overflow",
-            "unterminated_last_line", "overlong_line"])
+            "unterminated_last_line", "overlong_line", "closed_stdin"])
     def test_every_ending_records_its_gaps(
         self, name, options, inputs, trace_inputs, gaps, rendered, kind, detail,
     ):
@@ -308,6 +310,22 @@ class TestTurnTaking:
         assert render_trace(outcome.trace) == "?2 ?5 ?3 !8 stop"
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
         assert len(probes) == 1
+        # the window, longer than the program's start and shorter than its
+        # sleep, ends the turn after the first print, and the input written
+        # then meets a closed stdin
+        send = runner._Run.send
+        sent = []
+
+        def logged_send(run, value):
+            sent.append(send(run, value))
+            return sent[-1]
+
+        monkeypatch.setattr(runner._Run, "send", logged_send)
+        outcome = run_subprocess(_cfg("close_stdin.py", quiescence_window_ms=200), [3, 4])
+        assert render_trace(outcome.trace) == "!1 !2 stop"
+        assert (outcome.exit_kind, outcome.detail) == (ExitKind.CLEAN_HALT, "")
+        assert outcome.consumed_inputs == 0
+        assert sent == [False]
         # a program silent after its last input may still be computing, so
         # one that waits for more input runs until the timeout
         start = time.monotonic()

@@ -450,6 +450,54 @@ class TestCompiledWalk:
             with pytest.raises(GenerationFailureError, match=f"past {steps} steps"):
                 sample_generalized_trace(STUCK_SPEC, limits=limits)
 
+    def test_round_limit_boundary(self):
+        # sum.iospec runs its loop 4 rounds on these inputs, the last one
+        # taking the exit
+        spec = parse_spec(SUM_SPEC_TEXT)
+        inputs = [3, 1, 2, 3]
+        trace = parse_trace("?3 ?1 ?2 ?3 !6 stop")
+        enough = GenerationLimits(max_loop_iterations=4)
+        assert render_trace(interpret(spec, inputs, limits=enough)) == (
+            "?3 !{eps, 3} ?1 !{eps, 2} ?2 !{eps, 1} ?3 !{6} stop"
+        )
+        assert accept(spec, trace, limits=enough) is True
+        short = GenerationLimits(max_loop_iterations=3)
+        with pytest.raises(LimitExceededError, match="^loop ran more than 3 rounds$"):
+            interpret(spec, inputs, limits=short)
+        with pytest.raises(LimitExceededError, match="^loop ran more than 3 rounds$"):
+            accept(spec, trace, limits=short)
+
+    def test_round_limit_counts_each_call_of_a_loop(self):
+        spec = parse_spec(
+            "read n : nats loop { if len(x_A) == n_C then { exit } else {"
+            " read x : ints loop { read y : ints if y_C == 0 then { exit } else { skip } } } }"
+            " write { len(y_A) }"
+        )
+        inputs = [3, 7, 1, 0, 8, 1, 0, 9, 1, 0]
+        # the inner loop runs 6 rounds in all, 2 in each of its 3 calls
+        gt = interpret(spec, inputs, limits=GenerationLimits(max_loop_iterations=4))
+        assert render_trace(gt) == "?3 ?7 ?1 ?0 ?8 ?1 ?0 ?9 ?1 ?0 !{6} stop"
+        # the outer loop runs 4 rounds
+        with pytest.raises(LimitExceededError, match="^loop ran more than 3 rounds$"):
+            interpret(spec, inputs, limits=GenerationLimits(max_loop_iterations=3))
+
+    def test_runs_of_nested_loops_leave_no_cyclic_garbage(self):
+        spec = parse_spec(
+            "read n : nats loop { if len(x_A) == n_C then { exit } else {"
+            " read x : ints loop { read y : ints if y_C == 0 then { exit } else { write { y_C } } } } }"
+        )
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()  # so that any cycle a run leaves is still there to count
+        try:
+            for seed in range(200):
+                sample_generalized_trace(spec, policy=SamplingPolicy((0, 2), (0, 3), seed))
+                interpret(spec, [2, 5, 1, 0, 6, 0])
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     # Generated code: text from the tree must never become code.
 
     def test_any_string_is_a_variable_name(self):
