@@ -27,10 +27,13 @@ again.  Timed sleeps never end a turn, so slow answers are attributed to
 the right input.  Where /proc cannot tell (no /proc, or a machine whose
 syscall numbers are not known here), a turn ends instead once no output
 has arrived for the quiescence window, and output flushed later than that
-is attributed to the next input.  A program that waits for input after
-the last one ends its run with an input underflow, as a scripted program
-does, except where /proc cannot tell: a program silent after its last
-input may still be computing, so there it runs until the per-run timeout.
+is attributed to the next input.  An input whose whole line is still
+unread in the pipe when the run ends was never consumed: the trace leaves
+it out, and all output after the last input read falls in its final gap.
+A program that waits for input after the last one ends its run with an
+input underflow, as a scripted program does, except where /proc cannot
+tell: a program silent after its last input may still be computing, so
+there it runs until the per-run timeout.
 One that prints more than MAX_OUTPUT_BYTES or MAX_OUTPUT_LINES ends its
 run with an output overflow.  The program leads a session of its own, and
 its whole process group is killed when the run ends, so nothing it starts
@@ -366,6 +369,13 @@ class _Run:
             pass
         self.proc.kill()  # in case it left its group
         self.proc.wait()
+        # Inputs whose whole line is still in the pipe were never read: the
+        # output after the last one read all falls in the final gap.
+        unread = _unread_bytes(self.proc.stdin.fileno())
+        read = len(self.gaps)
+        while read and unread >= len(line := f"{self.values[read - 1]}\n"):
+            unread -= len(line)
+            read -= 1
         if not self.eof:
             self.selector.unregister(self.proc.stdout)
         drain_until = time.monotonic() + 0.25  # an escaped process may hold stderr
@@ -377,8 +387,9 @@ class _Run:
         code = self.proc.returncode
         if kind is ExitKind.CLEAN_HALT and code != 0:
             kind, detail = ExitKind.CRASHED, f"exit code {code}"
+        final = tuple(value for gap in (*self.gaps[read:], self.word) for value in gap)
         return RunOutcome(
-            Trace._of(self.values[:len(self.gaps)], (*self.gaps, tuple(self.word))),
+            Trace._of(self.values[:read], (*self.gaps[:read], final)),
             kind, detail=detail,
             exit_code=code, stderr=self.stderr.decode(errors="replace"),
         )

@@ -56,12 +56,13 @@ runs the specification on those inputs to the end, and then checks each
 gap's word against the writes run in that gap, with the same gap check as
 `traces.covers`; same verdict as covers∘interpret.
 
-A run reads its inputs one call each, and each read closes the output gap
-before it: a compiled write yields only its factor, the frozenset of
-words it may emit, and the gap is the tuple of the factors written since
-the previous read, or () where nothing was.  A generalized trace is kept
-in that form, its inputs and its gaps, so neither interpreter builds an
-input step or output set for the steps of a run.
+A read is compiled inline, and closes the output gap before it: a
+compiled write yields only its factor, the frozenset of words it may emit,
+and the gap is the tuple of the factors written since the previous read,
+or () where nothing was.  Only a sampled run's read calls out, to draw its
+value.  A generalized trace is kept in that form, its inputs and its gaps,
+so neither interpreter builds an input step or output set for the steps
+of a run.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class GenerationLimits(_Record):
     max_trace_length: int = 10000
 
     def __post_init__(self) -> None:
+        for name in ("max_loop_iterations", "max_trace_length"):
+            limit = getattr(self, name)
+            if not isinstance(limit, int):
+                raise TypeError(f"{name} must be an int, got {limit!r}")
         if self.max_loop_iterations < 1 or self.max_trace_length < 1:
             raise ValueError("limits must be at least 1")
 
@@ -120,8 +125,9 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         for name in ("integer_range", "natural_range"):
             bounds = getattr(self, name)
-            if not all(isinstance(bound, int) for bound in bounds):
-                raise TypeError(f"{name} bounds must be ints, got {bounds!r}")
+            if not (isinstance(bounds, tuple) and len(bounds) == 2
+                    and all(isinstance(bound, int) for bound in bounds)):
+                raise TypeError(f"{name} must be a pair of ints, got {bounds!r}")
         if not isinstance(self.seed, int):
             raise TypeError(f"seed must be an int, got {self.seed!r}")
         if self.integer_range[0] > self.integer_range[1]:
@@ -232,6 +238,18 @@ def _orphan_exit():
     raise SpecStructureError("exit marker outside any loop")
 
 
+def _exhausted(position):
+    raise InputsExhaustedError(position)
+
+
+def _rejected(position, value, domain):
+    raise InputRejectedError(position, value, domain)
+
+
+def _too_long(limit):
+    raise LimitExceededError(f"trace grew past {limit} steps")
+
+
 def _not_an_action(message):
     raise TypeError(message)
 
@@ -244,22 +262,29 @@ class _Compiler:
     """Python source for a specification over one registry, and the
     namespace that source runs in.
 
-    The top level is the function `run(read, pending, max_rounds)`:
-    `read(domain)` takes the next input and closes the output gap before
-    it, `pending` holds the factors of the writes since the last read (the
-    gap the next read or the end closes), and `max_rounds` is the call's
-    limit on a loop's rounds.  The histories are local lists of `run`.
-    Each loop is a function without parameters defined at the top of
-    `run`, sharing all of these, so that no function nests loops (CPython
-    allows only 20 nested blocks); its body runs under `for _ in
-    range(max_rounds)`, whose `else` raises.  A branch is an `if` and an
-    exit is a `break`.
+    The top level is the function `run(values, draw, pending, close,
+    max_rounds, max_steps)`.  A read takes the next of the fixed `values`,
+    or calls `draw(domain)` when they are used up and `draw` is given (a
+    sampled run's values are all drawn), and raises when neither is left.
+    It checks the value's domain unless that is `ints`, closes the output
+    gap before it with `close`, raises once the trace has grown past
+    `max_steps` steps, and appends the value to the history; the counters
+    `i` (inputs read) and `steps` are locals of `run`.  `pending` holds the
+    factors of the writes since the last read (the gap the next read or
+    the end closes), and `max_rounds` is the call's limit on a loop's
+    rounds.  The histories are local lists of `run`.  Each loop is a
+    function without parameters defined at the top of `run`, sharing all
+    of these (it declares the counters `nonlocal`), so that no function
+    nests loops (CPython allows only 20 nested blocks); its body runs under
+    `for _ in range(max_rounds)`, whose `else` raises.  A branch is an `if`
+    and an exit is a `break`.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
     bound as `n<i>`), any other letter followed by a number is a value
-    bound in the namespace, and the remaining names are the run-time
-    helpers below.
+    bound in the namespace (a read's domain is `d<k>`), `v` holds the value
+    a read takes, and the remaining names are `run`'s parameters and
+    counters and the run-time helpers below.
     """
 
     def __init__(self, registry: FunctionRegistry) -> None:
@@ -270,6 +295,9 @@ class _Compiler:
             "too_many_rounds": _too_many_rounds,
             "orphan_exit": _orphan_exit,
             "not_an_action": _not_an_action,
+            "exhausted": _exhausted,
+            "rejected": _rejected,
+            "too_long": _too_long,
         }
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
@@ -277,10 +305,12 @@ class _Compiler:
 
     def compile(self, spec: Spec) -> Callable:
         body = self.block(spec.actions, 0, False, "    ")
-        parts = ["def run(read, pending, max_rounds):"]
+        parts = ["def run(values, draw, pending, close, max_rounds, max_steps):",
+                 "    count = len(values)", "    i = steps = 0"]
         parts += [f"    h{i} = []" for i in self.variables.values()]
         for name, loop_body in self.loops:
-            parts += [f"    def {name}():", "        for _ in range(max_rounds):", *loop_body,
+            parts += [f"    def {name}():", "        nonlocal i, steps",
+                      "        for _ in range(max_rounds):", *loop_body,
                       "        else:", "            too_many_rounds(max_rounds)"]
         source = "\n".join(parts + body) + "\n"
         exec(compile(source, "<iospec generated>", "exec"), self.namespace)
@@ -354,7 +384,27 @@ class _Compiler:
     def action(self, action, level: int, in_loop: bool, pad: str) -> list[str]:
         if isinstance(action, ReadInput):
             domain = self.bind(action.domain, "d")
-            return [f"{pad}{self.history(action.var)}.append(read({domain}))"]
+            take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
+            # every value is an integer: no check for the common domain
+            if type(action.domain) is not Integers:
+                take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
+            return [
+                *take,
+                f"{pad}elif draw:",
+                f"{pad}    v = draw({domain})",
+                f"{pad}else:",
+                f"{pad}    exhausted(i)",
+                f"{pad}if pending:",
+                f"{pad}    close(tuple(pending))",
+                f"{pad}    pending.clear()",
+                f"{pad}    steps += 2",
+                f"{pad}else:",
+                f"{pad}    close(())",
+                f"{pad}    steps += 1",
+                f"{pad}if steps > max_steps: too_long(max_steps)",
+                f"{pad}{self.history(action.var)}.append(v)",
+                f"{pad}i += 1",
+            ]
         if isinstance(action, WriteOutput):
             return [f"{pad}pending.append({self.factor(action, level)})"]
         if isinstance(action, Branch):
@@ -380,17 +430,17 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
     """Run the specification; return the inputs it read and its gaps.
 
     Each read takes the next of the fixed `values`, or, when a generator
-    `rng` is given, draws from it: an integer read from the first of the
-    two inclusive `ranges`, a natural-number read from the second, and an
-    explicit set's read one of its values.  A draw takes exactly the
-    bits `rng.randint(lo, hi)` and `rng.choice(sorted(values))` would,
-    by CPython's own bounded loop, so a seed samples the same inputs as
-    those calls on every supported Python.  The writes between two reads
-    fill one gap of the run: their factors wait in `pending` until the
-    next read or the end closes the gap, as the tuple of them, or ()
-    where nothing was written.  A run's generalized trace holds one step
-    per input and one per non-empty gap, and growing it past
-    `limits.max_trace_length` steps stops the run.
+    `rng` is given, calls `draw`, which draws from it: an integer read
+    from the first of the two inclusive `ranges`, a natural-number read
+    from the second, and an explicit set's read one of its values.  A
+    draw takes exactly the bits `rng.randint(lo, hi)` and
+    `rng.choice(sorted(values))` would, by CPython's own bounded loop, so
+    a seed samples the same inputs as those calls on every supported
+    Python.  The writes between two reads fill one gap of the run: their
+    factors wait in `pending` until the next read or the end closes the
+    gap, as the tuple of them, or () where nothing was written.  A run's
+    generalized trace holds one step per input and one per non-empty gap,
+    and growing it past `limits.max_trace_length` steps stops the run.
     """
     # The code is kept on the specification object for its lifetime, one
     # per registry; a copy or an equal tree compiles its own.
@@ -402,12 +452,8 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
         run = runs[registry] = _Compiler(registry).compile(spec)
     gaps: list[tuple] = []
     pending: list[frozenset] = []
-    close = gaps.append
-    count = len(values)
-    max_steps = limits.max_trace_length
-    steps = 0
     if rng is None:
-        drawn = values
+        drawn, draw = values, None
     else:
         drawn = []
         getrandbits = rng.getrandbits
@@ -418,9 +464,7 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
         ints = int_lo, int_hi - int_lo + 1, (int_hi - int_lo + 1).bit_length()
         nats = nat_lo, nat_hi - nat_lo + 1, (nat_hi - nat_lo + 1).bit_length()
 
-    def read(domain: InputDomain) -> int:
-        nonlocal steps
-        if rng is not None:
+        def draw(domain: InputDomain) -> int:
             if isinstance(domain, ExplicitSet):
                 options = choices.get(domain.values)
                 if options is None:
@@ -433,27 +477,11 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
                     r = getrandbits(bits)
                 value = lo + r
             drawn.append(value)
-        else:
-            used = len(gaps)
-            if used == count:
-                raise InputsExhaustedError(used)
-            value = values[used]
-            # every value is an integer: skip the call for the common domain
-            if type(domain) is not Integers and not domain.contains(value):
-                raise InputRejectedError(used, value, domain)
-        if pending:
-            steps += 2
-            close(tuple(pending))
-            pending.clear()
-        else:
-            steps += 1
-            close(())
-        if steps > max_steps:
-            raise LimitExceededError(f"trace grew past {max_steps} steps")
-        return value
+            return value
 
-    run(read, pending, limits.max_loop_iterations)
-    close(tuple(pending))
+    run(values, draw, pending, gaps.append, limits.max_loop_iterations,
+        limits.max_trace_length)
+    gaps.append(tuple(pending))
     return tuple(drawn), gaps
 
 

@@ -326,6 +326,12 @@ class TestTurnTaking:
         assert (outcome.exit_kind, outcome.detail) == (ExitKind.CLEAN_HALT, "")
         assert outcome.consumed_inputs == 0
         assert sent == [False]
+        # a window shorter than the program's start writes inputs before it
+        # closes stdin: left unread in the pipe, they are not recorded
+        outcome = run_subprocess(_cfg("close_stdin.py", quiescence_window_ms=1), [3, 4])
+        assert render_trace(outcome.trace) == "!1 !2 stop"
+        assert (outcome.exit_kind, outcome.detail) == (ExitKind.CLEAN_HALT, "")
+        assert outcome.consumed_inputs == 0
         # a program silent after its last input may still be computing, so
         # one that waits for more input runs until the timeout
         start = time.monotonic()

@@ -30,6 +30,7 @@ from iospec import (
     InterpretError,
     Integers,
     LimitExceededError,
+    Naturals,
     OutputWordSet,
     ReadInput,
     SamplingPolicy,
@@ -467,6 +468,24 @@ class TestCompiledWalk:
         with pytest.raises(LimitExceededError, match="^loop ran more than 3 rounds$"):
             accept(spec, trace, limits=short)
 
+    @pytest.mark.parametrize("trace, error", [
+        ("!1 stop", InputsExhaustedError),
+        ("!1 ?-1 stop", InputRejectedError),
+        ("!1 ?1 stop", LimitExceededError),
+    ], ids=["exhausted", "rejected", "limit"])
+    def test_which_error_one_read_raises_first(self, trace, error):
+        # a read checks for an input, then its domain, then the grown trace
+        spec = parse_spec("write {1} read x : nats")
+        limits = GenerationLimits(max_trace_length=1)
+        trace = parse_trace(trace)
+        with pytest.raises(error):
+            interpret(spec, trace.input_values, limits=limits)
+        if issubclass(error, InterpretError):
+            assert accept(spec, trace, limits=limits) is False
+        else:
+            with pytest.raises(error):
+                accept(spec, trace, limits=limits)
+
     def test_round_limit_counts_each_call_of_a_loop(self):
         spec = parse_spec(
             "read n : nats loop { if len(x_A) == n_C then { exit } else {"
@@ -569,7 +588,8 @@ class TestCompiledWalk:
                 for _ in range(levels):
                     term = Apply("+", (term, IntConst(1)))
                 return Spec((ReadInput("x", Integers()), WriteOutput((term,))))
-            body = Spec((WriteOutput((CurrentVar("x"),)),))
+            # a read at the deepest level: its inline code nests further
+            body = Spec((WriteOutput((CurrentVar("x"),)), ReadInput("y", Naturals())))
             for _ in range(levels):
                 if kind == "if":
                     body = Spec((Branch(ALWAYS, EMPTY, body),))
@@ -577,7 +597,8 @@ class TestCompiledWalk:
                     body = Spec((TillExit(Spec((*body.actions, Exit()))),))
             return Spec((ReadInput("x", Integers()), *body.actions))
 
-        assert len(interpret(nested(MAX_NESTING), [1]).steps) == 2
+        inputs = [1] if kind == "term" else [1, 2]
+        assert len(interpret(nested(MAX_NESTING), inputs).steps) == len(inputs) + 1
         for levels in (MAX_NESTING + 1, MAX_NESTING + 5):
             with pytest.raises(SpecStructureError, match=f"more than {MAX_NESTING} levels"):
                 interpret(nested(levels), [1])
@@ -744,10 +765,25 @@ class TestConfigTypes:
         ("natural_range", ("0", "3")),
         ("integer_range", (-1.0, 1)),
         ("integer_range", (0, None)),
+        ("integer_range", (0,)),
+        ("integer_range", (1, 2, 3)),
+        ("natural_range", ()),
+        ("natural_range", 3),
     ])
     def test_policy_bounds_must_be_ints(self, name, bounds):
         with pytest.raises(TypeError, match=name):
             SamplingPolicy(**{name: bounds})
+
+    @pytest.mark.parametrize("name, limit", [
+        ("max_loop_iterations", 2.5),
+        ("max_loop_iterations", 10.0),
+        ("max_trace_length", 10.5),
+        ("max_trace_length", "10"),
+        ("max_trace_length", None),
+    ])
+    def test_limits_must_be_ints(self, name, limit):
+        with pytest.raises(TypeError, match=name):
+            GenerationLimits(**{name: limit})
 
     @pytest.mark.parametrize(
         "seed", ["3", None, 1.5, (1,)], ids=["text", "none", "float", "tuple"])
