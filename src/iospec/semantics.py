@@ -16,12 +16,13 @@ translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function holding the variable histories as local
 lists, oldest value first, and each loop a function defined inside it that
 shares them: a branch is an `if`, a loop a `for` over its allowed rounds,
-an exit a `break`, and a term an inline expression.  It is compiled the
-first time a specification object is run with a registry (a few tenths
-of a millisecond for `tests/data/sum.iospec` on a 2-vCPU x86_64 host) and
-kept on that object for its lifetime; a copy or an equal tree compiles
-its own.  Compiling reads nothing of the run: the limits and the inputs
-belong to each call.
+an exit a `break`, and a term an inline expression.  It comes in two
+modes: the gaps mode, which generates traces, and the check mode, which
+`accept` runs.  Each is compiled the first time a specification object
+is run in that mode with a registry (a few tenths of a millisecond for
+`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that object
+for its lifetime; a copy or an equal tree compiles its own.  Compiling
+reads nothing of the run: the limits and the inputs belong to each call.
 
 Terms are translated, not walked.  The compiler turns a term, against
 its registry, into one Python expression over the local histories:
@@ -35,8 +36,9 @@ value a round costs no copy each round.  No text from the tree reaches
 the source.  Every value taken from it (variable names, constants,
 registry functions, error messages) is bound in the code's namespace
 under a generated name, so a variable called ``"x; import os"`` is one
-more history.  A write becomes an expression for its bare factor: the
-frozenset of words it may emit, with no output set built around it.
+more history.  In the gaps mode a write becomes an expression for its
+bare factor: the frozenset of words it may emit, with no output set
+built around it.
 
 Compiling never fails on a bad term or action.  An unknown function or a
 value that is not a term becomes a call raising `EvalError`, and an exit
@@ -52,17 +54,23 @@ never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
 inputs produce.  A trace is stored as its inputs and one output word per
 gap (the outputs before each input, then those after the last); `accept`
-runs the specification on those inputs to the end, and then checks each
-gap's word against the writes run in that gap, with the same gap check as
-`traces.covers`; same verdict as covers∘interpret.
+runs the specification on those inputs to the end in the check mode,
+which checks each gap's word against the writes run in that gap as the
+run goes, and builds no gaps to walk afterwards.  Same verdict as
+covers∘interpret, and the same errors: the check mode runs every
+statement the gaps mode runs, in the same order.
 
-A read is compiled inline, and closes the output gap before it: a
-compiled write yields only its factor, the frozenset of words it may emit,
-and the gap is the tuple of the factors written since the previous read,
-or () where nothing was.  Only a sampled run's read calls out, to draw its
-value.  A generalized trace is kept in that form, its inputs and its gaps,
-so neither interpreter builds an input step or output set for the steps
-of a run.
+A read is compiled inline, and closes the output gap before it.  In the
+gaps mode a compiled write yields only its factor, the frozenset of words
+it may emit, and the gap is the tuple of the factors written since the
+previous read, or () where nothing was.  Only a sampled run's read calls
+out, to draw its value.  A generalized trace is kept in that form, its
+inputs and its gaps, so neither interpreter builds an input step or
+output set for the steps of a run.  In the check mode a read decides the
+gap it closes and opens the next one.  A gap whose word has at most one
+value is decided from the values its writes take and whether each may
+print nothing, with no factor or tuple built; only a gap whose word is
+longer builds its factors, for `traces.spells`.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ from .syntax import (
     WriteOutput,
     _Record,
 )
-from .traces import GeneralizedTrace, Trace, first_uncovered
+from .traces import GeneralizedTrace, Trace, spells
 
 
 class GenerationLimits(_Record):
@@ -259,15 +267,16 @@ def too_deep() -> SpecStructureError:
 
 
 class _Compiler:
-    """Python source for a specification over one registry, and the
-    namespace that source runs in.
+    """Python source for a specification over one registry, in one of two
+    modes, and the namespace that source runs in.
 
-    The top level is the function `run(values, draw, pending, close,
-    max_rounds, max_steps)`.  A read takes the next of the fixed `values`,
-    or calls `draw(domain)` when they are used up and `draw` is given (a
-    sampled run's values are all drawn), and raises when neither is left.
-    It checks the value's domain unless that is `ints`, closes the output
-    gap before it with `close`, raises once the trace has grown past
+    The top level is the function `run`.  In the gaps mode, which
+    generates traces, it is `run(values, draw, pending, close, max_rounds,
+    max_steps)`.  A read takes the next of the fixed `values`, or calls
+    `draw(domain)` when they are used up and `draw` is given (a sampled
+    run's values are all drawn), and raises when neither is left.  It
+    checks the value's domain unless that is `ints`, closes the output gap
+    before it with `close`, raises once the trace has grown past
     `max_steps` steps, and appends the value to the history; the counters
     `i` (inputs read) and `steps` are locals of `run`.  `pending` holds the
     factors of the writes since the last read (the gap the next read or
@@ -279,16 +288,35 @@ class _Compiler:
     `for _ in range(max_rounds)`, whose `else` raises.  A branch is an `if`
     and an exit is a `break`.
 
+    The check mode, which `accept` runs, is `run(values, words,
+    max_rounds, max_steps)`, returning `(i, ok)`.  It runs the statements
+    of the gaps mode in the same order, terms and checks alike, but never
+    draws, and checks each gap against `words[i]`, the word the trace
+    prints there, as the run goes: `ok` turns False at the first gap whose
+    writes cannot print its word.  A read closes its gap and opens the
+    next.  For a word of at most one value, `wanted` is a dict whose keys
+    are the word's values (`nothing`, an empty dict, for the empty word),
+    and `ends` has bit 0 set while the gap's writes so far may print
+    nothing and bit 1 while they may print exactly the word; both hold at
+    the start of a gap whose word is empty.  Each write advances `ends`
+    from its values and whether it may print nothing, building nothing.
+    For a longer word `wanted` is None, the writes append their factors to
+    `pending`, and closing the gap hands them to `traces.spells`.  `wrote`
+    tells whether the gap has a write, which adds a step.  These and `ok`
+    are locals of `run`, and each loop declares them `nonlocal` too.
+
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
-    bound as `n<i>`), any other letter followed by a number is a value
-    bound in the namespace (a read's domain is `d<k>`), `v` holds the value
-    a read takes, and the remaining names are `run`'s parameters and
-    counters and the run-time helpers below.
+    bound as `n<i>`), `u<k>` holds the k-th value of a write in the check
+    mode, any other letter followed by a number is a value bound in the
+    namespace (a read's domain is `d<k>`), `v` holds the value a read
+    takes, `w` the word of the gap a read opens, and the remaining names
+    are `run`'s parameters and locals and the run-time helpers below.
     """
 
-    def __init__(self, registry: FunctionRegistry) -> None:
+    def __init__(self, registry: FunctionRegistry, check: bool = False) -> None:
         self.registry = registry
+        self.check = check
         self.namespace = {
             "unbound": _unbound,
             "fail": _fail,
@@ -299,17 +327,28 @@ class _Compiler:
             "rejected": _rejected,
             "too_long": _too_long,
         }
+        if check:
+            self.namespace.update(spells=spells, nothing={})
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
 
     def compile(self, spec: Spec) -> Callable:
         body = self.block(spec.actions, 0, False, "    ")
-        parts = ["def run(values, draw, pending, close, max_rounds, max_steps):",
-                 "    count = len(values)", "    i = steps = 0"]
+        if self.check:
+            parts = ["def run(values, words, max_rounds, max_steps):",
+                     "    count = len(values)", "    i = steps = 0",
+                     "    ok = True", "    wrote = False", "    pending = []",
+                     *self.open_gap("    ")]
+            shared = "i, steps, ok, wrote, wanted, ends"
+            body += [*self.check_gap("    "), "    return i, ok"]
+        else:
+            parts = ["def run(values, draw, pending, close, max_rounds, max_steps):",
+                     "    count = len(values)", "    i = steps = 0"]
+            shared = "i, steps"
         parts += [f"    h{i} = []" for i in self.variables.values()]
         for name, loop_body in self.loops:
-            parts += [f"    def {name}():", "        nonlocal i, steps",
+            parts += [f"    def {name}():", f"        nonlocal {shared}",
                       "        for _ in range(max_rounds):", *loop_body,
                       "        else:", "            too_many_rounds(max_rounds)"]
         source = "\n".join(parts + body) + "\n"
@@ -364,14 +403,90 @@ class _Compiler:
             return f"{self.bind(entry.fn, 'f')}({', '.join(operands)})"
         return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
 
-    def factor(self, write: WriteOutput, level: int = 0) -> str:
-        """An expression giving the words the write may emit, as a bare
-        factor: a frozenset of one-value words, with the empty word when
-        the write is skippable."""
-        words = [f"({self.term(t, level)},)" for t in write.terms]
-        if write.includes_epsilon:
+    def read(self, read: ReadInput, pad: str) -> list[str]:
+        """A read: take the value and check its domain, close the gap
+        before it, count its steps, append the value to its history, and
+        in check mode open the next gap."""
+        domain = self.bind(read.domain, "d")
+        take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
+        # every value is an integer: no check for the common domain
+        if type(read.domain) is not Integers:
+            take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
+        if self.check:
+            close = [*self.check_gap(pad), f"{pad}if wrote:", f"{pad}    wrote = False",
+                     f"{pad}    steps += 2", f"{pad}else:", f"{pad}    steps += 1"]
+        else:
+            take += [f"{pad}elif draw:", f"{pad}    v = draw({domain})"]
+            close = [f"{pad}if pending:", f"{pad}    close(tuple(pending))",
+                     f"{pad}    pending.clear()", f"{pad}    steps += 2",
+                     f"{pad}else:", f"{pad}    close(())", f"{pad}    steps += 1"]
+        return [
+            *take,
+            f"{pad}else:",
+            f"{pad}    exhausted(i)",
+            *close,
+            f"{pad}if steps > max_steps: too_long(max_steps)",
+            f"{pad}{self.history(read.var)}.append(v)",
+            f"{pad}i += 1",
+            *(self.open_gap(pad) if self.check else ()),
+        ]
+
+    @staticmethod
+    def factor(values: list[str], skippable: bool) -> str:
+        """An expression giving the words a write may emit, as a bare
+        factor: a frozenset of the one-value words of the expressions
+        `values`, with the empty word when the write is skippable."""
+        words = [f"({value},)" for value in values]
+        if skippable:
             words.append("()")
         return f"frozenset(({', '.join(words)},))"
+
+    def write(self, write: WriteOutput, level: int, pad: str) -> list[str]:
+        """A write: its factor, appended to `pending`.  In the check mode
+        its values are taken first, left to right, into `u<k>`; then they
+        make that factor when the gap's word is longer than one value, or
+        else advance `ends`, where `u<k> in wanted` hashes each value in
+        turn, so an unhashable one raises as building the factor would."""
+        values = [self.term(t, level) for t in write.terms]
+        skippable = write.includes_epsilon
+        if not self.check:
+            return [f"{pad}pending.append({self.factor(values, skippable)})"]
+        names = [f"u{k}" for k in range(len(values))]
+        hit = " | ".join([f"({name} in wanted)" for name in names])
+        lines = [f"{pad}{name} = {value}" for name, value in zip(names, values)]
+        lines += [f"{pad}if wanted is None:",
+                  f"{pad}    pending.append({self.factor(names, skippable)})",
+                  f"{pad}elif {hit} and ends & 1:"]
+        if skippable:
+            lines.append(f"{pad}    ends |= 2")
+        else:
+            lines += [f"{pad}    ends = 2", f"{pad}else:", f"{pad}    ends = 0"]
+        return lines + [f"{pad}wrote = True"]
+
+    def open_gap(self, pad: str) -> list[str]:
+        """Check mode: start checking the gap whose word is `words[i]`."""
+        return [
+            f"{pad}w = words[i]",
+            f"{pad}if not w:",
+            f"{pad}    wanted = nothing",
+            f"{pad}    ends = 3",
+            f"{pad}elif len(w) == 1:",
+            f"{pad}    wanted = {{w[0]: 0}}",
+            f"{pad}    ends = 1",
+            f"{pad}else:",
+            f"{pad}    wanted = None",
+        ]
+
+    def check_gap(self, pad: str) -> list[str]:
+        """Check mode: `ok` turns False unless the writes of the gap being
+        closed can print its word."""
+        return [
+            f"{pad}if wanted is None:",
+            f"{pad}    if ok and not spells(tuple(pending), words[i]): ok = False",
+            f"{pad}    pending.clear()",
+            f"{pad}elif not ends & 2:",
+            f"{pad}    ok = False",
+        ]
 
     def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
         if level > MAX_NESTING:
@@ -383,30 +498,9 @@ class _Compiler:
 
     def action(self, action, level: int, in_loop: bool, pad: str) -> list[str]:
         if isinstance(action, ReadInput):
-            domain = self.bind(action.domain, "d")
-            take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
-            # every value is an integer: no check for the common domain
-            if type(action.domain) is not Integers:
-                take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
-            return [
-                *take,
-                f"{pad}elif draw:",
-                f"{pad}    v = draw({domain})",
-                f"{pad}else:",
-                f"{pad}    exhausted(i)",
-                f"{pad}if pending:",
-                f"{pad}    close(tuple(pending))",
-                f"{pad}    pending.clear()",
-                f"{pad}    steps += 2",
-                f"{pad}else:",
-                f"{pad}    close(())",
-                f"{pad}    steps += 1",
-                f"{pad}if steps > max_steps: too_long(max_steps)",
-                f"{pad}{self.history(action.var)}.append(v)",
-                f"{pad}i += 1",
-            ]
+            return self.read(action, pad)
         if isinstance(action, WriteOutput):
-            return [f"{pad}pending.append({self.factor(action, level)})"]
+            return self.write(action, level, pad)
         if isinstance(action, Branch):
             inner = pad + "    "
             return [
@@ -426,6 +520,21 @@ class _Compiler:
         return [f"{pad}not_an_action({message})"]
 
 
+def _compiled(spec: Spec, registry: FunctionRegistry, check: bool) -> Callable:
+    """The specification's run over `registry` in the check mode, or else
+    in the gaps mode, compiled on first use.  It is kept on the
+    specification object for its lifetime, under (registry, check); a copy
+    or an equal tree compiles its own."""
+    runs = spec.__dict__.get("_runs")
+    if runs is None:
+        runs = spec.__dict__["_runs"] = {}
+    key = registry, check
+    run = runs.get(key)
+    if run is None:
+        run = runs[key] = _Compiler(registry, check).compile(spec)
+    return run
+
+
 def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tuple, list]:
     """Run the specification; return the inputs it read and its gaps.
 
@@ -442,14 +551,7 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
     generalized trace holds one step per input and one per non-empty gap,
     and growing it past `limits.max_trace_length` steps stops the run.
     """
-    # The code is kept on the specification object for its lifetime, one
-    # per registry; a copy or an equal tree compiles its own.
-    runs = spec.__dict__.get("_runs")
-    if runs is None:
-        runs = spec.__dict__["_runs"] = {}
-    run = runs.get(registry)
-    if run is None:
-        run = runs[registry] = _Compiler(registry).compile(spec)
+    run = _compiled(spec, registry, False)
     gaps: list[tuple] = []
     pending: list[frozenset] = []
     if rng is None:
@@ -485,15 +587,6 @@ def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tu
     return tuple(drawn), gaps
 
 
-def _run_on(spec, inputs, registry, limits) -> list[tuple]:
-    """The gaps of the specification's run on a fixed input sequence (see
-    `interpret` for what it raises)."""
-    values, gaps = _generate(spec, registry, limits, inputs)
-    if len(gaps) <= len(values):
-        raise SurplusInputsError(len(values) + 1 - len(gaps))
-    return gaps
-
-
 def interpret(
     spec: Spec,
     inputs,
@@ -507,8 +600,10 @@ def interpret(
     SurplusInputsError if inputs remain when it finishes, and
     LimitExceededError on runaway iteration.
     """
-    inputs = tuple(inputs)
-    return GeneralizedTrace._of(inputs, tuple(_run_on(spec, inputs, registry, limits)))
+    inputs, gaps = _generate(spec, registry, limits, tuple(inputs))
+    if len(gaps) <= len(inputs):
+        raise SurplusInputsError(len(inputs) + 1 - len(gaps))
+    return GeneralizedTrace._of(inputs, tuple(gaps))
 
 
 def sample_generalized_trace(
@@ -555,15 +650,16 @@ def accept(
 ) -> bool:
     """True iff the trace is a valid run of the specification.
 
-    Runs the whole specification on the trace's inputs, then checks each
-    output gap: the trace's outputs between two inputs, as one word, must
-    be among the words of the writes run between the two reads.  The
-    verdict is the same as covering the trace by the generalized trace
-    `interpret` gives for its inputs.  An input outside its read's
-    domain, a missing input and a surplus input make the trace invalid.
+    Runs the whole specification on the trace's inputs, and checks each
+    output gap as the run closes it: the trace's outputs between two
+    inputs, as one word, must be among the words of the writes run between
+    the two reads.  The verdict is the same as covering the trace by the
+    generalized trace `interpret` gives for its inputs.  An input outside
+    its read's domain, a missing input and a surplus input make the trace
+    invalid.
 
-    The run goes to the end before any gap is checked, so errors that
-    `interpret` raises on the trace's inputs propagate even when the
+    The run goes to the end whatever the gaps it has checked, so errors
+    that `interpret` raises on the trace's inputs propagate even when the
     trace's outputs go wrong earlier:
 
     * LimitExceededError when a loop runs more than
@@ -575,8 +671,10 @@ def accept(
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
+    run = _compiled(spec, registry, True)
+    values = trace.input_values
     try:
-        gaps = _run_on(spec, trace.input_values, registry, limits)
+        read, ok = run(values, trace.gaps, limits.max_loop_iterations, limits.max_trace_length)
     except InterpretError:
         return False
-    return first_uncovered(gaps, trace.gaps) is None
+    return read == len(values) and ok

@@ -23,10 +23,12 @@ demand.  A `Trace` keeps in each gap the word printed there, and a
 `GeneralizedTrace` the factors of the writes run there (a compiled write
 yields only its factor, a frozenset of words); either is () where nothing
 is.  Covering then means that the inputs agree and that each gap can print
-its word (`first_uncovered`), which is also the check `semantics.accept`
-makes after running the specification on a trace's inputs.  `covers`
-reads those words off a normalized trace; the harness hands a recorded
-run's own gaps to the same check, with no normalized trace in between.
+its word (`first_uncovered`).  `covers` reads those words off a
+normalized trace; the harness hands a recorded run's own gaps to the same
+check, with no normalized trace in between.  `semantics.accept` reaches
+the same verdict with no generalized trace: its compiled run checks each
+gap's word as it closes the gap, and hands `spells` only the factors of a
+gap whose word has two or more values.
 
 The text format is read with the scanner and token cursor of `parser`;
 this module adds only its token pattern and grammar, so an error in a

@@ -1,8 +1,8 @@
 """Reference implementations the library is checked against.
 
 `accept` decides trace acceptance independently of the library's `accept`,
-which runs the whole specification on the trace's inputs and then checks
-each output gap, with the same verdict as covers∘interpret.
+which runs the whole specification on the trace's inputs and checks each
+output gap as the run closes it, with the same verdict as covers∘interpret.
 Here the specification is walked directly against the trace, exploring
 both readings of every skippable write.  The equivalence tests compare
 the three (acceptance criterion 04).

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 import time
@@ -132,10 +133,33 @@ class TestAccept:
             self.accept(bad, parse_trace("!1 stop"))
 
 
+def cyclic_collections(call) -> list[int]:
+    """The generation of each cyclic collection that starts during
+    `call()`, which runs with the collector enabled, after a full
+    collection."""
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    return collections
+
+
 class TestAcceptInterpretsFirst:
     """The library `accept` runs the whole specification on the run's
-    inputs before it checks any output gap, so errors of
-    `interpret` surface even past an early mismatch, where the oracle
+    inputs to the end, whatever the output gaps it has checked, so errors
+    of `interpret` surface even past an early mismatch, where the oracle
     stops."""
 
     def test_runaway_loop_after_mismatch_hits_limit(self):
@@ -189,14 +213,45 @@ class TestAcceptInterpretsFirst:
             lambda s: factors[id(s)], lambda s, value: factors.__setitem__(id(s), value)))
         ins = []
         monkeypatch.setattr(In, "__init__", lambda s, value: ins.append(value))
-        assert accept(sum_spec, valid, limits=limits) is True
-        assert accept(sum_spec, invalid, limits=limits) is False
+        # accept checks each gap inside its run: it builds no gaps to
+        # check afterwards, and keeps nothing alive long enough to start
+        # a cyclic collection
+        with monkeypatch.context() as patched:
+            patched.setattr(semantics, "_generate", lambda *args: pytest.fail("gaps built"))
+            for trace, verdict in ((valid, True), (invalid, False)):
+                verdicts = []
+                assert cyclic_collections(
+                    lambda: verdicts.append(accept(sum_spec, trace, limits=limits))) == []
+                assert verdicts == [verdict]
         gt = interpret(sum_spec, inputs, limits=limits)
         assert covers(gt, normalize(valid)) == Covered()
         assert factors == {} and ins == []
         result = covers(gt, normalize(invalid))
         assert (result.word, result.position) == ((sum(range(n)) + 1,), n + 1 + n // 2)
         assert len(factors) == 1 and ins == []
+
+    def test_unhashable_value_raises_as_interpret_does(self):
+        # the check decides a word of at most one value without building
+        # the write's factor, but still hashes each value the write takes
+        for terms in [(AllVar("x"),), (CurrentVar("x"), AllVar("x"))]:
+            spec = Spec((ReadInput("x", Integers()), WriteOutput(terms, False)))
+            for text in ("?1 stop", "?1 !1 stop", "?1 !1 !2 stop"):
+                trace = parse_trace(text)
+                with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                    interpret(spec, trace.inputs())
+                with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                    accept(spec, trace)
+        # a write takes all its values before it hashes any
+        spec = Spec((
+            ReadInput("x", Integers()),
+            WriteOutput((AllVar("x"), Apply("nope", (CurrentVar("x"),))), True),
+        ))
+        for text in ("?1 stop", "?1 !1 stop", "?1 !1 !2 stop"):
+            trace = parse_trace(text)
+            with pytest.raises(EvalError, match="unknown function"):
+                interpret(spec, trace.inputs())
+            with pytest.raises(EvalError, match="unknown function"):
+                accept(spec, trace)
 
     def test_input_errors_reject(self):
         spec = parse_spec("read x : nats write { x_C }")
@@ -383,28 +438,32 @@ class TestCompiledWalk:
 
     @pytest.fixture
     def compiled(self, monkeypatch) -> list:
-        """The specifications compiled from here on, one item per compile."""
+        """The specifications compiled from here on, one (spec, check
+        mode) pair per compile."""
         specs = []
         compile_spec = semantics._Compiler.compile
 
         def counted(compiler, spec):
-            specs.append(spec)
+            specs.append((spec, compiler.check))
             return compile_spec(compiler, spec)
 
         monkeypatch.setattr(semantics._Compiler, "compile", counted)
         return specs
 
     def test_each_spec_object_compiles_once(self, compiled):
+        # once per mode: interpret and sampling share the gaps mode, and
+        # accept runs the check mode
         spec = parse_spec(SUM_SPEC_TEXT)
         for _ in range(2):
             interpret(spec, [2, 5, 3])
             assert accept(spec, parse_trace("?2 ?5 ?3 !8 stop")) is True
             sample_generalized_trace(spec)
-        assert len(compiled) == 1 and compiled[0] is spec
+        assert len(compiled) == 2 and all(s is spec for s, _ in compiled)
+        assert [check for _, check in compiled] == [False, True]
         # an equal tree is another object, and compiles its own code
         twin = parse_spec(SUM_SPEC_TEXT)
         assert interpret(twin, [2, 5, 3]) == interpret(spec, [2, 5, 3])
-        assert len(compiled) == 2 and compiled[1] is twin
+        assert len(compiled) == 3 and compiled[2][0] is twin and compiled[2][1] is False
 
     def test_copies_carry_fields_only_and_compile_afresh(self, compiled):
         spec = parse_spec(SUM_SPEC_TEXT)
@@ -416,7 +475,12 @@ class TestCompiledWalk:
             assert accept(twin, trace) is True
             assert accept(twin, parse_trace("?2 ?5 ?3 !9 stop")) is False
             assert interpret(twin, [1, 4]) == interpret(spec, [1, 4])
-        assert len(compiled) == 4 and all(a is b for a, b in zip(compiled, [spec, *twins]))
+        objects = [spec, *twins]
+        assert len(compiled) == 8
+        for obj in objects:
+            assert sorted(check for s, check in compiled if s is obj) == [False, True]
+        checked = [s for s, check in compiled if check]
+        assert all(a is b for a, b in zip(checked, objects))
 
     def test_compiled_code_does_not_keep_its_spec_alive(self):
         enabled = gc.isenabled()
@@ -512,6 +576,7 @@ class TestCompiledWalk:
             for seed in range(200):
                 sample_generalized_trace(spec, policy=SamplingPolicy((0, 2), (0, 3), seed))
                 interpret(spec, [2, 5, 1, 0, 6, 0])
+                assert accept(spec, parse_trace("?2 ?5 ?1 !1 ?0 ?6 ?0 stop")) is True
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -599,6 +664,8 @@ class TestCompiledWalk:
 
         inputs = [1] if kind == "term" else [1, 2]
         assert len(interpret(nested(MAX_NESTING), inputs).steps) == len(inputs) + 1
+        trace = f"?1 !{MAX_NESTING + 1} stop" if kind == "term" else "?1 !1 ?2 stop"
+        assert accept(nested(MAX_NESTING), parse_trace(trace)) is True
         for levels in (MAX_NESTING + 1, MAX_NESTING + 5):
             with pytest.raises(SpecStructureError, match=f"more than {MAX_NESTING} levels"):
                 interpret(nested(levels), [1])
@@ -812,7 +879,7 @@ def outcome(check, *args, **kwargs):
 class TestEquivalence:
     """Three deciders of trace acceptance agree: the backtracking oracle,
     the library `accept` (which runs the whole specification on the
-    trace's inputs and then checks each output gap), and
+    trace's inputs and checks each output gap as the run closes it), and
     covers∘interpret, whose verdict `accept` must give."""
 
     def test_equivalence_on_random_pairs(self):
@@ -845,8 +912,6 @@ class TestEquivalence:
     def test_equivalence_exhaustive_small_traces(self):
         # every trace over a small alphabet, against a spec that fuses
         # optional outputs across loop rounds and the loop exit
-        import itertools
-
         spec = parse_spec(
             "loop {\n"
             "  if len(x_A) == 2 then { write { eps, 9 } exit write { 5 } }\n"
@@ -911,6 +976,35 @@ class TestEquivalence:
         # the closing sum never counts against the limit
         assert length == 10 and raised == list(range(1, 9))
         assert accept(sum_spec, trace, limits=GenerationLimits(max_trace_length=9)) is valid
+
+    @pytest.mark.parametrize("text, valid", [
+        (SUM_SPEC_TEXT, "?3 !3 ?1 ?2 !1 ?3 !6 stop"),
+        ("read x : ints\n" + "write { eps, 1 }\n" * 14, "?0 !1 !1 stop"),
+        ("read x : ints\n" + "write { eps, x_C, x_C + 1 }\n" * 12, "?4 !4 !5 !4 stop"),
+        ("write { 1 } write { eps, 2 } read x : ints write { x_C, 5 } write { x_C }",
+         "!1 ?6 !5 !6 stop"),
+    ], ids=["sum", "skippable", "wide", "fixed"])
+    def test_every_word_length_in_every_gap(self, text, valid):
+        # accept decides a word of at most one value inline and a longer
+        # one with `spells`: put words of 0, 1, 2 and 13 or more values in
+        # each gap in turn, of a run with one write per gap (sum) or many
+        spec = parse_spec(text)
+        trace = parse_trace(valid)
+        values = sorted({v for word in trace.gaps for v in word} | {0, 1, 99})
+        words = [(), *[(v,) for v in values], *itertools.product(values[:5], repeat=2)]
+        for a, b in itertools.product(values[:3], repeat=2):
+            words += [(a,) * 13, (a, b) * 7, (a,) * 12 + (b,) * 3]
+        seen = set()
+        for k in range(len(trace.gaps)):
+            for word in words:
+                gaps = trace.gaps[:k] + (word,) + trace.gaps[k + 1:]
+                changed = Trace._of(trace.input_values, gaps)
+                expected = outcome(interpret_then_cover, spec, changed)
+                assert outcome(accept, spec, changed) == expected, render_trace(changed)
+                seen.add((min(len(word), 3), expected))
+        # each length of word, and both verdicts, came up
+        assert {length for length, _ in seen} == {0, 1, 2, 3}
+        assert {verdict for _, verdict in seen} == {True, False}
 
     def test_oracle_evaluates_terms_itself(self, monkeypatch):
         # a fault in the library's term compiler must not reach the oracle
