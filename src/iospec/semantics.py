@@ -67,10 +67,12 @@ previous read, or () where nothing was.  Only a sampled run's read calls
 out, to draw its value.  A generalized trace is kept in that form, its
 inputs and its gaps, so neither interpreter builds an input step or
 output set for the steps of a run.  In the check mode a read decides the
-gap it closes and opens the next one.  A gap whose word has at most one
-value is decided from the values its writes take and whether each may
-print nothing, with no factor or tuple built; only a gap whose word is
-longer builds its factors, for `traces.spells`.
+gap it closes and opens the next one, by one bit-parallel pass over the
+gap's word (shift-and, Baeza-Yates and Gonnet, CACM 1992): a table maps
+each of the word's values to the places it holds there, as bits, and each
+write moves the set of places the gap's writes so far can have reached on
+from the values it takes and whether it may print nothing.  No factor or
+tuple is built, whatever the word's length.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ from .syntax import (
     WriteOutput,
     _Record,
 )
-from .traces import GeneralizedTrace, Trace, spells
+from .traces import GeneralizedTrace, Trace
 
 
 class GenerationLimits(_Record):
@@ -262,6 +264,18 @@ def _not_an_action(message):
     raise TypeError(message)
 
 
+def _positions(word) -> tuple[dict, int]:
+    """The check mode's table for a word of two or more values: `at[v]`
+    has bit len(word) - j set for each place j where the word holds v, and
+    the state that goes with it, all len(word) values still to print."""
+    at: dict = {}
+    bit = ends = 1 << len(word)
+    for value in word:
+        at[value] = at.get(value, 0) | bit
+        bit >>= 1
+    return at, ends
+
+
 def too_deep() -> SpecStructureError:
     return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
@@ -294,16 +308,16 @@ class _Compiler:
     draws, and checks each gap against `words[i]`, the word the trace
     prints there, as the run goes: `ok` turns False at the first gap whose
     writes cannot print its word.  A read closes its gap and opens the
-    next.  For a word of at most one value, `wanted` is a dict whose keys
-    are the word's values (`nothing`, an empty dict, for the empty word),
-    and `ends` has bit 0 set while the gap's writes so far may print
-    nothing and bit 1 while they may print exactly the word; both hold at
-    the start of a gap whose word is empty.  Each write advances `ends`
-    from its values and whether it may print nothing, building nothing.
-    For a longer word `wanted` is None, the writes append their factors to
-    `pending`, and closing the gap hands them to `traces.spells`.  `wrote`
-    tells whether the gap has a write, which adds a step.  These and `ok`
-    are locals of `run`, and each loop declares them `nonlocal` too.
+    next.  Bit k of `ends` is set when the gap's writes so far can have
+    left exactly the last k values of its word unprinted, so a gap opens
+    with bit len(w) alone and is spelled when bit 0 is set as it closes.
+    `at` maps each value of the word to bit len(w) - j for each place j
+    that holds it (`nothing`, an empty dict, for the empty word), and a
+    write keeps the bits of `ends` that one of its values can take on by
+    one, shifted down, together with the old bits when it may print
+    nothing; it builds nothing.  `wrote` tells whether the gap has a
+    write, which adds a step.  These and `ok` are locals of `run`, and
+    each loop declares them `nonlocal` too.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
@@ -328,7 +342,7 @@ class _Compiler:
             "too_long": _too_long,
         }
         if check:
-            self.namespace.update(spells=spells, nothing={})
+            self.namespace.update(positions=_positions, nothing={})
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
@@ -338,9 +352,8 @@ class _Compiler:
         if self.check:
             parts = ["def run(values, words, max_rounds, max_steps):",
                      "    count = len(values)", "    i = steps = 0",
-                     "    ok = True", "    wrote = False", "    pending = []",
-                     *self.open_gap("    ")]
-            shared = "i, steps, ok, wrote, wanted, ends"
+                     "    ok = True", "    wrote = False", *self.open_gap("    ")]
+            shared = "i, steps, ok, wrote, at, ends"
             body += [*self.check_gap("    "), "    return i, ok"]
         else:
             parts = ["def run(values, draw, pending, close, max_rounds, max_steps):",
@@ -431,62 +444,56 @@ class _Compiler:
             *(self.open_gap(pad) if self.check else ()),
         ]
 
-    @staticmethod
-    def factor(values: list[str], skippable: bool) -> str:
-        """An expression giving the words a write may emit, as a bare
-        factor: a frozenset of the one-value words of the expressions
-        `values`, with the empty word when the write is skippable."""
-        words = [f"({value},)" for value in values]
-        if skippable:
-            words.append("()")
-        return f"frozenset(({', '.join(words)},))"
-
     def write(self, write: WriteOutput, level: int, pad: str) -> list[str]:
-        """A write: its factor, appended to `pending`.  In the check mode
-        its values are taken first, left to right, into `u<k>`; then they
-        make that factor when the gap's word is longer than one value, or
-        else advance `ends`, where `u<k> in wanted` hashes each value in
-        turn, so an unhashable one raises as building the factor would."""
+        """A write.  In the gaps mode, its factor appended to `pending`: a
+        frozenset of the one-value words of its values, with the empty word
+        when it is skippable.  In the check mode its values are taken first,
+        left to right, into `u<k>`, then looked up in `at`, which hashes
+        each, so an unhashable one raises as building the factor would.
+        `ends` keeps the places that one of the values moves on by one,
+        shifted down, and also its old places when the write may print
+        nothing."""
         values = [self.term(t, level) for t in write.terms]
         skippable = write.includes_epsilon
         if not self.check:
-            return [f"{pad}pending.append({self.factor(values, skippable)})"]
-        names = [f"u{k}" for k in range(len(values))]
-        hit = " | ".join([f"({name} in wanted)" for name in names])
-        lines = [f"{pad}{name} = {value}" for name, value in zip(names, values)]
-        lines += [f"{pad}if wanted is None:",
-                  f"{pad}    pending.append({self.factor(names, skippable)})",
-                  f"{pad}elif {hit} and ends & 1:"]
-        if skippable:
-            lines.append(f"{pad}    ends |= 2")
+            words = [f"({value},)" for value in values]
+            if skippable:
+                words.append("()")
+            return [f"{pad}pending.append(frozenset(({', '.join(words)},)))"]
+        lines = [f"{pad}u{k} = {value}" for k, value in enumerate(values)]
+        # a write of one value, the common case, tests it with `in` and a
+        # subscript, which runs faster here than `at.get`
+        if len(values) == 1:
+            if skippable:
+                lines.append(f"{pad}if u0 in at: ends |= (ends & at[u0]) >> 1")
+            else:
+                lines.append(f"{pad}ends = (ends & at[u0]) >> 1 if u0 in at else 0")
         else:
-            lines += [f"{pad}    ends = 2", f"{pad}else:", f"{pad}    ends = 0"]
+            bits = " | ".join([f"at.get(u{k}, 0)" for k in range(len(values))])
+            lines.append(f"{pad}ends {'|=' if skippable else '='} (ends & ({bits})) >> 1")
         return lines + [f"{pad}wrote = True"]
 
     def open_gap(self, pad: str) -> list[str]:
-        """Check mode: start checking the gap whose word is `words[i]`."""
+        """Check mode: start checking the gap whose word is `words[i]`,
+        with every value of it still to print.  The table for the empty
+        word and a one-value word is built inline, and `positions` builds
+        it for a longer one."""
         return [
             f"{pad}w = words[i]",
             f"{pad}if not w:",
-            f"{pad}    wanted = nothing",
-            f"{pad}    ends = 3",
-            f"{pad}elif len(w) == 1:",
-            f"{pad}    wanted = {{w[0]: 0}}",
+            f"{pad}    at = nothing",
             f"{pad}    ends = 1",
+            f"{pad}elif len(w) == 1:",
+            f"{pad}    at = {{w[0]: 2}}",
+            f"{pad}    ends = 2",
             f"{pad}else:",
-            f"{pad}    wanted = None",
+            f"{pad}    at, ends = positions(w)",
         ]
 
     def check_gap(self, pad: str) -> list[str]:
         """Check mode: `ok` turns False unless the writes of the gap being
-        closed can print its word."""
-        return [
-            f"{pad}if wanted is None:",
-            f"{pad}    if ok and not spells(tuple(pending), words[i]): ok = False",
-            f"{pad}    pending.clear()",
-            f"{pad}elif not ends & 2:",
-            f"{pad}    ok = False",
-        ]
+        closed can have printed all of its word."""
+        return [f"{pad}if not ends & 1: ok = False"]
 
     def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
         if level > MAX_NESTING:

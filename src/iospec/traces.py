@@ -27,8 +27,8 @@ its word (`first_uncovered`).  `covers` reads those words off a
 normalized trace; the harness hands a recorded run's own gaps to the same
 check, with no normalized trace in between.  `semantics.accept` reaches
 the same verdict with no generalized trace: its compiled run checks each
-gap's word as it closes the gap, and hands `spells` only the factors of a
-gap whose word has two or more values.
+gap's word as it closes the gap, with a bit-parallel pass of its own over
+the word that builds no factor and never calls `spells`.
 
 The text format is read with the scanner and token cursor of `parser`;
 this module adds only its token pattern and grammar, so an error in a

@@ -230,9 +230,35 @@ class TestAcceptInterpretsFirst:
         assert (result.word, result.position) == ((sum(range(n)) + 1,), n + 1 + n // 2)
         assert len(factors) == 1 and ins == []
 
+    def test_two_value_words_build_no_factor(self, monkeypatch):
+        # every round's gap has a word of two values, from two optional
+        # writes: accept decides it with no factor built for `spells`
+        n = 2000
+        spec = parse_spec(SUM_SPEC_TEXT.replace(
+            "write { eps, n_C - len(x_A) }",
+            "write { eps, n_C - len(x_A) } write { eps, len(x_A) }"))
+        steps = [In(n)]
+        for i in range(n):
+            steps += [Out(n - i), Out(i), In(i)]
+        valid = Trace(tuple(steps) + (Out(sum(range(n))),))
+        invalid = Trace(tuple(steps) + (Out(sum(range(n)) + 1),))
+        limits = GenerationLimits(max_loop_iterations=2 * n)
+        assert all(len(word) == 2 for word in valid.gaps[1:-1])
+
+        def fail(*args):
+            pytest.fail("spells called")
+
+        monkeypatch.setattr("iospec.traces.spells", fail)
+        monkeypatch.setattr("iospec.semantics.spells", fail, raising=False)
+        for trace, verdict in ((valid, True), (invalid, False)):
+            verdicts = []
+            assert cyclic_collections(
+                lambda: verdicts.append(accept(spec, trace, limits=limits))) == []
+            assert verdicts == [verdict]
+
     def test_unhashable_value_raises_as_interpret_does(self):
-        # the check decides a word of at most one value without building
-        # the write's factor, but still hashes each value the write takes
+        # the check builds no factor for a write, but still looks up each
+        # value the write takes in the word's table, which hashes it
         for terms in [(AllVar("x"),), (CurrentVar("x"), AllVar("x"))]:
             spec = Spec((ReadInput("x", Integers()), WriteOutput(terms, False)))
             for text in ("?1 stop", "?1 !1 stop", "?1 !1 !2 stop"):
@@ -983,11 +1009,13 @@ class TestEquivalence:
         ("read x : ints\n" + "write { eps, x_C, x_C + 1 }\n" * 12, "?4 !4 !5 !4 stop"),
         ("write { 1 } write { eps, 2 } read x : ints write { x_C, 5 } write { x_C }",
          "!1 ?6 !5 !6 stop"),
-    ], ids=["sum", "skippable", "wide", "fixed"])
+        ("read x : ints write { x_C, 5 } write { eps, x_C, 5 }", "?5 !5 !5 stop"),
+    ], ids=["sum", "skippable", "wide", "fixed", "shared"])
     def test_every_word_length_in_every_gap(self, text, valid):
-        # accept decides a word of at most one value inline and a longer
-        # one with `spells`: put words of 0, 1, 2 and 13 or more values in
-        # each gap in turn, of a run with one write per gap (sum) or many
+        # accept builds the word's table inline for 0 and 1 values and
+        # with a helper for more, and two terms of one write may take the
+        # same value (shared): put words of 0, 1, 2 and 13 or more values
+        # in each gap in turn, of a run with one write per gap (sum) or many
         spec = parse_spec(text)
         trace = parse_trace(valid)
         values = sorted({v for word in trace.gaps for v in word} | {0, 1, 99})
