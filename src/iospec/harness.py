@@ -70,6 +70,10 @@ class TestConfig(_Record):
     max_generation_attempts: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("num_tests", "max_generation_attempts"):
+            count = getattr(self, name)
+            if not isinstance(count, int):
+                raise TypeError(f"{name} must be an int, got {count!r}")
         if self.num_tests < 1:
             raise ConfigError("num_tests must be at least 1")
         if self.max_generation_attempts < 1:

@@ -63,8 +63,11 @@ statement the gaps mode runs, in the same order.
 A read is compiled inline, and closes the output gap before it.  In the
 gaps mode a compiled write yields only its factor, the frozenset of words
 it may emit, and the gap is the tuple of the factors written since the
-previous read, or () where nothing was.  Only a sampled run's read calls
-out, to draw its value.  A generalized trace is kept in that form, its
+previous read, or () where nothing was.  A read takes the next of the
+values its run is given, and past them calls the run's `draw` with its
+position and domain: a sampled run is given no values and draws each,
+and `interpret` and `accept` pass a `draw` that raises
+InputsExhaustedError.  A generalized trace is kept in that form, its
 inputs and its gaps, so neither interpreter builds an input step or
 output set for the steps of a run.  In the check mode a read decides the
 gap it closes and opens the next one, by one bit-parallel pass over the
@@ -248,7 +251,7 @@ def _orphan_exit():
     raise SpecStructureError("exit marker outside any loop")
 
 
-def _exhausted(position):
+def _exhausted(position, domain):
     raise InputsExhaustedError(position)
 
 
@@ -285,32 +288,33 @@ class _Compiler:
     modes, and the namespace that source runs in.
 
     The top level is the function `run`.  In the gaps mode, which
-    generates traces, it is `run(values, draw, pending, close, max_rounds,
-    max_steps)`.  A read takes the next of the fixed `values`, or calls
-    `draw(domain)` when they are used up and `draw` is given (a sampled
-    run's values are all drawn), and raises when neither is left.  It
-    checks the value's domain unless that is `ints`, closes the output gap
-    before it with `close`, raises once the trace has grown past
-    `max_steps` steps, and appends the value to the history; the counters
-    `i` (inputs read) and `steps` are locals of `run`.  `pending` holds the
-    factors of the writes since the last read (the gap the next read or
-    the end closes), and `max_rounds` is the call's limit on a loop's
-    rounds.  The histories are local lists of `run`.  Each loop is a
-    function without parameters defined at the top of `run`, sharing all
-    of these (it declares the counters `nonlocal`), so that no function
-    nests loops (CPython allows only 20 nested blocks); its body runs under
-    `for _ in range(max_rounds)`, whose `else` raises.  A branch is an `if`
-    and an exit is a `break`.
+    generates traces, it is `run(values, draw, max_rounds, max_steps)`,
+    returning the run's gaps.  A read takes the next of the fixed
+    `values`, checking its domain unless that is `ints`, or, once they are
+    used up, what `draw(i, domain)` returns or raises.  It closes the
+    output gap before it, raises once the trace has grown past `max_steps`
+    steps, and appends the value to the history; the counters `i` (inputs
+    read) and `steps` are locals of `run`.  So are `pending`, the factors
+    of the writes since the last read, and `gaps` with its `append` as
+    `close`: a read closes its gap as the tuple of `pending`, and the run
+    closes the last gap itself before it returns `gaps`.  `max_rounds` is
+    the call's limit on a loop's rounds.  The histories are local lists of
+    `run`.  Each loop is a function without parameters defined at the top
+    of `run`, sharing all of these (it declares the counters `nonlocal`),
+    so that no function nests loops (CPython allows only 20 nested
+    blocks); its body runs under `for _ in range(max_rounds)`, whose
+    `else` raises.  A branch is an `if` and an exit is a `break`.
 
     The check mode, which `accept` runs, is `run(values, words,
     max_rounds, max_steps)`, returning `(i, ok)`.  It runs the statements
-    of the gaps mode in the same order, terms and checks alike, but never
-    draws, and checks each gap against `words[i]`, the word the trace
-    prints there, as the run goes: `ok` turns False at the first gap whose
-    writes cannot print its word.  A read closes its gap and opens the
-    next.  Bit k of `ends` is set when the gap's writes so far can have
-    left exactly the last k values of its word unprinted, so a gap opens
-    with bit len(w) alone and is spelled when bit 0 is set as it closes.
+    of the gaps mode in the same order, terms and checks alike, with a
+    `draw` bound in its namespace that raises InputsExhaustedError, and
+    checks each gap against `words[i]`, the word the trace prints there,
+    as the run goes: `ok` turns False at the first gap whose writes cannot
+    print its word.  A read closes its gap and opens the next.  Bit k of
+    `ends` is set when the gap's writes so far can have left exactly the
+    last k values of its word unprinted, so a gap opens with bit len(w)
+    alone and is spelled when bit 0 is set as it closes.
     `at` maps each value of the word to bit len(w) - j for each place j
     that holds it (`nothing`, an empty dict, for the empty word), and a
     write keeps the bits of `ends` that one of its values can take on by
@@ -337,12 +341,11 @@ class _Compiler:
             "too_many_rounds": _too_many_rounds,
             "orphan_exit": _orphan_exit,
             "not_an_action": _not_an_action,
-            "exhausted": _exhausted,
             "rejected": _rejected,
             "too_long": _too_long,
         }
         if check:
-            self.namespace.update(positions=_positions, nothing={})
+            self.namespace.update(positions=_positions, nothing={}, draw=_exhausted)
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
@@ -356,9 +359,11 @@ class _Compiler:
             shared = "i, steps, ok, wrote, at, ends"
             body += [*self.check_gap("    "), "    return i, ok"]
         else:
-            parts = ["def run(values, draw, pending, close, max_rounds, max_steps):",
-                     "    count = len(values)", "    i = steps = 0"]
+            parts = ["def run(values, draw, max_rounds, max_steps):",
+                     "    count = len(values)", "    i = steps = 0", "    gaps = []",
+                     "    close = gaps.append", "    pending = []"]
             shared = "i, steps"
+            body += ["    close(tuple(pending))", "    return gaps"]
         parts += [f"    h{i} = []" for i in self.variables.values()]
         for name, loop_body in self.loops:
             parts += [f"    def {name}():", f"        nonlocal {shared}",
@@ -417,26 +422,25 @@ class _Compiler:
         return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
 
     def read(self, read: ReadInput, pad: str) -> list[str]:
-        """A read: take the value and check its domain, close the gap
-        before it, count its steps, append the value to its history, and
-        in check mode open the next gap."""
+        """A read: take the next given value and check its domain, or else
+        call `draw`, close the gap before it, count its steps, append the
+        value to its history, and in check mode open the next gap."""
         domain = self.bind(read.domain, "d")
         take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
         # every value is an integer: no check for the common domain
         if type(read.domain) is not Integers:
             take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
+        # `2 if wrote else 1`: `1 + wrote` misses CPython's int fast path
         if self.check:
-            close = [*self.check_gap(pad), f"{pad}if wrote:", f"{pad}    wrote = False",
-                     f"{pad}    steps += 2", f"{pad}else:", f"{pad}    steps += 1"]
+            close = [*self.check_gap(pad), f"{pad}steps += 2 if wrote else 1",
+                     f"{pad}wrote = False"]
         else:
-            take += [f"{pad}elif draw:", f"{pad}    v = draw({domain})"]
-            close = [f"{pad}if pending:", f"{pad}    close(tuple(pending))",
-                     f"{pad}    pending.clear()", f"{pad}    steps += 2",
-                     f"{pad}else:", f"{pad}    close(())", f"{pad}    steps += 1"]
+            close = [f"{pad}steps += 2 if pending else 1", f"{pad}close(tuple(pending))",
+                     f"{pad}pending.clear()"]
         return [
             *take,
             f"{pad}else:",
-            f"{pad}    exhausted(i)",
+            f"{pad}    v = draw(i, {domain})",
             *close,
             f"{pad}if steps > max_steps: too_long(max_steps)",
             f"{pad}{self.history(read.var)}.append(v)",
@@ -542,58 +546,6 @@ def _compiled(spec: Spec, registry: FunctionRegistry, check: bool) -> Callable:
     return run
 
 
-def _generate(spec, registry, limits, values, rng=None, ranges=None) -> tuple[tuple, list]:
-    """Run the specification; return the inputs it read and its gaps.
-
-    Each read takes the next of the fixed `values`, or, when a generator
-    `rng` is given, calls `draw`, which draws from it: an integer read
-    from the first of the two inclusive `ranges`, a natural-number read
-    from the second, and an explicit set's read one of its values.  A
-    draw takes exactly the bits `rng.randint(lo, hi)` and
-    `rng.choice(sorted(values))` would, by CPython's own bounded loop, so
-    a seed samples the same inputs as those calls on every supported
-    Python.  The writes between two reads fill one gap of the run: their
-    factors wait in `pending` until the next read or the end closes the
-    gap, as the tuple of them, or () where nothing was written.  A run's
-    generalized trace holds one step per input and one per non-empty gap,
-    and growing it past `limits.max_trace_length` steps stops the run.
-    """
-    run = _compiled(spec, registry, False)
-    gaps: list[tuple] = []
-    pending: list[frozenset] = []
-    if rng is None:
-        drawn, draw = values, None
-    else:
-        drawn = []
-        getrandbits = rng.getrandbits
-        choices: dict[frozenset, tuple] = {}  # each explicit set, sorted once
-        # (lo, width, bits) of each range: `randint`'s `_randbelow` draws
-        # `bits` random bits until they fall below the width
-        (int_lo, int_hi), (nat_lo, nat_hi) = ranges
-        ints = int_lo, int_hi - int_lo + 1, (int_hi - int_lo + 1).bit_length()
-        nats = nat_lo, nat_hi - nat_lo + 1, (nat_hi - nat_lo + 1).bit_length()
-
-        def draw(domain: InputDomain) -> int:
-            if isinstance(domain, ExplicitSet):
-                options = choices.get(domain.values)
-                if options is None:
-                    options = choices[domain.values] = tuple(sorted(domain.values))
-                value = rng.choice(options)
-            else:
-                lo, width, bits = nats if isinstance(domain, Naturals) else ints
-                r = getrandbits(bits)
-                while r >= width:
-                    r = getrandbits(bits)
-                value = lo + r
-            drawn.append(value)
-            return value
-
-    run(values, draw, pending, gaps.append, limits.max_loop_iterations,
-        limits.max_trace_length)
-    gaps.append(tuple(pending))
-    return tuple(drawn), gaps
-
-
 def interpret(
     spec: Spec,
     inputs,
@@ -607,7 +559,9 @@ def interpret(
     SurplusInputsError if inputs remain when it finishes, and
     LimitExceededError on runaway iteration.
     """
-    inputs, gaps = _generate(spec, registry, limits, tuple(inputs))
+    inputs = tuple(inputs)
+    run = _compiled(spec, registry, False)
+    gaps = run(inputs, _exhausted, limits.max_loop_iterations, limits.max_trace_length)
     if len(gaps) <= len(inputs):
         raise SurplusInputsError(len(inputs) + 1 - len(gaps))
     return GeneralizedTrace._of(inputs, tuple(gaps))
@@ -637,12 +591,40 @@ def sample_generalized_trace(
 def _sample(spec, registry, ranges, rng, limits) -> GeneralizedTrace:
     """`sample_generalized_trace` with the policy's two ranges and the
     generator it would start given apart; the test harness calls it with
-    a generator of its own each attempt."""
+    a generator of its own each attempt.  The run is given no values, so
+    each read calls `draw`, which takes exactly the bits `rng.randint(lo,
+    hi)` or `rng.choice(sorted(values))` would, by CPython's own bounded
+    loop, so a seed samples the same inputs on every supported Python."""
+    drawn: list[int] = []
+    getrandbits = rng.getrandbits
+    choices: dict[frozenset, tuple] = {}  # each explicit set, sorted once
+    # (lo, width, bits) of each range: `randint`'s `_randbelow` draws
+    # `bits` random bits until they fall below the width
+    (int_lo, int_hi), (nat_lo, nat_hi) = ranges
+    ints = int_lo, int_hi - int_lo + 1, (int_hi - int_lo + 1).bit_length()
+    nats = nat_lo, nat_hi - nat_lo + 1, (nat_hi - nat_lo + 1).bit_length()
+
+    def draw(position: int, domain: InputDomain) -> int:
+        if isinstance(domain, ExplicitSet):
+            options = choices.get(domain.values)
+            if options is None:
+                options = choices[domain.values] = tuple(sorted(domain.values))
+            value = rng.choice(options)
+        else:
+            lo, width, bits = nats if isinstance(domain, Naturals) else ints
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            value = lo + r
+        drawn.append(value)
+        return value
+
+    run = _compiled(spec, registry, False)
     try:
-        inputs, gaps = _generate(spec, registry, limits, (), rng, ranges)
+        gaps = run((), draw, limits.max_loop_iterations, limits.max_trace_length)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
-    return GeneralizedTrace._of(inputs, tuple(gaps))
+    return GeneralizedTrace._of(tuple(drawn), tuple(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,14 @@ class TestInterpret:
         assert code == 1
         assert "outside the domain" in err
 
+    @pytest.mark.parametrize("inputs, message", [
+        ("2,3", "the specification demands a 3rd input"),
+        ("2,3,7,1", "1 input(s) left over after the run finished"),
+    ], ids=["too-few", "too-many"])
+    def test_wrong_input_count_exit_1(self, capsys, inputs, message):
+        code, out, err = run_cli(capsys, "interpret", SUM_SPEC_FILE, "--inputs", inputs)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_inputs_must_be_ascii_decimal_integers(self, capsys):
         # int() itself takes both `1_0` and the Arabic-Indic digit 7
         for inputs in ("1_0", "2,\u0667"):

@@ -341,3 +341,11 @@ class TestRunTestSuite:
             TestConfig(num_tests=0)
         with pytest.raises(ConfigError):
             TestConfig(max_generation_attempts=0)
+
+    @pytest.mark.parametrize("field", ["num_tests", "max_generation_attempts"])
+    @pytest.mark.parametrize("count", [2.5, "5", None])
+    def test_config_counts_must_be_ints(self, field, count):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {count!r}$"):
+            TestConfig(**{field: count})
+        # a bool is an int, as GenerationLimits takes it
+        assert getattr(TestConfig(**{field: True}), field) is True

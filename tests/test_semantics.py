@@ -216,8 +216,15 @@ class TestAcceptInterpretsFirst:
         # accept checks each gap inside its run: it builds no gaps to
         # check afterwards, and keeps nothing alive long enough to start
         # a cyclic collection
+        compiled = semantics._compiled
+
+        def check_mode_only(spec, registry, check):
+            if not check:
+                pytest.fail("gaps built")
+            return compiled(spec, registry, check)
+
         with monkeypatch.context() as patched:
-            patched.setattr(semantics, "_generate", lambda *args: pytest.fail("gaps built"))
+            patched.setattr(semantics, "_compiled", check_mode_only)
             for trace, verdict in ((valid, True), (invalid, False)):
                 verdicts = []
                 assert cyclic_collections(
@@ -363,6 +370,17 @@ class TestInterpret:
     def test_inputs_exhausted(self, sum_spec):
         with pytest.raises(InputsExhaustedError):
             interpret(sum_spec, [2, 5])
+        # the count's read, the loop's first read, and a read inside the
+        # loop after it has run: each raises at its own position, and
+        # accept rejects any trace with those inputs
+        for inputs, position, ordinal in (([], 0, "1st"), ([3], 1, "2nd"), ([3, 1, 2], 3, "4th")):
+            with pytest.raises(InputsExhaustedError) as exc:
+                interpret(sum_spec, inputs)
+            assert exc.value.position == position
+            assert str(exc.value) == f"the specification demands a {ordinal} input"
+            for outputs in ((), (1,), (sum(inputs[1:]),)):
+                trace = Trace(tuple(In(v) for v in inputs) + tuple(Out(v) for v in outputs))
+                assert accept(sum_spec, trace) is False
 
     def test_surplus_inputs(self, sum_spec):
         with pytest.raises(SurplusInputsError) as exc:
