@@ -1,9 +1,10 @@
 """Textual syntax for specifications: parser and round-trip pretty-printer.
 
 The scanner (`_scan`) and the token cursor (`_Cursor`) here also read the
-trace text format: `traces` passes its own token pattern and builds its
-parser on the same cursor, so both formats report errors as
-``line:column``.
+trace text format, whose cursor has its own token pattern.  The whole text
+is scanned before it is parsed, so a bad character anywhere is reported
+before a grammar error.  A token keeps only its start offset, and only an
+error works out its ``line:column``, from it; only a line feed breaks a line.
 
 Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 
@@ -114,8 +115,9 @@ _TOKEN_RE = re.compile(
     | (?P<int>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>==|<=|>=|&&|\|\||[-+*<>{}(),:])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 # The same ASCII-digit rule for integers outside a spec: the lines a
@@ -135,44 +137,46 @@ def parse_decimal(text: str) -> int:
 class Token(_Record):
     kind: str  # keyword or operator text, "eof", or the pattern group's name
     text: str
-    span: SourceSpan
+    start: int  # the offset of its first character in the scanned text
+
+
+def _span(text: str, start: int, length: int) -> SourceSpan:
+    """The span of the `length` characters (at least one) at offset `start`
+    of `text`, counting lines and columns by the line feeds before it."""
+    line = text.count("\n", 0, start) + 1
+    column = start - text.rfind("\n", 0, start)
+    return SourceSpan(line, column, line, column + max(length - 1, 0))
 
 
 def _scan(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
-    """The tokens of `text` by `pattern`, ending in an "eof" token.  A
-    match in the group `ws` is dropped, one in `op` is its own kind, one
-    in `ident` is a keyword's kind or "ident", and one in any other group
-    has that group's name as its kind."""
+    """The tokens of `text` by `pattern` with their offsets, ending in an
+    "eof" token at ``len(text)``.  A match in the group `ws` is dropped, one
+    in `bad` (the last group, any one character) is a ParseError, one in
+    `op` is its own kind, one in `ident` is a keyword's kind or "ident", and
+    one in any other group has that group's name as its kind."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, col, line, col)
-            raise ParseError(span, f"unexpected character {text[pos]!r}")
-        lexeme = m.group(0)
-        newlines = lexeme.count("\n")
-        end_line = line + newlines
-        end_col = len(lexeme) - lexeme.rfind("\n") if newlines else col + len(lexeme)
-        kind = m.lastgroup
-        if kind != "ws":
-            if kind == "op" or kind == "ident" and lexeme in KEYWORDS:
-                kind = lexeme
-            span = SourceSpan(line, col, end_line, max(end_col - 1, 1))
-            tokens.append(Token(kind, lexeme, span))
-        line, col = end_line, end_col
-        pos = m.end()
-    eof_span = SourceSpan(line, col, line, col)
-    tokens.append(Token("eof", "", eof_span))
+    for m in pattern.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(_span(text, m.start(), 1), f"unexpected character {lexeme!r}")
+        if kind == "op" or kind == "ident" and lexeme in KEYWORDS:
+            kind = lexeme
+        tokens.append(Token(kind, lexeme, m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Cursor:
-    """A position in a token list, as both text formats' parsers read it."""
+    """A position in the tokens of `text` by the class's `pattern`; an error
+    gets its `SourceSpan` from the offset of the token it names."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    pattern = _TOKEN_RE
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _scan(text, self.pattern)
         self.pos = 0
 
     @property
@@ -193,8 +197,9 @@ class _Cursor:
         return self.advance()
 
     def fail(self, message: str, expected: list[str] = None):
-        got = self.here.text or "end of input"
-        raise ParseError(self.here.span, f"{message}, got {got!r}", expected)
+        tok = self.here
+        span = _span(self.text, tok.start, len(tok.text))
+        raise ParseError(span, f"{message}, got {tok.text or 'end of input'!r}", expected)
 
 
 # Each binary operator's token, the function it applies and its level, from
@@ -214,18 +219,14 @@ _NO_OPERATOR = ("", 0)
 
 
 class _Parser(_Cursor):
-    def __init__(self, tokens: list[Token]):
-        super().__init__(tokens)
-        # blocks, parentheses and prefix operators open at the current token
-        self.depth = 0
+    depth = 0  # blocks, parentheses and prefix operators open at the current token
 
     def check_depth(self, tok: Token, height: int) -> int:
         """`height` more levels below the current depth, or a ParseError at
         `tok` when that passes MAX_NESTING."""
         if self.depth + height > MAX_NESTING:
-            raise ParseError(
-                tok.span, f"nested more than {MAX_NESTING} levels deep"
-            )
+            span = _span(self.text, tok.start, len(tok.text))
+            raise ParseError(span, f"nested more than {MAX_NESTING} levels deep")
         return height
 
     def enter(self, tok: Token) -> None:
@@ -387,10 +388,9 @@ class _Parser(_Cursor):
                 return CurrentVar(name[:-2]), 0
             if name.endswith("_A") and len(name) > 2:
                 return AllVar(name[:-2]), 0
-            raise ParseError(
-                tok.span,
-                f"{name!r} is not a term: use {name}_C, {name}_A or a function call",
-            )
+            span = _span(self.text, tok.start, len(name))
+            message = f"{name!r} is not a term: use {name}_C, {name}_A or a function call"
+            raise ParseError(span, message)
         self.fail("expected a term", ["int", "ident", "(", "-", "not"])
 
     def arguments(self) -> list[tuple[Term, int]]:
@@ -410,7 +410,7 @@ def parse_spec(
     Raises ParseError on syntax errors and StaticError with the violation
     list when the parsed tree fails :func:`well_formed`.
     """
-    parser = _Parser(_scan(text))
+    parser = _Parser(text)
     spec = parser.spec()
     if not parser.at("eof"):
         parser.fail("expected a statement or end of input")

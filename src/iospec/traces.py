@@ -30,9 +30,9 @@ the same verdict with no generalized trace: its compiled run checks each
 gap's word as it closes the gap, with a bit-parallel pass of its own over
 the word that builds no factor and never calls `spells`.
 
-The text format is read with the scanner and token cursor of `parser`;
-this module adds only its token pattern and grammar, so an error in a
-trace is reported at its ``line:column`` as one in a specification is.
+The text format is read by `parser`'s token cursor, given this module's
+token pattern and grammar; as in a specification, an error is reported
+at the ``line:column`` worked out from its token's offset.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import itertools
 import re
 from typing import Union
 
-from .parser import _Cursor, _scan
+from .parser import _Cursor
 from .syntax import _Record
 
 # An output word: the values of a run of consecutive prints; () is the
@@ -601,14 +601,14 @@ _TOKEN_RE = re.compile(
     | (?P<out>!-?[0-9]+)
     | (?P<int>-?[0-9]+)
     | (?P<op>stop|eps|[<>,{}])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 class _TraceParser(_Cursor):
-    def __init__(self, text: str):
-        super().__init__(_scan(text, _TOKEN_RE))
+    pattern = _TOKEN_RE
 
     def stop(self) -> None:
         self.expect("stop", "expected 'stop'")

@@ -349,3 +349,13 @@ class TestRunTestSuite:
             TestConfig(**{field: count})
         # a bool is an int, as GenerationLimits takes it
         assert getattr(TestConfig(**{field: True}), field) is True
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("policy", None, "SamplingPolicy"),
+        ("policy", GenerationLimits(), "SamplingPolicy"),
+        ("limits", (5, 5), "GenerationLimits"),
+        ("limits", SamplingPolicy(), "GenerationLimits"),
+    ])
+    def test_config_policy_and_limits_must_have_their_types(self, field, value, kind):
+        with pytest.raises(TypeError, match=f"^{field} must be a {kind}, got "):
+            TestConfig(**{field: value})

@@ -1,8 +1,11 @@
+import ast
 import copy
 import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iospec import (
     AllVar,
@@ -18,6 +21,7 @@ from iospec import (
     IntConst,
     Integers,
     Naturals,
+    Out,
     ParseError,
     ReadInput,
     Sort,
@@ -29,7 +33,9 @@ from iospec import (
     WriteOutput,
     accept,
     interpret,
+    parse_generalized_trace,
     parse_spec,
+    parse_trace,
     render_spec,
     render_term,
     render_trace,
@@ -38,12 +44,12 @@ from iospec import (
 from iospec.parser import MAX_NESTING, SourceSpan, Token, _Parser, _scan
 
 from conftest import SUM_SPEC_TEXT
-from randgen import random_spec
+from randgen import random_generalized_trace, random_spec
 
 
 def term_of(text: str):
     # grammar-level parsing without the static checks
-    parser = _Parser(_scan(text))
+    parser = _Parser(text)
     term = parser.term()
     assert parser.at("eof")
     return term
@@ -367,12 +373,9 @@ class TestNestingLimit:
 class TestTokens:
     def test_repr_shows_every_field_by_name(self):
         assert [repr(t) for t in _scan("read x")] == [
-            "Token(kind='read', text='read', span=SourceSpan("
-            "start_line=1, start_column=1, end_line=1, end_column=4))",
-            "Token(kind='ident', text='x', span=SourceSpan("
-            "start_line=1, start_column=6, end_line=1, end_column=6))",
-            "Token(kind='eof', text='', span=SourceSpan("
-            "start_line=1, start_column=7, end_line=1, end_column=7))",
+            "Token(kind='read', text='read', start=0)",
+            "Token(kind='ident', text='x', start=5)",
+            "Token(kind='eof', text='', start=6)",
         ]
 
     def test_values_compare_hash_pickle_and_copy(self):
@@ -389,8 +392,8 @@ class TestTokens:
     def test_construction(self):
         span = SourceSpan(start_line=1, start_column=2, end_line=1, end_column=3)
         assert span == SourceSpan(1, 2, 1, 3) and str(span) == "1:2"
-        assert Token(kind="int", text="7", span=span) == Token("int", "7", span)
-        assert Token.__match_args__ == ("kind", "text", "span")
+        assert Token(kind="int", text="7", start=1) == Token("int", "7", 1)
+        assert Token.__match_args__ == ("kind", "text", "start")
         with pytest.raises(TypeError):
             Token("int", "7")
         with pytest.raises(TypeError):
@@ -409,3 +412,86 @@ class TestTokens:
             SourceSpan(2, 1, 1, 1)
         with pytest.raises(ValueError):
             SourceSpan(1, 5, 1, 4)
+
+
+# The tokens of a rendered spec or trace, to be spaced apart again.
+SPEC_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[=<>]=|&&|\|\||\S")
+TRACE_TOKEN = re.compile(r"[?!]-?[0-9]+|!\{|-?[0-9]+|[a-z]+|\S")
+SEPARATORS = [" ", "\t", "\n", "\r\n", "\u00a0", "\u2028"]
+EXTRA_TOKENS = ["stop", "}", "{", ",", "7", "read", "!{", "?3", "!4", "eps", "<", ")", "x_C"]
+BAD_CHARACTERS = "@$;~\u00e9\u0663"
+PARSERS = [parse_trace, parse_generalized_trace, parse_spec]
+
+
+def faulty_text(rng: random.Random) -> str:
+    """A valid spec or trace with its tokens spaced apart at random, then
+    one fault: a bad character, a dropped `stop` or `}`, or an extra token."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        text, pattern = render_spec(random_spec(rng, depth=rng.randint(1, 3))), SPEC_TOKEN
+    elif kind == 1:
+        steps = [rng.choice((In, Out))(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6))]
+        text, pattern = render_trace(Trace(tuple(steps))), TRACE_TOKEN
+    else:
+        text, pattern = render_trace(random_generalized_trace(rng)), TRACE_TOKEN
+    separators = SEPARATORS + (["  # a note\n"] if kind == 0 else [])
+    tokens = pattern.findall(text)
+    gaps = ["".join(rng.choices(separators, k=rng.randint(0, 2))) for _ in tokens]
+    gaps = [gap or " " for gap in gaps[:-1]] + gaps[-1:]
+    text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+    fault = rng.randrange(3)
+    if fault == 0:
+        at = rng.randint(0, len(text))
+        return text[:at] + rng.choice(BAD_CHARACTERS) + text[at:]
+    if fault == 1:
+        dropped = rng.choice(["stop", "}"])
+        places = [m.start() for m in re.finditer(re.escape(dropped), text)]
+        if places:
+            at = rng.choice(places)
+            text = text[:at] + text[at + len(dropped):]
+        return text
+    at = rng.choice([0] + [m.end() for m in re.finditer(r"\s+", text)] + [len(text)])
+    return text[:at] + f" {rng.choice(EXTRA_TOKENS)} " + text[at:]
+
+
+def named_token(message: str) -> str | None:
+    """The token or character an error message names, or None."""
+    if message.startswith("unexpected character "):
+        return ast.literal_eval(message.removeprefix("unexpected character "))
+    if ", got " in message:
+        return ast.literal_eval(message.rsplit(", got ", 1)[1])
+    if " is not a term" in message:
+        return ast.literal_eval(message.split(" is not a term")[0])
+    return None
+
+
+class TestErrorPositions:
+    @given(st.randoms(use_true_random=False))
+    def test_position_points_at_what_the_message_names(self, rng):
+        text = faulty_text(rng)
+        lines = text.split("\n")
+        for parse in PARSERS:
+            try:
+                parse(text)
+            except ParseError as err:
+                span, name = err.span, named_token(err.message)
+                assert span.end_line == span.start_line
+                rest = lines[span.start_line - 1][span.start_column - 1:]
+                if name == "end of input":
+                    # one past the last character
+                    assert (span.start_line, rest) == (len(lines), "")
+                elif name is not None:
+                    assert rest.startswith(name), (parse.__name__, text, str(err))
+                    assert span.end_column == span.start_column + len(name) - 1
+                else:
+                    assert rest and not rest[0].isspace()
+            except StaticError:
+                pass
+
+    def test_a_bad_character_is_reported_before_a_grammar_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_trace("?1 5 stop @")
+        assert str(exc.value) == "1:11: unexpected character '@'"
+        with pytest.raises(ParseError) as exc:
+            parse_spec("read x : ints\nwrite { }\n  @")
+        assert str(exc.value) == "3:3: unexpected character '@'"
