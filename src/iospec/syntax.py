@@ -7,10 +7,10 @@ exit the innermost iteration.  Terms are integer/boolean expressions over
 the *history* of values read into each variable: ``CurrentVar`` is the most
 recently read value, ``AllVar`` the full chronological list.
 
-Tree nodes are frozen records (`_Record`), not dataclasses, as are the
-other small values the layers pass on: tokens, trace steps, coverage
-results, and the runner's and harness's configs and outcomes.  Each record
-class gets a generated ``__init__``; ``dataclasses.fields`` and
+Tree nodes are frozen records (`_Record`), not dataclasses, as are the other
+small values the layers pass on: tokens, traces and their steps, output
+sets, coverage results, and the runner's and harness's configs and outcomes.
+Each record class gets a generated ``__init__``; ``dataclasses.fields`` and
 ``dataclasses.replace`` do not apply to records, while ``__match_args__``
 names their fields, so ``match``/``case`` takes them apart positionally.
 """
@@ -39,8 +39,8 @@ class SortError(Exception):
 
 class _Record:
     """A frozen value with named fields: the tree nodes here, the parser's
-    tokens and spans, trace steps and coverage results, and the runner's
-    and harness's configs and outcomes.
+    tokens and spans, traces, their steps and output sets, coverage
+    results, and the runner's and harness's configs and outcomes.
 
     A subclass lists its fields as annotations, which are never evaluated,
     and gives a field a default as a class attribute of the same name;
@@ -50,7 +50,12 @@ class _Record:
     argument binding supplies the defaults and the ``TypeError``s.  An
     instance compares and hashes as its class and field values and rejects
     assignment.  Unlike a dataclass, whose decorator execs the source of
-    several methods per class, a subclass gets only its ``__init__``.
+    several methods per class, a subclass gets only that one function.
+
+    A subclass that defines its own ``__init__`` keeps it; that stores the
+    fields through ``self.__dict__``, and the generated initializer becomes
+    the classmethod ``_of``, which builds an instance from its field values
+    unchecked.  Such a class has no ``__post_init__``: it would never run.
     """
 
     __match_args__ = ()
@@ -58,24 +63,31 @@ class _Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        if "__init__" in own:
-            raise TypeError(f"{cls.__name__} defines __init__: give it a __post_init__")
+        custom = "__init__" in own
+        if custom and hasattr(cls, "__post_init__"):
+            raise TypeError(f"{cls.__name__} defines __init__, so its __post_init__ never runs")
         # the class's own annotations only, in order, as strings
         fields = cls.__match_args__ = tuple(cls.__annotations__)
         defaults = tuple([own[name] for name in fields if name in own])
         if any(name not in own for name in fields[len(fields) - len(defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
-        # A class body mangles a `__name` annotation, so no field is `__fields`.
-        lines = [f"def __init__({', '.join(('self',) + fields)}):",
-                 "    __fields = self.__dict__"]
-        lines += [f"    __fields[{name!r}] = {name}" for name in fields]
-        if hasattr(cls, "__post_init__"):
+        # A class body mangles `__name` annotations: no field is `__fields` or `__cls`.
+        name, first = ("_of", "__cls") if custom else ("__init__", "self")
+        lines = [f"def {name}({', '.join((first,) + fields)}):"]
+        if custom:
+            lines.append("    self = __cls.__new__(__cls)")
+        lines.append("    __fields = self.__dict__")
+        lines += [f"    __fields[{field!r}] = {field}" for field in fields]
+        if custom:
+            lines.append("    return self")
+        elif hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")
         namespace: dict = {}
         exec("\n".join(lines), namespace)
-        init = cls.__init__ = namespace["__init__"]
-        init.__defaults__ = defaults
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        function = namespace[name]
+        function.__defaults__ = defaults
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, classmethod(function) if custom else function)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

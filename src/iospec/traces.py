@@ -17,18 +17,20 @@ those invariants.  Rendering decides from the factors whether a set
 prints as one brace group or in product form, and builds words only when
 the factors' longest words alone leave it within RENDER_LIMIT words.
 
-Both kinds of trace are kept as their inputs and their output gaps, one
-before each input and one after the last, and build their `steps` only on
-demand.  A `Trace` keeps in each gap the word printed there, and a
-`GeneralizedTrace` the factors of the writes run there (a compiled write
-yields only its factor, a frozenset of words); either is () where nothing
-is.  Covering then means that the inputs agree and that each gap can print
-its word (`first_uncovered`).  `covers` reads those words off a
-normalized trace; the harness hands a recorded run's own gaps to the same
-check, with no normalized trace in between.  `semantics.accept` reaches
-the same verdict with no generalized trace: its compiled run checks each
-gap's word as it closes the gap, with a bit-parallel pass of its own over
-the word that builds no factor and never calls `spells`.
+Both kinds of trace, like an `OutputWordSet`, are frozen records
+(`syntax._Record`): their fields are their `input_values` and their output
+`gaps`, one before each input and one after the last, and they build
+their `steps` only on demand.  A `Trace` keeps in each gap the word
+printed there, and a `GeneralizedTrace` the factors of the writes run
+there (a compiled write yields only its factor, a frozenset of words);
+either is () where nothing is.  Covering then means that the inputs
+agree and that each gap can print its word (`first_uncovered`).  `covers`
+reads those words off a normalized trace; the harness hands a recorded
+run's own gaps to the same check, with no normalized trace in between.
+`semantics.accept` reaches the same verdict with no generalized trace:
+its compiled run checks each gap's word as it closes the gap, with a
+bit-parallel pass of its own over the word that builds no factor and
+never calls `spells`.
 
 The text format is read by `parser`'s token cursor, given this module's
 token pattern and grammar; as in a specification, an error is reported
@@ -37,6 +39,7 @@ at the ``line:column`` worked out from its token's offset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Union
@@ -67,54 +70,26 @@ class Out(_Record):
 TraceStep = Union[In, Out]
 
 
-class _GapTrace:
-    """A frozen trace kept as its `input_values`, a tuple of ints, and its
-    `gaps`, one before each input and one after the last, compared exactly;
-    a subclass's `steps` builds its steps again on each access."""
-
-    __slots__ = ("input_values", "gaps")
-
-    def _init(self, inputs: tuple, gaps: tuple) -> None:
-        object.__setattr__(self, "input_values", inputs)
-        object.__setattr__(self, "gaps", gaps)
-
-    @classmethod
-    def _of(cls, inputs: tuple, gaps: tuple):
-        """The trace of `inputs` and `gaps`, unchecked: the caller
-        guarantees a tuple of ints and one more gaps of the class's form."""
-        trace = cls.__new__(cls)
-        trace._init(inputs, gaps)
-        return trace
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (type(self)._of, (self.input_values, self.gaps))
+class _Steps:
+    """Both traces keep `input_values` and `gaps`, and rebuild `steps` on each access."""
 
     def inputs(self) -> list[int]:
         return list(self.input_values)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.input_values == other.input_values and self.gaps == other.gaps
-
-    def __hash__(self) -> int:
-        return hash((self.input_values, self.gaps))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(steps={self.steps!r})"
 
 
-class Trace(_GapTrace):
+class Trace(_Steps, _Record):
     """A finished program run; rendering appends the closing `stop`.
 
     Each gap is the word printed there.  ``Trace(steps)`` takes `In` and
-    `Out` steps and fuses each run of outputs into one word.
+    `Out` steps and fuses each run of outputs into one word;
+    ``Trace._of(input_values, gaps)`` takes the fields, unchecked.
     """
 
-    __slots__ = ()
+    input_values: tuple
+    gaps: tuple
 
     def __init__(self, steps=()) -> None:
         inputs: list[int] = []
@@ -130,7 +105,7 @@ class Trace(_GapTrace):
             else:
                 raise TypeError(f"not a trace step: {step!r}")
         gaps.append(tuple(word))
-        self._init(tuple(inputs), tuple(gaps))
+        self.__dict__.update(input_values=tuple(inputs), gaps=tuple(gaps))
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -196,20 +171,21 @@ def spells(factors, word: Word) -> bool:
     return bool(ends >> len(word) & 1)
 
 
-class OutputWordSet:
+class OutputWordSet(_Record):
     """Words allowed at one output position; must allow some real output.
 
     The set is kept as a product: a tuple of factors, each a non-empty
     frozenset of words (the empty word included), whose concatenation is
     the set.  An explicit set is one factor, ``OutputWordSet(words)``;
-    ``OutputWordSet(f1, f2, ...)`` is the product of several.  Fusing k
-    writes of a few values each keeps k small factors where the
-    concatenated set has exponentially many words, so membership,
-    `includes_epsilon` and `smallest_word` work on the factors.  `words`
-    is the materialized set, built on first use and kept.  Printing
-    decides its form from the factors (see `_render_factors`) and builds
-    words, up to RENDER_LIMIT + 1 of them, only for a set that may print
-    as one group.
+    ``OutputWordSet(f1, f2, ...)`` is the product of several, and
+    ``OutputWordSet._of(factors, includes_epsilon)`` takes the fields,
+    unchecked.  Fusing k writes of a few values each keeps k small
+    factors where the concatenated set has exponentially many words, so
+    membership, `includes_epsilon` and `smallest_word` work on the
+    factors.  `words` is the materialized set, built on first use and
+    kept in the instance, as is the hash.  Printing decides its form from
+    the factors (see `_render_factors`) and builds words, up to
+    RENDER_LIMIT + 1 of them, only for a set that may print as one group.
 
     Equality and hashing compare languages, whatever the factors.  The
     hash covers invariants every factoring of a language shares, computed
@@ -222,7 +198,8 @@ class OutputWordSet:
     unions denote the same language is NP-hard (Stockmeyer & Meyer, 1973).
     """
 
-    __slots__ = ("factors", "includes_epsilon", "_words", "_hash")
+    factors: tuple
+    includes_epsilon: bool
 
     def __init__(self, *factors) -> None:
         factors = tuple([frozenset(map(tuple, f)) for f in factors])
@@ -230,29 +207,11 @@ class OutputWordSet:
             raise ValueError("output word set needs non-empty factors")
         if not any(w for f in factors for w in f):
             raise ValueError("output word set needs a non-empty word")
-        self.factors = factors
-        self.includes_epsilon = all(EPSILON in f for f in factors)
-        self._words = factors[0] if len(factors) == 1 else None
-        self._hash = None
+        self.__dict__.update(factors=factors, includes_epsilon=all(EPSILON in f for f in factors))
 
-    @classmethod
-    def _of(cls, factors: tuple, includes_epsilon: bool) -> "OutputWordSet":
-        """The product of `factors`, unchecked: the caller guarantees a
-        non-empty tuple of non-empty frozensets of tuples holding a
-        non-empty word, and `includes_epsilon` telling whether every
-        factor holds the empty one."""
-        product = cls.__new__(cls)
-        product.factors = factors
-        product.includes_epsilon = includes_epsilon
-        product._words = factors[0] if len(factors) == 1 else None
-        product._hash = None
-        return product
-
-    @property
+    @functools.cached_property
     def words(self) -> frozenset[Word]:
-        if self._words is None:
-            self._words = _language(self.factors)
-        return self._words
+        return self.factors[0] if len(self.factors) == 1 else _language(self.factors)
 
     def smallest_word(self) -> Word:
         """The least non-empty word, ordered by length and then by value.
@@ -278,14 +237,21 @@ class OutputWordSet:
         return hash(self) == hash(other) and self.words == other.words
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((
-                self.includes_epsilon,
-                self.smallest_word(),
-                sum(min(map(len, f)) for f in self.factors),
-                sum(max(map(len, f)) for f in self.factors),
-            ))
-        return self._hash
+        return self._invariants
+
+    def __setstate__(self, state) -> None:
+        # Keeps only the fields.  A pickle from when the class had slots holds (None, slots).
+        fields = state[1] if isinstance(state, tuple) else state
+        self.__dict__.update({name: fields[name] for name in self.__match_args__})
+
+    @functools.cached_property
+    def _invariants(self) -> int:
+        return hash((
+            self.includes_epsilon,
+            self.smallest_word(),
+            sum(min(map(len, f)) for f in self.factors),
+            sum(max(map(len, f)) for f in self.factors),
+        ))
 
     def __repr__(self) -> str:
         return f"OutputWordSet({', '.join(repr(f) for f in self.factors)})"
@@ -305,17 +271,19 @@ def _gap_set(gap: Gap) -> OutputWordSet:
     return OutputWordSet._of(gap, all([EPSILON in f for f in gap]))
 
 
-class GeneralizedTrace(_GapTrace):
+class GeneralizedTrace(_Steps, _Record):
     """Inputs interleaved with output word sets; never two sets in a row.
 
     Each gap is the tuple of factors of the output set there (see
     `OutputWordSet`), or () where the trace has none.
     ``GeneralizedTrace(steps)`` takes the steps, `In` and `OutputWordSet`
-    values, and rejects two sets in a row.  Equality and hashing compare
-    the inputs and each gap's language, whatever its factors.
+    values, and rejects two sets in a row; ``GeneralizedTrace._of`` takes
+    the fields, unchecked.  Equality and hashing compare the inputs and
+    each gap's language, whatever its factors.
     """
 
-    __slots__ = ()
+    input_values: tuple
+    gaps: tuple
 
     def __init__(self, steps=()) -> None:
         inputs: list[int] = []
@@ -333,7 +301,7 @@ class GeneralizedTrace(_GapTrace):
             else:
                 raise TypeError(f"not a generalized trace step: {step!r}")
         gaps.append(gap)
-        self._init(tuple(inputs), tuple(gaps))
+        self.__dict__.update(input_values=tuple(inputs), gaps=tuple(gaps))
 
     @property
     def steps(self) -> tuple[GenStep, ...]:

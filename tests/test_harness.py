@@ -197,6 +197,39 @@ class TestFormatFeedback:
             "run_detail=UnparsableOutput: '1_000'",
         ]
 
+    def test_an_input_got_where_an_output_was_due(self):
+        def writes_after_both_reads():
+            x = yield Read()
+            yield Read()
+            yield Write(x)
+
+        spec = parse_spec("read x : ints write { x_C } read y : ints")
+        cfg = TestConfig(policy=SamplingPolicy(seed=1))
+        report = run_test_suite(spec, writes_after_both_reads, cfg)
+        assert format_feedback(report) == (
+            "*** Failed! Falsifiable:\n"
+            "Input sequence: ?-10 ?6\n"
+            "Expected run (generalized): ?-10 !{-10} ?6 stop\n"
+            "Actual run: ?-10 ?6 !-10 stop\n"
+            "Error:\n"
+            "  AlignmentMismatch:\n"
+            "    Expected: !{-10}\n"
+            "    Got: ?6"
+        )
+        assert format_feedback(report, ReportFormat.MACHINE_LINES).splitlines() == [
+            "verdict=Falsified",
+            "tests=1",
+            "seed=1",
+            "inputs=-10,6",
+            "expected=?-10 !{-10} ?6 stop",
+            "actual=?-10 ?6 !-10 stop",
+            "error=AlignmentMismatch",
+            "expected_step=!{-10}",
+            "got_step=?6",
+            "exit_kind=CleanHalt",
+            "run_detail=",
+        ]
+
     def test_clean_run_adds_only_machine_keys(self):
         report = make_report(output_counterexample())
         assert format_feedback(report) == OUTPUT_BLOCK
@@ -259,6 +292,16 @@ class TestRunTestSuite:
         assert report.verdict is Verdict.GENERATION_STUCK
         assert report.tests_run == 0
         assert "attempts" in report.detail
+        assert format_feedback(report) == (
+            "*** Gave up! Could not generate a test case:\n"
+            "gave up after 10 attempts: loop ran more than 1000 rounds"
+        )
+        assert format_feedback(report, ReportFormat.MACHINE_LINES).splitlines() == [
+            "verdict=GenerationStuck",
+            "tests=0",
+            "seed=0",
+            "error=gave up after 10 attempts: loop ran more than 1000 rounds",
+        ]
 
     def test_deterministic_for_scripted_targets(self, sum_spec_plain):
         cfg = TestConfig(policy=SamplingPolicy(seed=5))

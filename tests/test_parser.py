@@ -404,7 +404,7 @@ class TestTokens:
         with pytest.raises(AttributeError):
             token.kind = "int"
         with pytest.raises(AttributeError):
-            del token.span.start_line
+            del token.start
         assert token == _scan("x")[0]
 
     def test_span_must_not_end_before_it_starts(self):

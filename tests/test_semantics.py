@@ -207,10 +207,13 @@ class TestAcceptInterpretsFirst:
         limits = GenerationLimits(max_loop_iterations=2 * n)
         inputs = valid.inputs()
 
-        # every way of building an output set stores its factors
-        factors = {}
-        monkeypatch.setattr(OutputWordSet, "factors", property(
-            lambda s: factors[id(s)], lambda s, value: factors.__setitem__(id(s), value)))
+        # an output set is built by its constructor or by `_of`, unchecked
+        built = []
+        init, of = OutputWordSet.__init__, OutputWordSet._of
+        monkeypatch.setattr(OutputWordSet, "__init__",
+                            lambda s, *factors: built.append(s) or init(s, *factors))
+        monkeypatch.setattr(OutputWordSet, "_of",
+                            staticmethod(lambda *fields: built.append(fields) or of(*fields)))
         ins = []
         monkeypatch.setattr(In, "__init__", lambda s, value: ins.append(value))
         # accept checks each gap inside its run: it builds no gaps to
@@ -232,10 +235,10 @@ class TestAcceptInterpretsFirst:
                 assert verdicts == [verdict]
         gt = interpret(sum_spec, inputs, limits=limits)
         assert covers(gt, normalize(valid)) == Covered()
-        assert factors == {} and ins == []
+        assert built == [] and ins == []
         result = covers(gt, normalize(invalid))
         assert (result.word, result.position) == ((sum(range(n)) + 1,), n + 1 + n // 2)
-        assert len(factors) == 1 and ins == []
+        assert len(built) == 1 and ins == []
 
     def test_two_value_words_build_no_factor(self, monkeypatch):
         # every round's gap has a word of two values, from two optional
@@ -865,10 +868,12 @@ class TestConfigTypes:
             GenerationLimits(max_trace_length=0)
 
     def test_policy_ranges_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty integer range$"):
             SamplingPolicy(integer_range=(5, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^natural range must not contain negatives$"):
             SamplingPolicy(natural_range=(-1, 5))
+        with pytest.raises(ValueError, match="^empty natural range$"):
+            SamplingPolicy(natural_range=(3, 2))
 
     @pytest.mark.parametrize("name, bounds", [
         ("natural_range", (0, 3.0)),

@@ -1,10 +1,14 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 
 import pytest
 
+import iospec
 from iospec import (
+    AlignmentMismatch,
     AllVar,
     Apply,
     Branch,
@@ -16,6 +20,7 @@ from iospec import (
     ExplicitSet,
     Exit,
     FunctionSpec,
+    GeneralizedTrace,
     GenerationLimits,
     In,
     IntConst,
@@ -42,12 +47,14 @@ from iospec import (
     accept,
     node_at,
     normalize_spec,
+    parse_generalized_trace,
     parse_trace,
     run_test_suite,
     variables_of,
     well_formed,
 )
 from iospec.harness import ConfigError
+from iospec.parser import SourceSpan, _scan
 from iospec.syntax import _Record, sort_of
 
 import programs
@@ -427,6 +434,26 @@ class TestFrozenRecords:
 
                 def __init__(self, value):
                     pass
+
+                def __post_init__(self):
+                    pass
+
+        # a class with its own __init__ keeps it and gets the generated `_of`
+        class Doubled(_Record):
+            value: int
+
+            def __init__(self, value):
+                self.__dict__["value"] = 2 * value
+
+        assert Doubled(2).value == 4 and Doubled._of(2).value == 2
+        assert Doubled._of(value=2) == Doubled(1) and Doubled.__match_args__ == ("value",)
+        with pytest.raises(AttributeError):
+            Doubled(1).value = 3
+        assert Trace.__match_args__ == GeneralizedTrace.__match_args__ == ("input_values", "gaps")
+        assert OutputWordSet.__match_args__ == ("factors", "includes_epsilon")
+        for cls in (Trace, GeneralizedTrace, OutputWordSet):
+            assert cls._of.__qualname__ == f"{cls.__name__}._of"
+            assert cls._of.__code__.co_filename == "<string>"  # generated, not written
         with pytest.raises(TypeError, match="without a default"):
             class Misordered(_Record):
                 first: int = 0
@@ -451,6 +478,22 @@ class TestFrozenRecords:
         with pytest.raises(AttributeError):
             del RunOutcome(Trace(), ExitKind.CRASHED).detail
         assert config.num_tests == 100
+        trace = parse_trace("?1 !2 ?3 stop")
+        gt = parse_generalized_trace("?1 !{eps, 2}{3} ?3 stop")
+        allowed = OutputWordSet({(1,)}, {(), (2,)})
+        before = hash(allowed)
+        for value in (trace, gt, allowed):
+            for name in value.__match_args__:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, ())
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+        assert trace == parse_trace("?1 !2 ?3 stop")
+        assert gt.gaps[1] == (frozenset({(), (2,)}), frozenset({(3,)}))
+        assert allowed.factors == (frozenset({(1,)}), frozenset({(), (2,)}))
+        assert not allowed.includes_epsilon and hash(allowed) == before
 
     def test_match_takes_fields_by_position(self):
         assert Apply.__match_args__ == ("fn", "args")
@@ -473,7 +516,30 @@ class TestFrozenRecords:
         report = run_test_suite(parse_spec(SUM_SPEC_TEXT), programs.sum_drops_last)
         assert report.verdict is Verdict.FALSIFIED
         assert isinstance(report.counterexample.error, OutputMismatch)
-        nodes += [report, report.counterexample]
+        nodes += [report, report.counterexample, report.counterexample.error]
+        allowed = OutputWordSet({(), (1,)}, {(2,), (3, 4)})
+        assert hash(allowed) and len(allowed.words) == 4  # pickled with its caches filled
+        nodes += [
+            parse_trace("?1 !2 !3 ?4 stop"),
+            parse_generalized_trace("?1 !{eps, 2}{3} ?4 stop"),
+            allowed,
+            OutputWordSet({(5,)}),
+            IntConst(3), In(1), Out(2), Covered(), AlignmentMismatch(In(1), None, 0),
+            Read(), Write(3), RunOutcome(Trace((In(1),)), ExitKind.CRASHED, "x", 3, "err"),
+            SubprocessConfig("prog", ["-c"]), TestConfig(), GenerationLimits(7),
+            DEFAULT_REGISTRY.lookup("+"), _scan("x")[0], SourceSpan(1, 2, 1, 3),
+        ]
+        # every record class the package defines has a sample above
+        for module in pkgutil.iter_modules(iospec.__path__):
+            if module.name != "__main__":
+                importlib.import_module(f"iospec.{module.name}")
+        covered = {cls for node in nodes for cls in type(node).__mro__}
+        records, unseen = [], [_Record]
+        while unseen:
+            cls = unseen.pop()
+            records.append(cls)
+            unseen += cls.__subclasses__()
+        assert {cls for cls in records if cls.__module__.startswith("iospec.")} <= covered
         for node in nodes:
             for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
                 assert type(twin) is type(node)

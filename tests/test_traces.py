@@ -504,8 +504,13 @@ class TestTextFormat:
         # a product without a real word: its own `!{`, not the next line's `stop`
         (parse_generalized_trace, "?1\n?2 !{eps}{eps}\nstop", (2, 4),
          "output word set needs a non-empty word, got '!{'"),
+        (parse_generalized_trace, "?1 !{<1 2} stop", (1, 10),
+         "expected '>' closing the word, got '}'"),
+        (parse_generalized_trace, "?1 !{<> } stop", (1, 7), "empty fused word, got '>'"),
+        (parse_generalized_trace, "?1 !{1 2} stop", (1, 8), "expected ',' or '}', got '2'"),
     ], ids=["bad-character", "after-stop", "in-a-word", "sets-in-a-row-over-lines",
-            "sets-in-a-row", "all-eps-product"])
+            "sets-in-a-row", "all-eps-product", "unclosed-word", "empty-fused-word",
+            "no-comma"])
     def test_errors_give_line_and_column(self, parse, text, position, message):
         with pytest.raises(ParseError) as exc:
             parse(text)
