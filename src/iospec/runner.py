@@ -345,10 +345,14 @@ class _Run:
                 continue
             got = self.pump(self.until_deadline(wait))
             if not self.eof and self.calls is not None and self.waits_for_input():
-                if last:
-                    raise _Abort(ExitKind.PROTOCOL_ERROR,
-                                 "InputUnderflow: program wants more input")
-                return
+                # FIONREAD counts bytes, not a close: a stdout closed since
+                # the pump above ends the interaction, not the turn
+                got = self.pump(0) or got
+                if not self.eof:
+                    if last:
+                        raise _Abort(ExitKind.PROTOCOL_ERROR,
+                                     "InputUnderflow: program wants more input")
+                    return
             wait = _PROBE_MIN_S if got else min(2 * wait, _PROBE_MAX_S)
 
     def send(self, value: int) -> bool:

@@ -37,8 +37,8 @@ the source.  Every value taken from it (variable names, constants,
 registry functions, error messages) is bound in the code's namespace
 under a generated name, so a variable called ``"x; import os"`` is one
 more history.  In the gaps mode a write becomes an expression for its
-bare factor: the frozenset of words it may emit, with no output set
-built around it.
+bare factor: the distinct words it may emit, with no output set built
+around it.
 
 Compiling never fails on a bad term or action.  An unknown function or a
 value that is not a term becomes a call raising `EvalError`, and an exit
@@ -61,15 +61,17 @@ covers∘interpret, and the same errors: the check mode runs every
 statement the gaps mode runs, in the same order.
 
 A read is compiled inline, and closes the output gap before it.  In the
-gaps mode a compiled write yields only its factor, the frozenset of words
-it may emit, and the gap is the tuple of the factors written since the
-previous read, or () where nothing was.  A read takes the next of the
-values its run is given, and past them calls the run's `draw` with its
-position and domain: a sampled run is given no values and draws each,
-and `interpret` and `accept` pass a `draw` that raises
-InputsExhaustedError.  A generalized trace is kept in that form, its
-inputs and its gaps, so neither interpreter builds an input step or
-output set for the steps of a run.  In the check mode a read decides the
+gaps mode a compiled write yields only its factor, the distinct words it
+may emit: a tuple for a write of one value, whose words cannot
+coincide, and a frozenset, which drops equal ones, for a write of more.
+The gap is the tuple of the factors written since the previous read, or
+() where nothing was.  A read takes the next of the values its run is
+given, and past them calls the run's `draw` with its position and
+domain: a sampled run is given no values and draws each, and `interpret`
+and `accept` pass a `draw` that raises InputsExhaustedError.  A
+generalized trace is kept in that form, its inputs and its gaps, so
+neither interpreter builds an input step or output set for the steps of
+a run.  In the check mode a read decides the
 gap it closes and opens the next one, by one bit-parallel pass over the
 gap's word (shift-and, Baeza-Yates and Gonnet, CACM 1992): a table maps
 each of the word's values to the places it holds there, as bits, and each
@@ -326,10 +328,11 @@ class _Compiler:
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
     bound as `n<i>`), `u<k>` holds the k-th value of a write in the check
-    mode, any other letter followed by a number is a value bound in the
-    namespace (a read's domain is `d<k>`), `v` holds the value a read
-    takes, `w` the word of the gap a read opens, and the remaining names
-    are `run`'s parameters and locals and the run-time helpers below.
+    mode and `u0` that of a one-value write in the gaps mode, any other
+    letter followed by a number is a value bound in the namespace (a
+    read's domain is `d<k>`), `v` holds the value a read takes, `w` the
+    word of the gap a read opens, and the remaining names are `run`'s
+    parameters and locals and the run-time helpers below.
     """
 
     def __init__(self, registry: FunctionRegistry, check: bool = False) -> None:
@@ -449,17 +452,26 @@ class _Compiler:
         ]
 
     def write(self, write: WriteOutput, level: int, pad: str) -> list[str]:
-        """A write.  In the gaps mode, its factor appended to `pending`: a
-        frozenset of the one-value words of its values, with the empty word
-        when it is skippable.  In the check mode its values are taken first,
-        left to right, into `u<k>`, then looked up in `at`, which hashes
-        each, so an unhashable one raises as building the factor would.
-        `ends` keeps the places that one of the values moves on by one,
-        shifted down, and also its old places when the write may print
-        nothing."""
+        """A write.  In the gaps mode, its factor appended to `pending`: the
+        one-value words of its values, with the empty word when it is
+        skippable.  A write of one value, the common case, has distinct
+        words, so its factor is the tuple `((), (u0,))` or `((u0,),)`,
+        which costs about a third of a frozenset to build and which the
+        cyclic collector stops tracking; the value is hashed first, so an
+        unhashable one raises as a frozenset would.  A write of more
+        values keeps a frozenset, as two of them may be equal.  In the
+        check mode its values are taken first, left to right, into `u<k>`,
+        then looked up in `at`, which hashes each, so an unhashable one
+        raises as building the factor would.  `ends` keeps the places that
+        one of the values moves on by one, shifted down, and also its old
+        places when the write may print nothing."""
         values = [self.term(t, level) for t in write.terms]
         skippable = write.includes_epsilon
         if not self.check:
+            if len(values) == 1:
+                factor = "((), (u0,))" if skippable else "((u0,),)"
+                return [f"{pad}u0 = {values[0]}", f"{pad}hash(u0)",
+                        f"{pad}pending.append({factor})"]
             words = [f"({value},)" for value in values]
             if skippable:
                 words.append("()")

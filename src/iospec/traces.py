@@ -22,11 +22,17 @@ Both kinds of trace, like an `OutputWordSet`, are frozen records
 `gaps`, one before each input and one after the last, and they build
 their `steps` only on demand.  A `Trace` keeps in each gap the word
 printed there, and a `GeneralizedTrace` the factors of the writes run
-there (a compiled write yields only its factor, a frozenset of words);
-either is () where nothing is.  Covering then means that the inputs
-agree and that each gap can print its word (`first_uncovered`).  `covers`
-reads those words off a normalized trace; the harness hands a recorded
-run's own gaps to the same check, with no normalized trace in between.
+there (a compiled write yields only its factor, its distinct words);
+either is () where nothing is.  A factor is any collection of distinct
+words that answers `in`, iteration and `len`: the parser and
+`OutputWordSet(...)` build frozensets, while a compiled one-value write
+and `normalize` build tuples, which are cheaper to make and which the
+cyclic collector stops tracking.  Only `words` and equality depend on
+the type, and both look at a factor as a set.  Covering then means that
+the inputs agree and that each gap can print its word
+(`first_uncovered`).  `covers` reads those words off a normalized trace;
+the harness hands a recorded run's own gaps to the same check, with no
+normalized trace in between.
 `semantics.accept` reaches the same verdict with no generalized trace:
 its compiled run checks each gap's word as it closes the gap, with a
 bit-parallel pass of its own over the word that builds no factor and
@@ -142,7 +148,7 @@ def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
 
 def spells(factors, word: Word) -> bool:
     """Is the tuple `word` in the concatenation of `factors`, a sequence
-    of frozensets of words?  Never builds the concatenation."""
+    of collections of words?  Never builds the concatenation."""
     if len(factors) == 1:
         return word in factors[0]
     # A dynamic program over the positions of `word`, all at once: bit i
@@ -175,23 +181,27 @@ class OutputWordSet(_Record):
     """Words allowed at one output position; must allow some real output.
 
     The set is kept as a product: a tuple of factors, each a non-empty
-    frozenset of words (the empty word included), whose concatenation is
-    the set.  An explicit set is one factor, ``OutputWordSet(words)``;
-    ``OutputWordSet(f1, f2, ...)`` is the product of several, and
+    collection of distinct words (the empty word included), whose
+    concatenation is the set.  An explicit set is one factor,
+    ``OutputWordSet(words)``; ``OutputWordSet(f1, f2, ...)`` is the
+    product of several, each made a frozenset, and
     ``OutputWordSet._of(factors, includes_epsilon)`` takes the fields,
-    unchecked.  Fusing k writes of a few values each keeps k small
-    factors where the concatenated set has exponentially many words, so
-    membership, `includes_epsilon` and `smallest_word` work on the
-    factors.  `words` is the materialized set, built on first use and
-    kept in the instance, as is the hash.  Printing decides its form from
-    the factors (see `_render_factors`) and builds words, up to
-    RENDER_LIMIT + 1 of them, only for a set that may print as one group.
+    unchecked, so its factors may also be tuples (see the module notes).
+    Fusing k writes of a few values each keeps k small factors where the
+    concatenated set has exponentially many words, so membership,
+    `includes_epsilon` and `smallest_word` work on the factors.  `words`
+    is the materialized set, a frozenset whatever the factors, built on
+    first use and kept in the instance, as is the hash; a pickle holds
+    the fields alone.  Printing decides its form from the factors (see
+    `_render_factors`) and builds words, up to RENDER_LIMIT + 1 of them,
+    only for a set that may print as one group.
 
     Equality and hashing compare languages, whatever the factors.  The
     hash covers invariants every factoring of a language shares, computed
     from the factors: whether it holds the empty word, its least non-empty
     word, and its shortest and longest word lengths.  Equality is
-    immediate for identical factor tuples and rejects on differing
+    immediate for factors holding the same words one by one, whether
+    tuples or frozensets (`_same_factors`), and rejects on differing
     invariants; otherwise it compares the materialized languages, which
     in the worst case are exponentially large.  No polynomial exact test
     is to be expected: deciding whether two such products of finite
@@ -211,7 +221,8 @@ class OutputWordSet(_Record):
 
     @functools.cached_property
     def words(self) -> frozenset[Word]:
-        return self.factors[0] if len(self.factors) == 1 else _language(self.factors)
+        factors = self.factors
+        return frozenset(factors[0]) if len(factors) == 1 else _language(factors)
 
     def smallest_word(self) -> Word:
         """The least non-empty word, ordered by length and then by value.
@@ -231,13 +242,17 @@ class OutputWordSet(_Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, OutputWordSet):
             return NotImplemented
-        if self.factors == other.factors:
+        if _same_factors(self.factors, other.factors):
             return True
         # Equal languages share the hashed invariants.
         return hash(self) == hash(other) and self.words == other.words
 
     def __hash__(self) -> int:
         return self._invariants
+
+    def __getstate__(self) -> dict:
+        # Only the fields: `words` and the hash are rebuilt on demand.
+        return {name: self.__dict__[name] for name in self.__match_args__}
 
     def __setstate__(self, state) -> None:
         # Keeps only the fields.  A pickle from when the class had slots holds (None, slots).
@@ -258,6 +273,12 @@ class OutputWordSet(_Record):
 
     def __str__(self) -> str:
         return "!" + _render_factors(self.factors)
+
+
+def _same_factors(a: tuple, b: tuple) -> bool:
+    """Do the factor tuples `a` and `b` hold the same words, factor by
+    factor?  A tuple factor and a frozenset factor compare as sets."""
+    return a == b or len(a) == len(b) and all([frozenset(x) == frozenset(y) for x, y in zip(a, b)])
 
 
 GenStep = Union[In, OutputWordSet]
@@ -327,17 +348,18 @@ class GeneralizedTrace(_Steps, _Record):
 
 def _same_gap(a: Gap, b: Gap) -> bool:
     """Do the two gaps allow the same words?"""
-    return a == b or bool(a) and bool(b) and _gap_set(a) == _gap_set(b)
+    return _same_factors(a, b) or bool(a) and bool(b) and _gap_set(a) == _gap_set(b)
 
 
 def normalize(trace: Trace) -> GeneralizedTrace:
     """Embed an ordinary trace: each gap's word becomes its set's one word.
 
-    The result has only singleton sets of non-empty words.
+    The result has only singleton sets of non-empty words: each non-empty
+    gap holds the one factor ``(word,)``.
     """
     return GeneralizedTrace._of(
         trace.input_values,
-        tuple([(frozenset((word,)),) if word else () for word in trace.gaps]),
+        tuple([((word,),) if word else () for word in trace.gaps]),
     )
 
 
@@ -471,7 +493,7 @@ def _mismatch(gt, got: tuple, words, k: int) -> CoverageResult:
         return OutputMismatch(word, _gap_set(gap), position)
     if gap:  # an unskippable set facing the next input or the end
         return AlignmentMismatch(_gap_set(gap), _input(got, k), position)
-    return AlignmentMismatch(_input(gt.input_values, k), _gap_set((frozenset((word,)),)), position)
+    return AlignmentMismatch(_input(gt.input_values, k), _gap_set(((word,),)), position)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +508,7 @@ def _render_word(word: Word) -> str:
     return "<" + " ".join(str(v) for v in word) + ">"
 
 
-def _render_group(words: frozenset) -> str:
+def _render_group(words) -> str:
     """One brace group, ordered as `_word_key` orders words, so the empty
     word comes first: sorted by value, then stably by length."""
     if len(words) == 1:
@@ -509,7 +531,7 @@ def _render_factors(factors: tuple) -> str:
     if len(factors) == 1:
         return _render_group(factors[0])
     # Repeated writes give equal factors: each distinct one is looked at once.
-    longest: dict[frozenset, int] = {}  # a factor's number of longest words
+    longest: dict = {}  # a factor's number of longest words
     bound = 1
     for factor in factors:
         count = longest.get(factor)

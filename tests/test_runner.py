@@ -202,8 +202,33 @@ class TestRunSubprocess:
         code = "import os, sys; os.close(1); sys.stdin.readline(); sys.stdin.readline()"
         cfg = SubprocessConfig(sys.executable, ("-c", code), per_run_timeout_ms=600)
         outcome = run_subprocess(cfg, [1])
-        assert outcome.exit_kind is ExitKind.TIMED_OUT
-        assert outcome.trace == parse_trace("stop")
+        assert outcome.exit_kind is ExitKind.TIMED_OUT, outcome
+        assert outcome.trace == parse_trace("stop"), outcome
+
+    @pytest.mark.parametrize("inputs", [[1], []])
+    def test_stdout_closed_before_the_probe_gets_no_input(self, monkeypatch, inputs):
+        # The program closes stdout and then sleeps reading stdin.  A probe
+        # that finds it asleep before the runner has taken the close, as a
+        # descheduled runner would, must not end the turn: a closed stdout
+        # ends the interaction, so no input is sent, and after the last
+        # input the wait is no input underflow.
+        calls = runner._STDIN_WAITS.get(os.uname().machine)
+        if calls is None or runner._tree_waits(os.getpid(), calls) is None:
+            pytest.skip("/proc cannot tell when a program waits for input")
+        probe = runner._tree_waits
+
+        def probe_until_reading(pid, calls):
+            deadline = time.monotonic() + 5.0
+            while (waits := probe(pid, calls)) is False and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return waits
+
+        monkeypatch.setattr(runner, "_tree_waits", probe_until_reading)
+        code = "import os, sys; os.close(1); sys.stdin.readline(); sys.stdin.readline()"
+        cfg = SubprocessConfig(sys.executable, ("-c", code), per_run_timeout_ms=600)
+        outcome = run_subprocess(cfg, inputs)
+        assert outcome.exit_kind is ExitKind.TIMED_OUT, outcome
+        assert outcome.trace == parse_trace("stop"), outcome
 
     @pytest.mark.parametrize("line", ["1_000", "\u0667"])
     def test_only_ascii_decimal_integers_parse(self, line):

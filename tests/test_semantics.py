@@ -364,6 +364,18 @@ class TestInterpret:
         spec = parse_spec("read x : ints write { eps, x_C } write { eps, x_C }")
         assert render_trace(interpret(spec, [9])) == "?9 !{eps, 9, <9 9>} stop"
 
+    def test_one_value_writes_build_tuple_factors(self):
+        # a write of one value has distinct words, so a tuple holds them; a
+        # write of more keeps a frozenset, which drops equal values
+        spec = parse_spec("read x : ints write { eps, x_C } write { x_C } write { x_C, 1 }")
+        _, (skippable, plain, two) = interpret(spec, [1]).gaps
+        assert skippable == ((), (1,)) and plain == ((1,),) and two == frozenset({(1,)})
+        # the value is hashed before the tuple is built, skippable or not
+        for includes_epsilon in (False, True):
+            spec = Spec((ReadInput("x", Integers()), WriteOutput((AllVar("x"),), includes_epsilon)))
+            with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                interpret(spec, [1])
+
     def test_input_rejected(self, sum_spec):
         with pytest.raises(InputRejectedError) as exc:
             interpret(sum_spec, [-3])

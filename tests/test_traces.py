@@ -20,12 +20,15 @@ from iospec import (
     SamplingPolicy,
     Trace,
     covers,
+    interpret,
     normalize,
     parse_generalized_trace,
+    parse_spec,
     parse_trace,
     render_trace,
     sample_generalized_trace,
 )
+from iospec import traces
 from iospec.traces import RENDER_LIMIT, _cover, spells
 
 import oracle
@@ -666,6 +669,35 @@ class TestLazySets:
         assert OutputWordSet(*[factor] * 40) != OutputWordSet(*[factor] * 39)
         assert OutputWordSet(*[factor] * 40) != OutputWordSet(*[factor] * 39, {(3,)})
         assert time.perf_counter() - start < 1.0
+
+    def test_same_factors_compare_without_a_language(self, monkeypatch):
+        # interpret's one-value writes give tuple factors and the parser
+        # frozensets; the gap's 2^40 words are never built to compare them
+        spec = parse_spec("".join(f"write {{ eps, {k} }}\n" for k in range(40)))
+        gt = interpret(spec, [])
+        parsed = parse_generalized_trace(render_trace(gt))
+        assert gt.gaps != parsed.gaps
+
+        def no_language(*args):
+            raise AssertionError("built a language")
+
+        monkeypatch.setattr(traces, "_language", no_language)
+        assert gt == parsed and parsed == gt
+        assert hash(gt) == hash(parsed)
+        (allowed,) = gt.steps
+        (parsed_allowed,) = parsed.steps
+        assert allowed == parsed_allowed and parsed_allowed == allowed
+        twin = pickle.loads(pickle.dumps(gt))
+        assert twin.gaps == gt.gaps and twin == gt and hash(twin) == hash(gt)
+
+    def test_pickle_holds_only_the_fields(self):
+        allowed = OutputWordSet(*[frozenset({(), (1,), (2,)})] * 8)
+        size = len(pickle.dumps(allowed))
+        assert len(allowed.words) == 2**9 - 1 and hash(allowed)  # words over {1, 2} of length <= 8
+        assert len(pickle.dumps(allowed)) == size
+        twin = pickle.loads(pickle.dumps(allowed))
+        assert set(vars(twin)) == {"factors", "includes_epsilon"}
+        assert twin == allowed and hash(twin) == hash(allowed)
 
     def test_needs_a_real_word(self):
         with pytest.raises(ValueError):
