@@ -73,7 +73,8 @@ generalized trace is kept in that form, its inputs and its gaps, so
 neither interpreter builds an input step or output set for the steps of
 a run.  In the check mode a read decides the
 gap it closes and opens the next one, by one bit-parallel pass over the
-gap's word (shift-and, Baeza-Yates and Gonnet, CACM 1992): a table maps
+gap's word, the shift-and (Baeza-Yates and Gonnet, CACM 1992) that
+`traces.spells` runs too: a table from `traces` maps
 each of the word's values to the places it holds there, as bits, and each
 write moves the set of places the gap's writes so far can have reached on
 from the values it takes and whether it may print nothing.  No factor or
@@ -109,7 +110,7 @@ from .syntax import (
     WriteOutput,
     _Record,
 )
-from .traces import GeneralizedTrace, Trace
+from .traces import GeneralizedTrace, Trace, _positions
 
 
 class GenerationLimits(_Record):
@@ -269,18 +270,6 @@ def _not_an_action(message):
     raise TypeError(message)
 
 
-def _positions(word) -> tuple[dict, int]:
-    """The check mode's table for a word of two or more values: `at[v]`
-    has bit len(word) - j set for each place j where the word holds v, and
-    the state that goes with it, all len(word) values still to print."""
-    at: dict = {}
-    bit = ends = 1 << len(word)
-    for value in word:
-        at[value] = at.get(value, 0) | bit
-        bit >>= 1
-    return at, ends
-
-
 def too_deep() -> SpecStructureError:
     return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
@@ -321,7 +310,9 @@ class _Compiler:
     that holds it (`nothing`, an empty dict, for the empty word), and a
     write keeps the bits of `ends` that one of its values can take on by
     one, shifted down, together with the old bits when it may print
-    nothing; it builds nothing.  `wrote` tells whether the gap has a
+    nothing; it builds nothing.  For a word of two or more values the
+    table comes from `positions`, which is `traces._positions`, the
+    table `spells` runs on.  `wrote` tells whether the gap has a
     write, which adds a step.  These and `ok` are locals of `run`, and
     each loop declares them `nonlocal` too.
 

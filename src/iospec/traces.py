@@ -34,9 +34,9 @@ the inputs agree and that each gap can print its word
 the harness hands a recorded run's own gaps to the same check, with no
 normalized trace in between.
 `semantics.accept` reaches the same verdict with no generalized trace:
-its compiled run checks each gap's word as it closes the gap, with a
-bit-parallel pass of its own over the word that builds no factor and
-never calls `spells`.
+its compiled run checks each gap's word as it closes the gap, by the
+same shift-and pass over the word as `spells`, on the table `_positions`
+builds, with no factor built.
 
 The text format is read by `parser`'s token cursor, given this module's
 token pattern and grammar; as in a specification, an error is reported
@@ -146,35 +146,39 @@ def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
     return frozenset(words)
 
 
+def _positions(word) -> tuple[dict, int]:
+    """The shift-and table for `word`: `at[v]` has bit len(word) - j set
+    for each place j where the word holds v, and the state that goes with
+    it, all len(word) values still to print."""
+    at: dict = {}
+    bit = ends = 1 << len(word)
+    for value in word:
+        at[value] = at.get(value, 0) | bit
+        bit >>= 1
+    return at, ends
+
+
 def spells(factors, word: Word) -> bool:
     """Is the tuple `word` in the concatenation of `factors`, a sequence
     of collections of words?  Never builds the concatenation."""
     if len(factors) == 1:
         return word in factors[0]
-    # A dynamic program over the positions of `word`, all at once: bit i
-    # of `ends` is set when the factors so far can spell word[:i].  For
-    # each length of the factors' words, one slide over `word` maps every
-    # piece of it of that length to the positions it starts at, as bits.
-    starts: dict[int, dict[Word, int]] = {}
-    ends = 1
+    # Shift-and over the positions of `word`, all at once: bit k of `ends`
+    # is set when the factors so far can have left exactly the last k
+    # values of `word` unprinted.  A factor's word carries the bits through
+    # its values one by one; the empty word keeps them all.
+    at, ends = _positions(word)
     for factor in factors:
         spelled = 0
         for w in factor:
-            size = len(w)
-            if not size:  # the empty word keeps every end
-                spelled |= ends
-                continue
-            at = starts.get(size)
-            if at is None:
-                at = starts[size] = {}
-                for i in range(len(word) - size + 1):
-                    piece = word[i:i + size]
-                    at[piece] = at.get(piece, 0) | 1 << i
-            spelled |= (ends & at.get(w, 0)) << size
+            reached = ends
+            for value in w:
+                reached = (reached & at.get(value, 0)) >> 1
+            spelled |= reached
         ends = spelled
         if not ends:
             return False
-    return bool(ends >> len(word) & 1)
+    return bool(ends & 1)
 
 
 class OutputWordSet(_Record):
@@ -253,11 +257,6 @@ class OutputWordSet(_Record):
     def __getstate__(self) -> dict:
         # Only the fields: `words` and the hash are rebuilt on demand.
         return {name: self.__dict__[name] for name in self.__match_args__}
-
-    def __setstate__(self, state) -> None:
-        # Keeps only the fields.  A pickle from when the class had slots holds (None, slots).
-        fields = state[1] if isinstance(state, tuple) else state
-        self.__dict__.update({name: fields[name] for name in self.__match_args__})
 
     @functools.cached_property
     def _invariants(self) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from iospec.cli import _join_ranges, build_arg_parser, main
+from iospec.traces import spells
 
 from conftest import DATA_DIR, FIXTURES_DIR
 
@@ -311,6 +312,40 @@ class TestTest:
         assert code == 1
         assert "Expected run (example):" in out
         assert "generalized" not in out
+
+    def test_two_writes_per_gap(self, capsys, tmp_path, monkeypatch):
+        # every gap after the first holds two writes, so each recorded
+        # word is checked against a product of two factors by `spells`
+        calls = []
+
+        def counted(factors, word):
+            calls.append(word)
+            return spells(factors, word)
+
+        monkeypatch.setattr("iospec.traces.spells", counted)
+        text = Path(SUM_SPEC_FILE).read_text()
+        text = text.replace(
+            "write { eps, n_C - len(x_A) }",
+            "write { eps, n_C - len(x_A) }\n    write { eps, len(x_A) }",
+        ) + "write { eps, len(x_A) }\n"
+        good = tmp_path / "two_writes.iospec"
+        good.write_text(text)
+        bad = tmp_path / "two_writes_off.iospec"
+        bad.write_text(text.replace("write { sum(x_A) }", "write { sum(x_A) + 1 }"))
+        argv = ["--program", sys.executable,
+                "--args", str(FIXTURES_DIR / "sum_progress_prog.py"),
+                "--tests", "3", "--quiescence", "30"]
+        code, out, _ = run_cli(capsys, "test", str(good), *argv)
+        assert code == 0
+        assert out.strip() == "+++ OK, passed 3 tests."
+        assert calls
+        code, out, _ = run_cli(capsys, "test", str(bad), *argv, "--format", "machine")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert "verdict=Falsified" in lines
+        assert "inputs=1,1" in lines
+        assert "error=OutputMismatch" in lines
+        assert "allowed={2, <2 1>}" in lines
 
     def test_generation_stuck_exit_2(self, capsys, tmp_path):
         stuck = tmp_path / "stuck.iospec"
