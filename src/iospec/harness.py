@@ -40,9 +40,9 @@ from .traces import (
     GenStep,
     In,
     OutputMismatch,
+    OutputWordSet,
     Trace,
     _cover,
-    _gap_set,
     render_trace,
 )
 
@@ -193,7 +193,7 @@ def _render_gen_step(step: GenStep | None) -> str:
 
 def _example_run(gt: GeneralizedTrace) -> Trace:
     # one valid run: the smallest real word of every output gap
-    words = [_gap_set(gap).smallest_word() if gap else () for gap in gt.gaps]
+    words = [OutputWordSet._of(gap).smallest_word() if gap else () for gap in gt.gaps]
     return Trace._of(gt.input_values, tuple(words))
 
 

@@ -365,13 +365,13 @@ class _Run:
         return True
 
     def finish(self, kind: ExitKind, detail: str = "") -> RunOutcome:
-        # The program leads its own process group; whatever it started is
-        # killed with it, before reaping it frees the group's id.
+        # The program leads its own session, so it cannot leave its process
+        # group; whatever it started is killed with it, before reaping it
+        # frees the group's id.
         try:
             os.killpg(self.proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        self.proc.kill()  # in case it left its group
         self.proc.wait()
         # Inputs whose whole line is still in the pipe were never read: the
         # output after the last one read all falls in the final gap.

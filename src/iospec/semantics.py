@@ -60,25 +60,12 @@ run goes, and builds no gaps to walk afterwards.  Same verdict as
 covers∘interpret, and the same errors: the check mode runs every
 statement the gaps mode runs, in the same order.
 
-A read is compiled inline, and closes the output gap before it.  In the
-gaps mode a compiled write yields only its factor, the distinct words it
-may emit: a tuple for a write of one value, whose words cannot
-coincide, and a frozenset, which drops equal ones, for a write of more.
-The gap is the tuple of the factors written since the previous read, or
-() where nothing was.  A read takes the next of the values its run is
-given, and past them calls the run's `draw` with its position and
-domain: a sampled run is given no values and draws each, and `interpret`
-and `accept` pass a `draw` that raises InputsExhaustedError.  A
-generalized trace is kept in that form, its inputs and its gaps, so
-neither interpreter builds an input step or output set for the steps of
-a run.  In the check mode a read decides the
-gap it closes and opens the next one, by one bit-parallel pass over the
-gap's word, the shift-and (Baeza-Yates and Gonnet, CACM 1992) that
-`traces.spells` runs too: a table from `traces` maps
-each of the word's values to the places it holds there, as bits, and each
-write moves the set of places the gap's writes so far can have reached on
-from the values it takes and whether it may print nothing.  No factor or
-tuple is built, whatever the word's length.
+How a read takes its value and closes the output gap before it, the
+forms a write's factor takes, and the check mode's pass over each gap's
+word are told once, at the code: in the `_Compiler` docstring and in
+`_Compiler.write`.  A generalized trace is kept as its inputs and its
+gaps, so neither interpreter builds an input step or output set for the
+steps of a run.
 """
 
 from __future__ import annotations
@@ -302,10 +289,13 @@ class _Compiler:
     `draw` bound in its namespace that raises InputsExhaustedError, and
     checks each gap against `words[i]`, the word the trace prints there,
     as the run goes: `ok` turns False at the first gap whose writes cannot
-    print its word.  A read closes its gap and opens the next.  Bit k of
-    `ends` is set when the gap's writes so far can have left exactly the
-    last k values of its word unprinted, so a gap opens with bit len(w)
-    alone and is spelled when bit 0 is set as it closes.
+    print its word.  A read closes its gap and opens the next.  The check
+    is the shift-and of Baeza-Yates and Gonnet (CACM 1992) that
+    `traces.spells` runs too, one bit-parallel pass over the gap's word
+    with no factor or tuple built.  Bit k of `ends` is set when the gap's
+    writes so far can have left exactly the last k values of its word
+    unprinted, so a gap opens with bit len(w) alone and is spelled when
+    bit 0 is set as it closes.
     `at` maps each value of the word to bit len(w) - j for each place j
     that holds it (`nothing`, an empty dict, for the empty word), and a
     write keeps the bits of `ends` that one of its values can take on by

@@ -49,8 +49,11 @@ class _Record:
     them, and calls ``__post_init__`` if the class has one, so Python's own
     argument binding supplies the defaults and the ``TypeError``s.  An
     instance compares and hashes as its class and field values and rejects
-    assignment.  Unlike a dataclass, whose decorator execs the source of
-    several methods per class, a subclass gets only that one function.
+    assignment.  It pickles and copies as its fields only, so what else an
+    instance keeps in its ``__dict__``, a cache such as a specification's
+    compiled code, is built afresh on the other side.  Unlike a dataclass,
+    whose decorator execs the source of several methods per class, a
+    subclass gets only that one function.
 
     A subclass that defines its own ``__init__`` keeps it; that stores the
     fields through ``self.__dict__``, and the generated initializer becomes
@@ -103,6 +106,11 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        # The fields alone: anything else kept on an instance is a cache.
+        fields = self.__dict__
+        return {name: fields[name] for name in self.__match_args__}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -253,11 +261,6 @@ class Spec(_Record):
             else:
                 actions.append(item)
         object.__setattr__(self, "actions", tuple(actions))
-
-    def __getstate__(self) -> dict:
-        # The interpreters keep a specification's compiled code on it; a
-        # pickle or copy carries the fields alone and compiles afresh.
-        return {"actions": self.actions}
 
     def __iter__(self) -> Iterator:
         return iter(self.actions)

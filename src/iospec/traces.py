@@ -9,30 +9,32 @@ and the next began.
 
 The set of back-to-back writes is the concatenation of each write's set,
 which grows exponentially in the number of writes.  An `OutputWordSet`
-therefore keeps the factors of that concatenation and answers membership
-with a pass over them (`spells`).  Hashing uses invariants of the language
-that the factors give in closed form; only `words` builds the whole set,
-and so does equality between differently factored sets that agree on
-those invariants.  Rendering decides from the factors whether a set
-prints as one brace group or in product form, and builds words only when
-the factors' longest words alone leave it within RENDER_LIMIT words.
+therefore keeps the factors of that concatenation as its one field, and
+answers membership with a pass over them (`spells`).  The rest is derived
+from the factors: whether the set holds the empty word
+(`includes_epsilon`), and a hash of invariants of the language that the
+factors give in closed form; only `words` builds the whole set, and so
+does equality between differently factored sets that agree on those
+invariants.  Rendering decides from the factors whether a set prints as
+one brace group or in product form, and builds words only when the
+factors' longest words alone leave it within RENDER_LIMIT words.
 
 Both kinds of trace, like an `OutputWordSet`, are frozen records
 (`syntax._Record`): their fields are their `input_values` and their output
 `gaps`, one before each input and one after the last, and they build
 their `steps` only on demand.  A `Trace` keeps in each gap the word
 printed there, and a `GeneralizedTrace` the factors of the writes run
-there (a compiled write yields only its factor, its distinct words);
-either is () where nothing is.  A factor is any collection of distinct
-words that answers `in`, iteration and `len`: the parser and
-`OutputWordSet(...)` build frozensets, while a compiled one-value write
-and `normalize` build tuples, which are cheaper to make and which the
-cyclic collector stops tracking.  Only `words` and equality depend on
-the type, and both look at a factor as a set.  Covering then means that
-the inputs agree and that each gap can print its word
-(`first_uncovered`).  `covers` reads those words off a normalized trace;
-the harness hands a recorded run's own gaps to the same check, with no
-normalized trace in between.
+there (a compiled write yields only its factor, its distinct words), from
+which `OutputWordSet._of(gap)` makes the gap's set; either is () where
+nothing is.  A factor is any collection of distinct words that answers
+`in`, iteration and `len`: the parser and `OutputWordSet(...)` build
+frozensets, while a compiled one-value write and `normalize` build
+tuples, which are cheaper to make and which the cyclic collector stops
+tracking.  Only `words` and equality depend on the type, and both look
+at a factor as a set.  Covering then means that the inputs agree and
+that each gap can print its word (`first_uncovered`).  `covers` reads
+those words off a normalized trace; the harness hands a recorded run's
+own gaps to the same check, with no normalized trace in between.
 `semantics.accept` reaches the same verdict with no generalized trace:
 its compiled run checks each gap's word as it closes the gap, by the
 same shift-and pass over the word as `spells`, on the table `_positions`
@@ -184,21 +186,22 @@ def spells(factors, word: Word) -> bool:
 class OutputWordSet(_Record):
     """Words allowed at one output position; must allow some real output.
 
-    The set is kept as a product: a tuple of factors, each a non-empty
-    collection of distinct words (the empty word included), whose
-    concatenation is the set.  An explicit set is one factor,
-    ``OutputWordSet(words)``; ``OutputWordSet(f1, f2, ...)`` is the
-    product of several, each made a frozenset, and
-    ``OutputWordSet._of(factors, includes_epsilon)`` takes the fields,
-    unchecked, so its factors may also be tuples (see the module notes).
-    Fusing k writes of a few values each keeps k small factors where the
-    concatenated set has exponentially many words, so membership,
-    `includes_epsilon` and `smallest_word` work on the factors.  `words`
-    is the materialized set, a frozenset whatever the factors, built on
-    first use and kept in the instance, as is the hash; a pickle holds
-    the fields alone.  Printing decides its form from the factors (see
-    `_render_factors`) and builds words, up to RENDER_LIMIT + 1 of them,
-    only for a set that may print as one group.
+    The set is kept as a product: its one field, `factors`, is a tuple of
+    factors, each a non-empty collection of distinct words (the empty
+    word included), whose concatenation is the set.  An explicit set is
+    one factor, ``OutputWordSet(words)``; ``OutputWordSet(f1, f2, ...)``
+    is the product of several, each made a frozenset, and
+    ``OutputWordSet._of(factors)`` takes the factors, unchecked, so they
+    may also be tuples (see the module notes).  Fusing k writes of a few
+    values each keeps k small factors where the concatenated set has
+    exponentially many words, so membership, `includes_epsilon` and
+    `smallest_word` work on the factors.  `includes_epsilon` (every
+    factor holds the empty word), `words`, the materialized set, a
+    frozenset whatever the factors, and the hash are derived on first use
+    and kept in the instance; a pickle holds the factors alone.  Printing
+    decides its form from the factors (see `_render_factors`) and builds
+    words, up to RENDER_LIMIT + 1 of them, only for a set that may print
+    as one group.
 
     Equality and hashing compare languages, whatever the factors.  The
     hash covers invariants every factoring of a language shares, computed
@@ -213,7 +216,6 @@ class OutputWordSet(_Record):
     """
 
     factors: tuple
-    includes_epsilon: bool
 
     def __init__(self, *factors) -> None:
         factors = tuple([frozenset(map(tuple, f)) for f in factors])
@@ -221,7 +223,11 @@ class OutputWordSet(_Record):
             raise ValueError("output word set needs non-empty factors")
         if not any(w for f in factors for w in f):
             raise ValueError("output word set needs a non-empty word")
-        self.__dict__.update(factors=factors, includes_epsilon=all(EPSILON in f for f in factors))
+        self.__dict__["factors"] = factors
+
+    @functools.cached_property
+    def includes_epsilon(self) -> bool:
+        return all([EPSILON in f for f in self.factors])
 
     @functools.cached_property
     def words(self) -> frozenset[Word]:
@@ -254,10 +260,6 @@ class OutputWordSet(_Record):
     def __hash__(self) -> int:
         return self._invariants
 
-    def __getstate__(self) -> dict:
-        # Only the fields: `words` and the hash are rebuilt on demand.
-        return {name: self.__dict__[name] for name in self.__match_args__}
-
     @functools.cached_property
     def _invariants(self) -> int:
         return hash((
@@ -284,11 +286,6 @@ GenStep = Union[In, OutputWordSet]
 
 # The factors of the writes run in one output gap, or () where none ran.
 Gap = tuple
-
-
-def _gap_set(gap: Gap) -> OutputWordSet:
-    """The output set a non-empty gap allows, as a trace step."""
-    return OutputWordSet._of(gap, all([EPSILON in f for f in gap]))
 
 
 class GeneralizedTrace(_Steps, _Record):
@@ -328,10 +325,10 @@ class GeneralizedTrace(_Steps, _Record):
         steps: list[GenStep] = []
         for gap, value in zip(self.gaps, self.input_values):
             if gap:
-                steps.append(_gap_set(gap))
+                steps.append(OutputWordSet._of(gap))
             steps.append(In(value))
         if self.gaps[-1]:
-            steps.append(_gap_set(self.gaps[-1]))
+            steps.append(OutputWordSet._of(self.gaps[-1]))
         return tuple(steps)
 
     def __eq__(self, other) -> bool:
@@ -342,12 +339,13 @@ class GeneralizedTrace(_Steps, _Record):
         )
 
     def __hash__(self) -> int:
-        return hash((self.input_values, tuple([_gap_set(g) if g else None for g in self.gaps])))
+        sets = tuple([OutputWordSet._of(g) if g else None for g in self.gaps])
+        return hash((self.input_values, sets))
 
 
 def _same_gap(a: Gap, b: Gap) -> bool:
     """Do the two gaps allow the same words?"""
-    return _same_factors(a, b) or bool(a) and bool(b) and _gap_set(a) == _gap_set(b)
+    return a == b or bool(a) and bool(b) and OutputWordSet._of(a) == OutputWordSet._of(b)
 
 
 def normalize(trace: Trace) -> GeneralizedTrace:
@@ -489,10 +487,10 @@ def _mismatch(gt, got: tuple, words, k: int) -> CoverageResult:
     gap, word = gt.gaps[k], words[k]
     position = _position(words, k)
     if gap and word:
-        return OutputMismatch(word, _gap_set(gap), position)
+        return OutputMismatch(word, OutputWordSet._of(gap), position)
     if gap:  # an unskippable set facing the next input or the end
-        return AlignmentMismatch(_gap_set(gap), _input(got, k), position)
-    return AlignmentMismatch(_input(gt.input_values, k), _gap_set(((word,),)), position)
+        return AlignmentMismatch(OutputWordSet._of(gap), _input(got, k), position)
+    return AlignmentMismatch(_input(gt.input_values, k), OutputWordSet._of(((word,),)), position)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +570,7 @@ def render_trace(trace: Trace | GeneralizedTrace) -> str:
         if gap:
             append("!" + _render_factors(gap))
     else:
-        for word, value in zip(trace.gaps, trace.input_values):
-            for v in word:
-                append(f"!{v}")
-            append(f"?{value}")
-        for v in trace.gaps[-1]:
-            append(f"!{v}")
+        parts += map(str, trace.steps)
     append("stop")
     return " ".join(parts)
 

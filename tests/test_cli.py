@@ -414,6 +414,16 @@ class TestTest:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "test", SUM_SPEC_FILE)
         assert code == 2
+        code, out, err = run_cli(capsys, "test", SUM_SPEC_FILE, "--program", sys.executable,
+                                 "--timeout", "0")
+        assert (code, out, err) == (2, "", "error: need timeout > 0 and quiescence window > 0\n")
+        code, out, err = run_cli(capsys, "test", SUM_SPEC_FILE, "--program", "/nonexistent/prog")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot start '/nonexistent/prog': ")
+        code, out, err = run_cli(capsys, "test", SUM_SPEC_FILE, "--program", sys.executable,
+                                 "--int-range", "5")
+        assert (code, out) == (2, "")
+        assert err.endswith("argument --int-range: expected LO..HI, got '5'\n")
 
     def test_unparsable_output_names_the_protocol_error(self, capsys, tmp_path):
         spec = tmp_path / "thousand.iospec"

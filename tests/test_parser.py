@@ -276,6 +276,11 @@ class TestRendering:
         assert render_term(Apply("+", (IntConst(1),))) == "+(1)"
         assert render_term(Apply("-", (CurrentVar("x"),))) == "-(x_C)"
         assert render_term(Apply("not", (IntConst(1), IntConst(2)))) == "not(1, 2)"
+        # a value that is no node at all has no text
+        with pytest.raises(TypeError, match="not a term"):
+            render_term(object())
+        with pytest.raises(TypeError, match="not an action"):
+            render_spec(Spec((object(),)))
 
     def test_right_nested_subtraction_keeps_parens(self):
         t = Apply("-", (IntConst(1), Apply("-", (IntConst(2), IntConst(3)))))

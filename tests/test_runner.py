@@ -412,3 +412,18 @@ class TestContainment:
         finally:
             if not _ended_within(pid, 0):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_interrupted_run_reaps_its_child_then_propagates(self, monkeypatch):
+        # a leaked pipe or unreaped child would fail this test with a ResourceWarning
+        runs = []
+
+        def interrupted(run, last):
+            runs.append(run)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner._Run, "await_turn", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_subprocess(_cfg("sum_prog.py"), [1])
+        (run,) = runs
+        assert run.proc.returncode is not None
+        assert run.proc.stdin.closed and run.proc.stdout.closed and run.proc.stderr.closed

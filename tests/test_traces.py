@@ -368,6 +368,7 @@ class TestGeneralizedTrace:
         ]:
             assert one != different and different != one
         assert one != one.steps
+        assert (OutputWordSet({(1,)}) == 1) is False
 
     def test_frozen_and_checked(self):
         gt = GeneralizedTrace((In(1),))
@@ -696,7 +697,7 @@ class TestLazySets:
         assert len(allowed.words) == 2**9 - 1 and hash(allowed)  # words over {1, 2} of length <= 8
         assert len(pickle.dumps(allowed)) == size
         twin = pickle.loads(pickle.dumps(allowed))
-        assert set(vars(twin)) == {"factors", "includes_epsilon"}
+        assert set(vars(twin)) == {"factors"}
         assert twin == allowed and hash(twin) == hash(allowed)
 
     def test_needs_a_real_word(self):
