@@ -16,13 +16,13 @@ translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function holding the variable histories as local
 lists, oldest value first, and each loop a function defined inside it that
 shares them: a branch is an `if`, a loop a `for` over its allowed rounds,
-an exit a `break`, and a term an inline expression.  It comes in two
-modes: the gaps mode, which generates traces, and the check mode, which
-`accept` runs.  Each is compiled the first time a specification object
-is run in that mode with a registry (a few tenths of a millisecond for
-`tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that object
-for its lifetime; a copy or an equal tree compiles its own.  Compiling
-reads nothing of the run: the limits and the inputs belong to each call.
+an exit a `break`, and a term an inline expression.  The one run serves
+`interpret`, sampling and `accept`.  It is compiled the first time a
+specification object is run with a registry (a few tenths of a millisecond
+for `tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that
+object for its lifetime; a copy or an equal tree compiles its own.
+Compiling reads nothing of the run: the limits and the inputs belong to
+each call.
 
 Terms are translated, not walked.  The compiler turns a term, against
 its registry, into one Python expression over the local histories:
@@ -36,9 +36,8 @@ value a round costs no copy each round.  No text from the tree reaches
 the source.  Every value taken from it (variable names, constants,
 registry functions, error messages) is bound in the code's namespace
 under a generated name, so a variable called ``"x; import os"`` is one
-more history.  In the gaps mode a write becomes an expression for its
-bare factor: the distinct words it may emit, with no output set built
-around it.
+more history.  A write becomes an expression for its bare factor: the
+distinct words it may emit, with no output set built around it.
 
 Compiling never fails on a bad term or action.  An unknown function or a
 value that is not a term becomes a call raising `EvalError`, and an exit
@@ -54,18 +53,16 @@ never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
 inputs produce.  A trace is stored as its inputs and one output word per
 gap (the outputs before each input, then those after the last); `accept`
-runs the specification on those inputs to the end in the check mode,
-which checks each gap's word against the writes run in that gap as the
-run goes, and builds no gaps to walk afterwards.  Same verdict as
-covers∘interpret, and the same errors: the check mode runs every
-statement the gaps mode runs, in the same order.
+runs the specification on those inputs to the end, as `interpret` does,
+and hands the run's gaps and the trace's words to
+`traces.first_uncovered`, the check `covers` makes, with no generalized
+trace and no mismatch built.  So it raises what `interpret` raises.
 
-How a read takes its value and closes the output gap before it, the
-forms a write's factor takes, and the check mode's pass over each gap's
-word are told once, at the code: in the `_Compiler` docstring and in
-`_Compiler.write`.  A generalized trace is kept as its inputs and its
-gaps, so neither interpreter builds an input step or output set for the
-steps of a run.
+How a read takes its value and closes the output gap before it, and the
+forms a write's factor takes, are told once, at the code: in the
+`_Compiler` docstring and in `_Compiler.write`.  A generalized trace is
+kept as its inputs and its gaps, so neither interpreter builds an input
+step or output set for the steps of a run.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ from .syntax import (
     WriteOutput,
     _Record,
 )
-from .traces import GeneralizedTrace, Trace, _positions
+from .traces import GeneralizedTrace, Trace, first_uncovered
 
 
 class GenerationLimits(_Record):
@@ -261,66 +258,48 @@ def too_deep() -> SpecStructureError:
     return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
 
+# A variable's current value until its first read.
+_UNSET = object()
+
+
 class _Compiler:
-    """Python source for a specification over one registry, in one of two
-    modes, and the namespace that source runs in.
+    """Python source for a specification over one registry, and the
+    namespace that source runs in.
 
-    The top level is the function `run`.  In the gaps mode, which
-    generates traces, it is `run(values, draw, max_rounds, max_steps)`,
-    returning the run's gaps.  A read takes the next of the fixed
-    `values`, checking its domain unless that is `ints`, or, once they are
-    used up, what `draw(i, domain)` returns or raises.  It closes the
-    output gap before it, raises once the trace has grown past `max_steps`
-    steps, and appends the value to the history; the counters `i` (inputs
-    read) and `steps` are locals of `run`.  So are `pending`, the factors
-    of the writes since the last read, and `gaps` with its `append` as
-    `close`: a read closes its gap as the tuple of `pending`, and the run
-    closes the last gap itself before it returns `gaps`.  `max_rounds` is
-    the call's limit on a loop's rounds.  The histories are local lists of
-    `run`.  Each loop is a function without parameters defined at the top
-    of `run`, sharing all of these (it declares the counters `nonlocal`),
-    so that no function nests loops (CPython allows only 20 nested
-    blocks); its body runs under `for _ in range(max_rounds)`, whose
-    `else` raises.  A branch is an `if` and an exit is a `break`.
-
-    The check mode, which `accept` runs, is `run(values, words,
-    max_rounds, max_steps)`, returning `(i, ok)`.  It runs the statements
-    of the gaps mode in the same order, terms and checks alike, with a
-    `draw` bound in its namespace that raises InputsExhaustedError, and
-    checks each gap against `words[i]`, the word the trace prints there,
-    as the run goes: `ok` turns False at the first gap whose writes cannot
-    print its word.  A read closes its gap and opens the next.  The check
-    is the shift-and of Baeza-Yates and Gonnet (CACM 1992) that
-    `traces.spells` runs too, one bit-parallel pass over the gap's word
-    with no factor or tuple built.  Bit k of `ends` is set when the gap's
-    writes so far can have left exactly the last k values of its word
-    unprinted, so a gap opens with bit len(w) alone and is spelled when
-    bit 0 is set as it closes.
-    `at` maps each value of the word to bit len(w) - j for each place j
-    that holds it (`nothing`, an empty dict, for the empty word), and a
-    write keeps the bits of `ends` that one of its values can take on by
-    one, shifted down, together with the old bits when it may print
-    nothing; it builds nothing.  For a word of two or more values the
-    table comes from `positions`, which is `traces._positions`, the
-    table `spells` runs on.  `wrote` tells whether the gap has a
-    write, which adds a step.  These and `ok` are locals of `run`, and
-    each loop declares them `nonlocal` too.
+    The top level is the function `run(values, draw, max_rounds,
+    max_steps)`, returning the run's gaps.  A read takes the next of the
+    fixed `values`, checking its domain unless that is `ints`, or, once
+    they are used up, what `draw(i, domain)` returns or raises.  It closes
+    the output gap before it, raises once the trace has grown past
+    `max_steps` steps, and appends the value to the history; the counters
+    `i` (inputs read) and `steps` are locals of `run`.  So are `pending`,
+    the factors of the writes since the last read, and `gaps` with its
+    `append` as `close`: a read closes its gap as the tuple of `pending`,
+    and the run closes the last gap itself before it returns `gaps`.
+    `max_rounds` is the call's limit on a loop's rounds.  The histories
+    are local lists of `run`, and beside each history a local holds the
+    variable's current value, the last value read into it, or `unset`
+    before its first read, so a current-value use reads one local.  Each
+    loop is a function without parameters defined at the top of `run`,
+    sharing all of these (it declares the counters and the current values
+    `nonlocal`), so that no function nests loops (CPython allows only 20
+    nested blocks); its body runs under `for _ in range(max_rounds)`,
+    whose `else` raises.  A branch is an `if` and an exit is a `break`.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
     is the local holding the history of variable number i (whose name is
-    bound as `n<i>`), `u<k>` holds the k-th value of a write in the check
-    mode and `u0` that of a one-value write in the gaps mode, any other
-    letter followed by a number is a value bound in the namespace (a
-    read's domain is `d<k>`), `v` holds the value a read takes, `w` the
-    word of the gap a read opens, and the remaining names are `run`'s
+    bound as `n<i>`) and `c<i>` the local holding its current value, `u0`
+    holds the value of a one-value write, any other letter followed by a
+    number is a value bound in the namespace (a read's domain is `d<k>`),
+    `v` holds the value a read takes, and the remaining names are `run`'s
     parameters and locals and the run-time helpers below.
     """
 
-    def __init__(self, registry: FunctionRegistry, check: bool = False) -> None:
+    def __init__(self, registry: FunctionRegistry) -> None:
         self.registry = registry
-        self.check = check
         self.namespace = {
             "unbound": _unbound,
+            "unset": _UNSET,
             "fail": _fail,
             "too_many_rounds": _too_many_rounds,
             "orphan_exit": _orphan_exit,
@@ -328,32 +307,25 @@ class _Compiler:
             "rejected": _rejected,
             "too_long": _too_long,
         }
-        if check:
-            self.namespace.update(positions=_positions, nothing={}, draw=_exhausted)
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
 
     def compile(self, spec: Spec) -> Callable:
         body = self.block(spec.actions, 0, False, "    ")
-        if self.check:
-            parts = ["def run(values, words, max_rounds, max_steps):",
-                     "    count = len(values)", "    i = steps = 0",
-                     "    ok = True", "    wrote = False", *self.open_gap("    ")]
-            shared = "i, steps, ok, wrote, at, ends"
-            body += [*self.check_gap("    "), "    return i, ok"]
-        else:
-            parts = ["def run(values, draw, max_rounds, max_steps):",
-                     "    count = len(values)", "    i = steps = 0", "    gaps = []",
-                     "    close = gaps.append", "    pending = []"]
-            shared = "i, steps"
-            body += ["    close(tuple(pending))", "    return gaps"]
-        parts += [f"    h{i} = []" for i in self.variables.values()]
+        numbers = self.variables.values()
+        parts = ["def run(values, draw, max_rounds, max_steps):",
+                 "    count = len(values)", "    i = steps = 0", "    gaps = []",
+                 "    close = gaps.append", "    pending = []"]
+        parts += [f"    h{i} = []" for i in numbers]
+        parts += [f"    c{i} = unset" for i in numbers]
+        shared = ", ".join(["i", "steps", *[f"c{i}" for i in numbers]])
         for name, loop_body in self.loops:
             parts += [f"    def {name}():", f"        nonlocal {shared}",
                       "        for _ in range(max_rounds):", *loop_body,
                       "        else:", "            too_many_rounds(max_rounds)"]
-        source = "\n".join(parts + body) + "\n"
+        parts += body + ["    close(tuple(pending))", "    return gaps"]
+        source = "\n".join(parts) + "\n"
         exec(compile(source, "<iospec generated>", "exec"), self.namespace)
         return self.namespace["run"]
 
@@ -367,7 +339,8 @@ class _Compiler:
 
     def variable(self, name) -> int:
         """The number of the named variable: its history is the local
-        `h<i>`, its name bound as `n<i>`."""
+        `h<i>` and its current value the local `c<i>`, its name bound as
+        `n<i>`."""
         i = self.variables.get(name)
         if i is None:
             i = self.variables[name] = next(self._ids)
@@ -384,7 +357,7 @@ class _Compiler:
             return self.bind(term.value)
         if isinstance(term, CurrentVar):
             i = self.variable(term.name)
-            return f"(h{i}[-1] if h{i} else unbound(n{i}))"
+            return f"(c{i} if c{i} is not unset else unbound(n{i}))"
         if isinstance(term, AllVar):
             return f"list({self.history(term.name)})"
         if isinstance(term, Apply):
@@ -407,90 +380,48 @@ class _Compiler:
 
     def read(self, read: ReadInput, pad: str) -> list[str]:
         """A read: take the next given value and check its domain, or else
-        call `draw`, close the gap before it, count its steps, append the
-        value to its history, and in check mode open the next gap."""
+        call `draw`, close the gap before it, count its steps, and keep
+        the value in its history and as its variable's current value."""
         domain = self.bind(read.domain, "d")
+        i = self.variable(read.var)
         take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
         # every value is an integer: no check for the common domain
         if type(read.domain) is not Integers:
             take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
-        # `2 if wrote else 1`: `1 + wrote` misses CPython's int fast path
-        if self.check:
-            close = [*self.check_gap(pad), f"{pad}steps += 2 if wrote else 1",
-                     f"{pad}wrote = False"]
-        else:
-            close = [f"{pad}steps += 2 if pending else 1", f"{pad}close(tuple(pending))",
-                     f"{pad}pending.clear()"]
         return [
             *take,
             f"{pad}else:",
             f"{pad}    v = draw(i, {domain})",
-            *close,
+            # `2 if pending else 1`: `1 + bool(pending)` misses CPython's
+            # int fast path
+            f"{pad}steps += 2 if pending else 1",
+            f"{pad}close(tuple(pending))",
+            f"{pad}pending.clear()",
             f"{pad}if steps > max_steps: too_long(max_steps)",
-            f"{pad}{self.history(read.var)}.append(v)",
+            f"{pad}h{i}.append(v)",
+            f"{pad}c{i} = v",
             f"{pad}i += 1",
-            *(self.open_gap(pad) if self.check else ()),
         ]
 
     def write(self, write: WriteOutput, level: int, pad: str) -> list[str]:
-        """A write.  In the gaps mode, its factor appended to `pending`: the
-        one-value words of its values, with the empty word when it is
-        skippable.  A write of one value, the common case, has distinct
-        words, so its factor is the tuple `((), (u0,))` or `((u0,),)`,
-        which costs about a third of a frozenset to build and which the
-        cyclic collector stops tracking; the value is hashed first, so an
-        unhashable one raises as a frozenset would.  A write of more
-        values keeps a frozenset, as two of them may be equal.  In the
-        check mode its values are taken first, left to right, into `u<k>`,
-        then looked up in `at`, which hashes each, so an unhashable one
-        raises as building the factor would.  `ends` keeps the places that
-        one of the values moves on by one, shifted down, and also its old
-        places when the write may print nothing."""
+        """A write: its factor appended to `pending`, the one-value words
+        of its values, with the empty word when it is skippable.  A write
+        of one value, the common case, has distinct words, so its factor
+        is the tuple `((), (u0,))` or `((u0,),)`, which costs about a third
+        of a frozenset to build and which the cyclic collector stops
+        tracking; the value is hashed first, so an unhashable one raises
+        as a frozenset would.  A write of more values keeps a frozenset,
+        as two of them may be equal."""
         values = [self.term(t, level) for t in write.terms]
         skippable = write.includes_epsilon
-        if not self.check:
-            if len(values) == 1:
-                factor = "((), (u0,))" if skippable else "((u0,),)"
-                return [f"{pad}u0 = {values[0]}", f"{pad}hash(u0)",
-                        f"{pad}pending.append({factor})"]
-            words = [f"({value},)" for value in values]
-            if skippable:
-                words.append("()")
-            return [f"{pad}pending.append(frozenset(({', '.join(words)},)))"]
-        lines = [f"{pad}u{k} = {value}" for k, value in enumerate(values)]
-        # a write of one value, the common case, tests it with `in` and a
-        # subscript, which runs faster here than `at.get`
         if len(values) == 1:
-            if skippable:
-                lines.append(f"{pad}if u0 in at: ends |= (ends & at[u0]) >> 1")
-            else:
-                lines.append(f"{pad}ends = (ends & at[u0]) >> 1 if u0 in at else 0")
-        else:
-            bits = " | ".join([f"at.get(u{k}, 0)" for k in range(len(values))])
-            lines.append(f"{pad}ends {'|=' if skippable else '='} (ends & ({bits})) >> 1")
-        return lines + [f"{pad}wrote = True"]
-
-    def open_gap(self, pad: str) -> list[str]:
-        """Check mode: start checking the gap whose word is `words[i]`,
-        with every value of it still to print.  The table for the empty
-        word and a one-value word is built inline, and `positions` builds
-        it for a longer one."""
-        return [
-            f"{pad}w = words[i]",
-            f"{pad}if not w:",
-            f"{pad}    at = nothing",
-            f"{pad}    ends = 1",
-            f"{pad}elif len(w) == 1:",
-            f"{pad}    at = {{w[0]: 2}}",
-            f"{pad}    ends = 2",
-            f"{pad}else:",
-            f"{pad}    at, ends = positions(w)",
-        ]
-
-    def check_gap(self, pad: str) -> list[str]:
-        """Check mode: `ok` turns False unless the writes of the gap being
-        closed can have printed all of its word."""
-        return [f"{pad}if not ends & 1: ok = False"]
+            factor = "((), (u0,))" if skippable else "((u0,),)"
+            return [f"{pad}u0 = {values[0]}", f"{pad}hash(u0)",
+                    f"{pad}pending.append({factor})"]
+        words = [f"({value},)" for value in values]
+        if skippable:
+            words.append("()")
+        return [f"{pad}pending.append(frozenset(({', '.join(words)},)))"]
 
     def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
         if level > MAX_NESTING:
@@ -524,18 +455,16 @@ class _Compiler:
         return [f"{pad}not_an_action({message})"]
 
 
-def _compiled(spec: Spec, registry: FunctionRegistry, check: bool) -> Callable:
-    """The specification's run over `registry` in the check mode, or else
-    in the gaps mode, compiled on first use.  It is kept on the
-    specification object for its lifetime, under (registry, check); a copy
-    or an equal tree compiles its own."""
+def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
+    """The specification's run over `registry`, compiled on first use.  It
+    is kept on the specification object for its lifetime, under the
+    registry; a copy or an equal tree compiles its own."""
     runs = spec.__dict__.get("_runs")
     if runs is None:
         runs = spec.__dict__["_runs"] = {}
-    key = registry, check
-    run = runs.get(key)
+    run = runs.get(registry)
     if run is None:
-        run = runs[key] = _Compiler(registry, check).compile(spec)
+        run = runs[registry] = _Compiler(registry).compile(spec)
     return run
 
 
@@ -553,7 +482,7 @@ def interpret(
     LimitExceededError on runaway iteration.
     """
     inputs = tuple(inputs)
-    run = _compiled(spec, registry, False)
+    run = _compiled(spec, registry)
     gaps = run(inputs, _exhausted, limits.max_loop_iterations, limits.max_trace_length)
     if len(gaps) <= len(inputs):
         raise SurplusInputsError(len(inputs) + 1 - len(gaps))
@@ -612,7 +541,7 @@ def _sample(spec, registry, ranges, rng, limits) -> GeneralizedTrace:
         drawn.append(value)
         return value
 
-    run = _compiled(spec, registry, False)
+    run = _compiled(spec, registry)
     try:
         gaps = run((), draw, limits.max_loop_iterations, limits.max_trace_length)
     except LimitExceededError as err:
@@ -632,16 +561,16 @@ def accept(
 ) -> bool:
     """True iff the trace is a valid run of the specification.
 
-    Runs the whole specification on the trace's inputs, and checks each
-    output gap as the run closes it: the trace's outputs between two
+    Runs the whole specification on the trace's inputs, as `interpret`
+    does, and then checks each output gap: the trace's outputs between two
     inputs, as one word, must be among the words of the writes run between
     the two reads.  The verdict is the same as covering the trace by the
     generalized trace `interpret` gives for its inputs.  An input outside
     its read's domain, a missing input and a surplus input make the trace
     invalid.
 
-    The run goes to the end whatever the gaps it has checked, so errors
-    that `interpret` raises on the trace's inputs propagate even when the
+    The run goes to the end before any gap is checked, so errors that
+    `interpret` raises on the trace's inputs propagate even when the
     trace's outputs go wrong earlier:
 
     * LimitExceededError when a loop runs more than
@@ -653,10 +582,10 @@ def accept(
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
-    run = _compiled(spec, registry, True)
+    run = _compiled(spec, registry)
     values = trace.input_values
     try:
-        read, ok = run(values, trace.gaps, limits.max_loop_iterations, limits.max_trace_length)
+        gaps = run(values, _exhausted, limits.max_loop_iterations, limits.max_trace_length)
     except InterpretError:
         return False
-    return read == len(values) and ok
+    return len(gaps) == len(values) + 1 and first_uncovered(gaps, trace.gaps) is None

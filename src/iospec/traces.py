@@ -35,10 +35,8 @@ at a factor as a set.  Covering then means that the inputs agree and
 that each gap can print its word (`first_uncovered`).  `covers` reads
 those words off a normalized trace; the harness hands a recorded run's
 own gaps to the same check, with no normalized trace in between.
-`semantics.accept` reaches the same verdict with no generalized trace:
-its compiled run checks each gap's word as it closes the gap, by the
-same shift-and pass over the word as `spells`, on the table `_positions`
-builds, with no factor built.
+`semantics.accept` hands it a trace's words and the gaps of its
+compiled run, with no generalized trace in between.
 
 The text format is read by `parser`'s token cursor, given this module's
 token pattern and grammar; as in a specification, an error is reported
@@ -148,35 +146,35 @@ def _language(factors: tuple, limit: int | None = None) -> frozenset | None:
     return frozenset(words)
 
 
-def _positions(word) -> tuple[dict, int]:
-    """The shift-and table for `word`: `at[v]` has bit len(word) - j set
-    for each place j where the word holds v, and the state that goes with
-    it, all len(word) values still to print."""
-    at: dict = {}
-    bit = ends = 1 << len(word)
-    for value in word:
-        at[value] = at.get(value, 0) | bit
-        bit >>= 1
-    return at, ends
-
-
 def spells(factors, word: Word) -> bool:
     """Is the tuple `word` in the concatenation of `factors`, a sequence
     of collections of words?  Never builds the concatenation."""
     if len(factors) == 1:
         return word in factors[0]
-    # Shift-and over the positions of `word`, all at once: bit k of `ends`
-    # is set when the factors so far can have left exactly the last k
-    # values of `word` unprinted.  A factor's word carries the bits through
-    # its values one by one; the empty word keeps them all.
-    at, ends = _positions(word)
+    # Shift-and over the positions of `word`, all at once (Baeza-Yates and
+    # Gonnet, CACM 1992): bit k of `ends` is set when the factors so far
+    # can have left exactly the last k values of `word` unprinted.  `at[v]`
+    # has bit len(word) - j set for each place j where the word holds v.
+    # A factor's word carries the bits through its values one by one: a
+    # one-value word in one lookup, and the empty word keeps them all.
+    at: dict = {}
+    bit = ends = 1 << len(word)
+    for value in word:
+        at[value] = at.get(value, 0) | bit
+        bit >>= 1
+    get = at.get
     for factor in factors:
         spelled = 0
         for w in factor:
-            reached = ends
-            for value in w:
-                reached = (reached & at.get(value, 0)) >> 1
-            spelled |= reached
+            if len(w) == 1:
+                spelled |= (ends & get(w[0], 0)) >> 1
+            elif not w:
+                spelled |= ends
+            else:
+                reached = ends
+                for value in w:
+                    reached = (reached & get(value, 0)) >> 1
+                spelled |= reached
         ends = spelled
         if not ends:
             return False

@@ -1,0 +1,47 @@
+def run(values, draw, max_rounds, max_steps):
+    count = len(values)
+    i = steps = 0
+    gaps = []
+    close = gaps.append
+    pending = []
+    h1 = []
+    h3 = []
+    c1 = unset
+    c3 = unset
+    def loop2():
+        nonlocal i, steps, c1, c3
+        for _ in range(max_rounds):
+            if (len(h3) == (c1 if c1 is not unset else unbound(n1))):
+                break
+            else:
+                if i < count:
+                    v = values[i]
+                else:
+                    v = draw(i, d4)
+                steps += 2 if pending else 1
+                close(tuple(pending))
+                pending.clear()
+                if steps > max_steps: too_long(max_steps)
+                h3.append(v)
+                c3 = v
+                i += 1
+        else:
+            too_many_rounds(max_rounds)
+    if i < count:
+        v = values[i]
+        if not d0.contains(v): rejected(i, v, d0)
+    else:
+        v = draw(i, d0)
+    steps += 2 if pending else 1
+    close(tuple(pending))
+    pending.clear()
+    if steps > max_steps: too_long(max_steps)
+    h1.append(v)
+    c1 = v
+    i += 1
+    loop2()
+    u0 = sum(h3)
+    hash(u0)
+    pending.append(((u0,),))
+    close(tuple(pending))
+    return gaps

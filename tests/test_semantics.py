@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import os
 import pickle
 import random
 import time
@@ -60,7 +61,7 @@ from iospec.parser import MAX_NESTING
 from iospec.semantics import SpecStructureError
 
 import oracle
-from conftest import STUCK_SPEC, SUM_SPEC_TEXT
+from conftest import DATA_DIR, STUCK_SPEC, SUM_SPEC_TEXT
 from randgen import concretization_as_trace, mutate_trace, random_spec
 
 ALWAYS = Apply("==", (IntConst(0), IntConst(0)))
@@ -133,33 +134,10 @@ class TestAccept:
             self.accept(bad, parse_trace("!1 stop"))
 
 
-def cyclic_collections(call) -> list[int]:
-    """The generation of each cyclic collection that starts during
-    `call()`, which runs with the collector enabled, after a full
-    collection."""
-    collections = []
-
-    def count(phase, info):
-        if phase == "start":
-            collections.append(info["generation"])
-
-    enabled = gc.isenabled()
-    gc.enable()
-    gc.collect()
-    gc.callbacks.append(count)
-    try:
-        call()
-    finally:
-        gc.callbacks.remove(count)
-        if not enabled:
-            gc.disable()
-    return collections
-
-
 class TestAcceptInterpretsFirst:
     """The library `accept` runs the whole specification on the run's
-    inputs to the end, whatever the output gaps it has checked, so errors
-    of `interpret` surface even past an early mismatch, where the oracle
+    inputs to the end before it checks any output gap, so errors of
+    `interpret` surface even past an early mismatch, where the oracle
     stops."""
 
     def test_runaway_loop_after_mismatch_hits_limit(self):
@@ -216,23 +194,10 @@ class TestAcceptInterpretsFirst:
                             staticmethod(lambda *fields: built.append(fields) or of(*fields)))
         ins = []
         monkeypatch.setattr(In, "__init__", lambda s, value: ins.append(value))
-        # accept checks each gap inside its run: it builds no gaps to
-        # check afterwards, and keeps nothing alive long enough to start
-        # a cyclic collection
-        compiled = semantics._compiled
-
-        def check_mode_only(spec, registry, check):
-            if not check:
-                pytest.fail("gaps built")
-            return compiled(spec, registry, check)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(semantics, "_compiled", check_mode_only)
-            for trace, verdict in ((valid, True), (invalid, False)):
-                verdicts = []
-                assert cyclic_collections(
-                    lambda: verdicts.append(accept(sum_spec, trace, limits=limits))) == []
-                assert verdicts == [verdict]
+        # accept checks the run's gaps against the trace's words, with no
+        # generalized trace and no mismatch built
+        for trace, verdict in ((valid, True), (invalid, False)):
+            assert accept(sum_spec, trace, limits=limits) is verdict
         gt = interpret(sum_spec, inputs, limits=limits)
         assert covers(gt, normalize(valid)) == Covered()
         assert built == [] and ins == []
@@ -240,9 +205,9 @@ class TestAcceptInterpretsFirst:
         assert (result.word, result.position) == ((sum(range(n)) + 1,), n + 1 + n // 2)
         assert len(built) == 1 and ins == []
 
-    def test_two_value_words_build_no_factor(self, monkeypatch):
+    def test_two_value_words_against_two_writes(self):
         # every round's gap has a word of two values, from two optional
-        # writes: accept decides it with no factor built for `spells`
+        # writes, which accept checks against the product of their factors
         n = 2000
         spec = parse_spec(SUM_SPEC_TEXT.replace(
             "write { eps, n_C - len(x_A) }",
@@ -254,21 +219,12 @@ class TestAcceptInterpretsFirst:
         invalid = Trace(tuple(steps) + (Out(sum(range(n)) + 1),))
         limits = GenerationLimits(max_loop_iterations=2 * n)
         assert all(len(word) == 2 for word in valid.gaps[1:-1])
-
-        def fail(*args):
-            pytest.fail("spells called")
-
-        monkeypatch.setattr("iospec.traces.spells", fail)
-        monkeypatch.setattr("iospec.semantics.spells", fail, raising=False)
         for trace, verdict in ((valid, True), (invalid, False)):
-            verdicts = []
-            assert cyclic_collections(
-                lambda: verdicts.append(accept(spec, trace, limits=limits))) == []
-            assert verdicts == [verdict]
+            assert accept(spec, trace, limits=limits) is verdict
 
     def test_unhashable_value_raises_as_interpret_does(self):
-        # the check builds no factor for a write, but still looks up each
-        # value the write takes in the word's table, which hashes it
+        # accept runs the writes interpret runs, and a write hashes each
+        # value as it builds its factor
         for terms in [(AllVar("x"),), (CurrentVar("x"), AllVar("x"))]:
             spec = Spec((ReadInput("x", Integers()), WriteOutput(terms, False)))
             for text in ("?1 stop", "?1 !1 stop", "?1 !1 !2 stop"):
@@ -497,32 +453,29 @@ class TestCompiledWalk:
 
     @pytest.fixture
     def compiled(self, monkeypatch) -> list:
-        """The specifications compiled from here on, one (spec, check
-        mode) pair per compile."""
+        """The specifications compiled from here on, one per compile."""
         specs = []
         compile_spec = semantics._Compiler.compile
 
         def counted(compiler, spec):
-            specs.append((spec, compiler.check))
+            specs.append(spec)
             return compile_spec(compiler, spec)
 
         monkeypatch.setattr(semantics._Compiler, "compile", counted)
         return specs
 
     def test_each_spec_object_compiles_once(self, compiled):
-        # once per mode: interpret and sampling share the gaps mode, and
-        # accept runs the check mode
+        # interpret, sampling and accept share one compiled run
         spec = parse_spec(SUM_SPEC_TEXT)
         for _ in range(2):
             interpret(spec, [2, 5, 3])
             assert accept(spec, parse_trace("?2 ?5 ?3 !8 stop")) is True
             sample_generalized_trace(spec)
-        assert len(compiled) == 2 and all(s is spec for s, _ in compiled)
-        assert [check for _, check in compiled] == [False, True]
+        assert len(compiled) == 1 and compiled[0] is spec
         # an equal tree is another object, and compiles its own code
         twin = parse_spec(SUM_SPEC_TEXT)
         assert interpret(twin, [2, 5, 3]) == interpret(spec, [2, 5, 3])
-        assert len(compiled) == 3 and compiled[2][0] is twin and compiled[2][1] is False
+        assert len(compiled) == 2 and compiled[1] is twin
 
     def test_copies_carry_fields_only_and_compile_afresh(self, compiled):
         spec = parse_spec(SUM_SPEC_TEXT)
@@ -535,11 +488,7 @@ class TestCompiledWalk:
             assert accept(twin, parse_trace("?2 ?5 ?3 !9 stop")) is False
             assert interpret(twin, [1, 4]) == interpret(spec, [1, 4])
         objects = [spec, *twins]
-        assert len(compiled) == 8
-        for obj in objects:
-            assert sorted(check for s, check in compiled if s is obj) == [False, True]
-        checked = [s for s, check in compiled if check]
-        assert all(a is b for a, b in zip(checked, objects))
+        assert len(compiled) == 4 and all(a is b for a, b in zip(compiled, objects))
 
     def test_compiled_code_does_not_keep_its_spec_alive(self):
         enabled = gc.isenabled()
@@ -730,6 +679,54 @@ class TestCompiledWalk:
                 interpret(nested(levels), [1])
             with pytest.raises(SpecStructureError):
                 accept(nested(levels), parse_trace("?1 !1 stop"))
+
+
+# A nested loop, a branch and a write of two values, beside the two sum
+# specifications under tests/data.
+NESTED_SPEC_TEXT = """\
+read n : nats
+loop {
+  if len(x_A) == n_C then {
+    exit
+  } else {
+    read x : ints
+    loop {
+      if x_C > 0 then {
+        write { eps, x_C }
+        exit
+      } else {
+        exit
+      }
+    }
+    write { x_C, sum(x_A) }
+  }
+}
+"""
+
+
+class TestGeneratedSource:
+    """The source `_Compiler.compile` hands to `compile`, for three
+    specifications, is the committed text under tests/data/generated/, so
+    a change to the generated code shows in a diff as code.  After such a
+    change, rewrite the files by running this test with
+    IOSPEC_REGENERATE=1 in the environment, and read their diff."""
+
+    @pytest.mark.parametrize("name", ["sum", "sum_plain", "nested"])
+    def test_generated_source_is_the_committed_text(self, name, monkeypatch):
+        text = NESTED_SPEC_TEXT if name == "nested" else (DATA_DIR / f"{name}.iospec").read_text()
+        sources = []
+
+        def capture(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(semantics, "compile", capture, raising=False)
+        semantics._Compiler(DEFAULT_REGISTRY).compile(parse_spec(text))
+        (source,) = sources
+        path = DATA_DIR / "generated" / f"{name}.py"
+        if os.environ.get("IOSPEC_REGENERATE"):
+            path.write_text(source)
+        assert source == path.read_text()
 
 
 class TestExitOutsideLoop:
