@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import array
 import enum
+import errno
 import fcntl
 import os
 import selectors
@@ -189,7 +190,9 @@ def _tree_waits(pid: int, calls: _WaitCalls) -> bool | None:
 
     True when no task of the process or its descendants is runnable and at
     least one sleeps reading fd 0 or in a poll-family call; None when /proc
-    cannot tell (see proc(5), /proc/pid/syscall).
+    cannot tell (see proc(5), /proc/pid/syscall).  False, to probe again,
+    when a descendant or a task ends while we look: threads come and go in
+    a JVM, a Go program or GHC's threaded runtime.
     """
     reads, polls = calls
     waiting = False
@@ -197,8 +200,17 @@ def _tree_waits(pid: int, calls: _WaitCalls) -> bool | None:
     while pending:
         proc_pid = pending.pop()
         try:
-            for tid in os.listdir(f"/proc/{proc_pid}/task"):
-                with open(f"/proc/{proc_pid}/task/{tid}/syscall", "rb") as f:
+            tids = os.listdir(f"/proc/{proc_pid}/task")
+        except (FileNotFoundError, ProcessLookupError):
+            if proc_pid == pid:  # the child itself stays until reaped
+                return None
+            return False  # a descendant ended while we looked: probe again
+        except OSError:
+            return None
+        for tid in tids:
+            task = f"/proc/{proc_pid}/task/{tid}"
+            try:
+                with open(f"{task}/syscall", "rb") as f:
                     fields = f.read().split()
                 if fields[0] == b"running":
                     return False
@@ -208,14 +220,14 @@ def _tree_waits(pid: int, calls: _WaitCalls) -> bool | None:
                 elif number in polls:
                     count_arg = polls[number]
                     waiting = waiting or count_arg is None or int(fields[1 + count_arg], 16) > 0
-                with open(f"/proc/{proc_pid}/task/{tid}/children", "rb") as f:
+                with open(f"{task}/children", "rb") as f:
                     pending.extend(int(child) for child in f.read().split())
-        except (FileNotFoundError, ProcessLookupError):
-            if proc_pid == pid:  # the child itself stays until reaped
+            except OSError as err:
+                if err.errno == errno.ESRCH or not os.path.lexists(task):
+                    return False  # the task ended while we looked: probe again
+                # a live task lacks a file (`children` needs
+                # CONFIG_PROC_CHILDREN) or refuses its read
                 return None
-            return False  # a descendant ended while we looked: probe again
-        except OSError:
-            return None
     return waiting
 
 

@@ -16,13 +16,13 @@ translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function holding the variable histories as local
 lists, oldest value first, and each loop a function defined inside it that
 shares them: a branch is an `if`, a loop a `for` over its allowed rounds,
-an exit a `break`, and a term an inline expression.  The one run serves
-`interpret`, sampling and `accept`.  It is compiled the first time a
+an exit a `break`, and a term an inline expression.  `interpret`,
+sampling and `accept` all enter the one run through `_run`, which fails a
+run that leaves given inputs unread.  It is compiled the first time a
 specification object is run with a registry (a few tenths of a millisecond
 for `tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that
-object for its lifetime; a copy or an equal tree compiles its own.
-Compiling reads nothing of the run: the limits and the inputs belong to
-each call.
+object for its lifetime (a copy or an equal tree compiles its own), and
+the limits and the inputs belong to each call.
 
 Terms are translated, not walked.  The compiler turns a term, against
 its registry, into one Python expression over the local histories:
@@ -41,20 +41,21 @@ distinct words it may emit, with no output set built around it.
 
 Compiling never fails on a bad term or action.  An unknown function or a
 value that is not a term becomes a call raising `EvalError`, and an exit
-outside all loops one raising `SpecStructureError`, so a bad part on a
-path the inputs never take raises nothing.  The one compile-time error is
-nesting: a hand-built tree nested deeper than `parser.MAX_NESTING`
-levels, counting a term's applications with the blocks around it, raises
-`SpecStructureError`, as its code would pass CPython's limits on nested
-blocks and expressions; a parsed one never nests deeper.
+outside all loops or a non-action a `raise` of `SpecStructureError` or
+`TypeError`, so a bad part on a path the inputs never take raises nothing.
+The one compile-time error is nesting: a hand-built tree nested deeper
+than `parser.MAX_NESTING` levels, counting a term's applications with the
+blocks around it, raises `SpecStructureError`, as its code would pass
+CPython's limits on nested blocks and expressions; a parsed one never
+nests deeper.
 
 :func:`accept` decides whether an ordinary trace is a valid run.  Writes
 never change the environment, so a run's inputs alone fix the control
 flow: the run is valid iff it is covered by the generalized trace its
 inputs produce.  A trace is stored as its inputs and one output word per
 gap (the outputs before each input, then those after the last); `accept`
-runs the specification on those inputs to the end, as `interpret` does,
-and hands the run's gaps and the trace's words to
+runs the specification on those inputs to the end through `_run`, as
+`interpret` does, and hands the run's gaps and the trace's words to
 `traces.first_uncovered`, the check `covers` makes, with no generalized
 trace and no mismatch built.  So it raises what `interpret` raises.
 
@@ -234,24 +235,12 @@ def _too_many_rounds(limit):
     raise LimitExceededError(f"loop ran more than {limit} rounds")
 
 
-def _orphan_exit():
-    raise SpecStructureError("exit marker outside any loop")
-
-
 def _exhausted(position, domain):
     raise InputsExhaustedError(position)
 
 
-def _rejected(position, value, domain):
-    raise InputRejectedError(position, value, domain)
-
-
 def _too_long(limit):
     raise LimitExceededError(f"trace grew past {limit} steps")
-
-
-def _not_an_action(message):
-    raise TypeError(message)
 
 
 def too_deep() -> SpecStructureError:
@@ -268,14 +257,15 @@ class _Compiler:
 
     The top level is the function `run(values, draw, max_rounds,
     max_steps)`, returning the run's gaps.  A read takes the next of the
-    fixed `values`, checking its domain unless that is `ints`, or, once
-    they are used up, what `draw(i, domain)` returns or raises.  It closes
-    the output gap before it, raises once the trace has grown past
-    `max_steps` steps, and appends the value to the history; the counters
-    `i` (inputs read) and `steps` are locals of `run`.  So are `pending`,
-    the factors of the writes since the last read, and `gaps` with its
-    `append` as `close`: a read closes its gap as the tuple of `pending`,
-    and the run closes the last gap itself before it returns `gaps`.
+    fixed `values`, raising InputRejectedError outside its domain unless
+    that is `ints`, or, once they are used up, what `draw(i, domain)`
+    returns or raises.  It closes the output gap before it, raises once
+    the trace has grown past `max_steps` steps, and appends the value to
+    the history; the counters `i` (inputs read) and `steps` are locals of
+    `run`.  So are `pending`, the factors of the writes since the last
+    read, and `gaps` with its `append` as `close`: a read closes its gap
+    as the tuple of `pending`, and the run closes the last gap itself
+    before it returns `gaps`.
     `max_rounds` is the call's limit on a loop's rounds.  The histories
     are local lists of `run`, and beside each history a local holds the
     variable's current value, the last value read into it, or `unset`
@@ -292,7 +282,7 @@ class _Compiler:
     holds the value of a one-value write, any other letter followed by a
     number is a value bound in the namespace (a read's domain is `d<k>`),
     `v` holds the value a read takes, and the remaining names are `run`'s
-    parameters and locals and the run-time helpers below.
+    parameters and locals and the helpers and errors `__init__` binds.
     """
 
     def __init__(self, registry: FunctionRegistry) -> None:
@@ -302,10 +292,9 @@ class _Compiler:
             "unset": _UNSET,
             "fail": _fail,
             "too_many_rounds": _too_many_rounds,
-            "orphan_exit": _orphan_exit,
-            "not_an_action": _not_an_action,
-            "rejected": _rejected,
             "too_long": _too_long,
+            "InputRejectedError": InputRejectedError,
+            "SpecStructureError": SpecStructureError,
         }
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
@@ -385,9 +374,9 @@ class _Compiler:
         domain = self.bind(read.domain, "d")
         i = self.variable(read.var)
         take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
-        # every value is an integer: no check for the common domain
-        if type(read.domain) is not Integers:
-            take.append(f"{pad}    if not {domain}.contains(v): rejected(i, v, {domain})")
+        if type(read.domain) is not Integers:  # `ints` holds every value
+            take.append(f"{pad}    if not {domain}.contains(v): "
+                        f"raise InputRejectedError(i, v, {domain})")
         return [
             *take,
             f"{pad}else:",
@@ -450,9 +439,10 @@ class _Compiler:
             self.loops.append((name, body))
             return [f"{pad}{name}()"]
         if isinstance(action, Exit):
-            return [pad + ("break" if in_loop else "orphan_exit()")]
+            return [pad + ("break" if in_loop else
+                           'raise SpecStructureError("exit marker outside any loop")')]
         message = self.bind(f"not an action: {action!r}", "m")
-        return [f"{pad}not_an_action({message})"]
+        return [f"{pad}raise TypeError({message})"]
 
 
 def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
@@ -466,6 +456,15 @@ def _compiled(spec: Spec, registry: FunctionRegistry) -> Callable:
     if run is None:
         run = runs[registry] = _Compiler(registry).compile(spec)
     return run
+
+
+def _run(spec, registry, values, limits, draw=_exhausted) -> list:
+    """The compiled run's gaps; SurplusInputsError if `values` are left over."""
+    run = _compiled(spec, registry)
+    gaps = run(values, draw, limits.max_loop_iterations, limits.max_trace_length)
+    if len(gaps) <= len(values):
+        raise SurplusInputsError(len(values) + 1 - len(gaps))
+    return gaps
 
 
 def interpret(
@@ -482,11 +481,7 @@ def interpret(
     LimitExceededError on runaway iteration.
     """
     inputs = tuple(inputs)
-    run = _compiled(spec, registry)
-    gaps = run(inputs, _exhausted, limits.max_loop_iterations, limits.max_trace_length)
-    if len(gaps) <= len(inputs):
-        raise SurplusInputsError(len(inputs) + 1 - len(gaps))
-    return GeneralizedTrace._of(inputs, tuple(gaps))
+    return GeneralizedTrace._of(inputs, tuple(_run(spec, registry, inputs, limits)))
 
 
 def sample_generalized_trace(
@@ -541,9 +536,8 @@ def _sample(spec, registry, ranges, rng, limits) -> GeneralizedTrace:
         drawn.append(value)
         return value
 
-    run = _compiled(spec, registry)
     try:
-        gaps = run((), draw, limits.max_loop_iterations, limits.max_trace_length)
+        gaps = _run(spec, registry, (), limits, draw)
     except LimitExceededError as err:
         raise GenerationFailureError(str(err)) from err
     return GeneralizedTrace._of(tuple(drawn), tuple(gaps))
@@ -582,10 +576,8 @@ def accept(
       a current-value use of a variable not read on that path, even if
       the trace mismatches before reaching it.
     """
-    run = _compiled(spec, registry)
-    values = trace.input_values
     try:
-        gaps = run(values, _exhausted, limits.max_loop_iterations, limits.max_trace_length)
+        gaps = _run(spec, registry, trace.input_values, limits)
     except InterpretError:
         return False
-    return len(gaps) == len(values) + 1 and first_uncovered(gaps, trace.gaps) is None
+    return first_uncovered(gaps, trace.gaps) is None

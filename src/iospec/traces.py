@@ -293,8 +293,9 @@ class GeneralizedTrace(_Steps, _Record):
     `OutputWordSet`), or () where the trace has none.
     ``GeneralizedTrace(steps)`` takes the steps, `In` and `OutputWordSet`
     values, and rejects two sets in a row; ``GeneralizedTrace._of`` takes
-    the fields, unchecked.  Equality and hashing compare the inputs and
-    each gap's language, whatever its factors.
+    the fields, unchecked.  Equality and hashing go through the steps, so
+    they compare the inputs and each output set's language, whatever its
+    factors.
     """
 
     input_values: tuple
@@ -332,18 +333,10 @@ class GeneralizedTrace(_Steps, _Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedTrace):
             return NotImplemented
-        return self.input_values == other.input_values and (
-            self.gaps == other.gaps or all(map(_same_gap, self.gaps, other.gaps))
-        )
+        return self.steps == other.steps
 
     def __hash__(self) -> int:
-        sets = tuple([OutputWordSet._of(g) if g else None for g in self.gaps])
-        return hash((self.input_values, sets))
-
-
-def _same_gap(a: Gap, b: Gap) -> bool:
-    """Do the two gaps allow the same words?"""
-    return a == b or bool(a) and bool(b) and OutputWordSet._of(a) == OutputWordSet._of(b)
+        return hash(self.steps)
 
 
 def normalize(trace: Trace) -> GeneralizedTrace:

@@ -32,7 +32,7 @@ def run(values, draw, max_rounds, max_steps):
             too_many_rounds(max_rounds)
     if i < count:
         v = values[i]
-        if not d0.contains(v): rejected(i, v, d0)
+        if not d0.contains(v): raise InputRejectedError(i, v, d0)
     else:
         v = draw(i, d0)
     steps += 2 if pending else 1

@@ -1,6 +1,8 @@
+import errno
 import os
 import random
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -15,12 +17,15 @@ from iospec import (
     SamplingPolicy,
     SpawnError,
     SubprocessConfig,
+    TestConfig,
     Trace,
+    Verdict,
     Write,
     parse_trace,
     render_trace,
     run_scripted,
     run_subprocess,
+    run_test_suite,
     sample_generalized_trace,
 )
 from iospec import runner
@@ -307,6 +312,16 @@ class TestTurnTaking:
         assert render_trace(outcome.trace) == "?3 !3 ?1 !2 ?2 !1 ?3 !6 stop"
         assert outcome.exit_kind is ExitKind.CLEAN_HALT
 
+    def test_threads_that_come_and_go_keep_the_proc_rule(self, sum_spec):
+        # A thread that ends between the listing of the program's tasks and
+        # the read of its files must not switch the run to the quiescence
+        # window, which the program's 100 ms pause before each print
+        # outlasts.
+        executable, script = fixture_command("thread_churn_sum.py")
+        cfg = TestConfig(num_tests=3, policy=SamplingPolicy(natural_range=(1, 3)))
+        report = run_test_suite(sum_spec, SubprocessConfig(executable, (script,)), cfg)
+        assert report.verdict is Verdict.ALL_PASSED, report
+
     def test_waiting_after_last_input_is_underflow(self):
         start = time.monotonic()
         outcome = run_subprocess(_default_cfg("sum_prog.py"), [3, 1])
@@ -376,6 +391,59 @@ class TestTurnTaking:
         outcome = run_subprocess(cfg, [2, 5, 3])
         assert outcome.exit_kind is ExitKind.TIMED_OUT
         assert outcome.consumed_inputs == 0
+
+
+class TestProbe:
+    """What `_tree_waits` makes of a task whose files cannot be read, on a
+    live child blocked reading stdin."""
+
+    @pytest.fixture
+    def reader(self):
+        calls = runner._STDIN_WAITS.get(os.uname().machine)
+        if calls is None or runner._tree_waits(os.getpid(), calls) is None:
+            pytest.skip("/proc cannot tell when a program waits for input")
+        proc = subprocess.Popen([sys.executable, "-c", "import os; os.read(0, 1)"],
+                                stdin=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 5.0
+            while not runner._tree_waits(proc.pid, calls):
+                assert time.monotonic() < deadline, "the child never blocked reading stdin"
+                time.sleep(0.005)
+            yield proc.pid, calls
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=5)
+
+    def test_a_task_gone_before_its_read_means_probe_again(self, reader, monkeypatch):
+        pid, calls = reader
+        listdir = os.listdir
+
+        def with_an_ended_task(path):
+            names = listdir(path)
+            # above the largest pid_max: never a task
+            return names + [str(2**22 + 1)] if path == f"/proc/{pid}/task" else names
+
+        monkeypatch.setattr(os, "listdir", with_an_ended_task)
+        assert runner._tree_waits(pid, calls) is False
+
+    @pytest.mark.parametrize("name, error, waits", [
+        ("children", FileNotFoundError(errno.ENOENT, "no children file"), None),
+        ("syscall", PermissionError(errno.EPERM, "refused"), None),
+        ("syscall", ProcessLookupError(errno.ESRCH, "task ended"), False),
+    ])
+    def test_a_live_task_whose_file_cannot_be_read(self, reader, monkeypatch, name, error, waits):
+        # a live task without its `children` file (a kernel without
+        # CONFIG_PROC_CHILDREN) or refusing a read cannot tell; ESRCH says
+        # the task ended while the probe looked
+        pid, calls = reader
+
+        def failing(path, *args, **kwargs):
+            if path.startswith(f"/proc/{pid}/task/") and path.endswith("/" + name):
+                raise error
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "open", failing, raising=False)
+        assert runner._tree_waits(pid, calls) is waits
 
 
 def _ended_within(pid: int, seconds: float) -> bool:

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import runpy
 import time
 import weakref
 
@@ -704,16 +705,39 @@ loop {
 """
 
 
-class TestGeneratedSource:
-    """The source `_Compiler.compile` hands to `compile`, for three
-    specifications, is the committed text under tests/data/generated/, so
-    a change to the generated code shows in a diff as code.  After such a
-    change, rewrite the files by running this test with
-    IOSPEC_REGENERATE=1 in the environment, and read their diff."""
+# A hand-built tree no parser makes: a non-action on one path and an exit
+# outside all loops after it, so each raise the code makes itself shows.
+RAISES_SPEC = Spec((
+    ReadInput("x", Naturals()),
+    Branch(Apply(">", (CurrentVar("x"), IntConst(0))), EMPTY, Spec(("not an action",))),
+    Exit(),
+))
 
-    @pytest.mark.parametrize("name", ["sum", "sum_plain", "nested"])
+
+def _generated_spec(name: str) -> Spec:
+    if name == "raises":
+        return RAISES_SPEC
+    if name == "nested":
+        return parse_spec(NESTED_SPEC_TEXT)
+    if name in ("skippable", "wide"):
+        # the spec families the benchmark runs, from bench/corpus.py by path
+        corpus = runpy.run_path(str(DATA_DIR.parent.parent / "bench" / "corpus.py"))
+        return parse_spec(corpus[f"{name.upper()}_SPEC"])
+    return parse_spec((DATA_DIR / f"{name}.iospec").read_text())
+
+
+class TestGeneratedSource:
+    """The source `_Compiler.compile` hands to `compile`, for the two sum
+    specifications, a nested one, the benchmark's skippable and wide
+    families and a hand-built tree that raises, is the committed text
+    under tests/data/generated/, so a change to the generated code shows
+    in a diff as code.  After such a change, rewrite the files by running
+    this test with IOSPEC_REGENERATE=1 in the environment, and read their
+    diff."""
+
+    @pytest.mark.parametrize("name", ["sum", "sum_plain", "nested", "skippable", "wide", "raises"])
     def test_generated_source_is_the_committed_text(self, name, monkeypatch):
-        text = NESTED_SPEC_TEXT if name == "nested" else (DATA_DIR / f"{name}.iospec").read_text()
+        spec = _generated_spec(name)
         sources = []
 
         def capture(source, filename, mode):
@@ -721,7 +745,7 @@ class TestGeneratedSource:
             return compile(source, filename, mode)
 
         monkeypatch.setattr(semantics, "compile", capture, raising=False)
-        semantics._Compiler(DEFAULT_REGISTRY).compile(parse_spec(text))
+        semantics._Compiler(DEFAULT_REGISTRY).compile(spec)
         (source,) = sources
         path = DATA_DIR / "generated" / f"{name}.py"
         if os.environ.get("IOSPEC_REGENERATE"):
