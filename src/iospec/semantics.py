@@ -16,9 +16,14 @@ translation of the walk it replaces (the first Futamura projection).  The
 top level becomes one function holding the variable histories as local
 lists, oldest value first, and each loop a function defined inside it that
 shares them: a branch is an `if`, a loop a `for` over its allowed rounds,
-an exit a `break`, and a term an inline expression.  `interpret`,
-sampling and `accept` all enter the one run through `_run`, which fails a
-run that leaves given inputs unread.  It is compiled the first time a
+an exit a `break`, and a term an inline expression.  The code is
+specialized on what the specification fixes before any input is seen
+(the static part of a binding-time split): a read closes the writes
+directly before it itself, a current value read on every path to its use
+is used without checking that it was read, and a variable keeps only the
+history or current value some term reads.  `interpret`, sampling and
+`accept` all enter the one run through `_run`, which fails a run that
+leaves given inputs unread.  It is compiled the first time a
 specification object is run with a registry (a few tenths of a millisecond
 for `tests/data/sum.iospec` on a 2-vCPU x86_64 host) and kept on that
 object for its lifetime (a copy or an equal tree compiles its own), and
@@ -59,11 +64,12 @@ runs the specification on those inputs to the end through `_run`, as
 `traces.first_uncovered`, the check `covers` makes, with no generalized
 trace and no mismatch built.  So it raises what `interpret` raises.
 
-How a read takes its value and closes the output gap before it, and the
-forms a write's factor takes, are told once, at the code: in the
-`_Compiler` docstring and in `_Compiler.write`.  A generalized trace is
-kept as its inputs and its gaps, so neither interpreter builds an input
-step or output set for the steps of a run.
+How a read takes its value and closes the output gap before it, the
+forms a write's factor takes, which locals the code keeps and where a
+current value keeps its check are told once, at the code: in the
+`_Compiler` docstring and in `_Compiler.read` and `_Compiler.write`.  A
+generalized trace is kept as its inputs and its gaps, so neither
+interpreter builds an input step or output set for the steps of a run.
 """
 
 from __future__ import annotations
@@ -260,29 +266,41 @@ class _Compiler:
     fixed `values`, raising InputRejectedError outside its domain unless
     that is `ints`, or, once they are used up, what `draw(i, domain)`
     returns or raises.  It closes the output gap before it, raises once
-    the trace has grown past `max_steps` steps, and appends the value to
-    the history; the counters `i` (inputs read) and `steps` are locals of
-    `run`.  So are `pending`, the factors of the writes since the last
-    read, and `gaps` with its `append` as `close`: a read closes its gap
-    as the tuple of `pending`, and the run closes the last gap itself
-    before it returns `gaps`.
-    `max_rounds` is the call's limit on a loop's rounds.  The histories
-    are local lists of `run`, and beside each history a local holds the
-    variable's current value, the last value read into it, or `unset`
-    before its first read, so a current-value use reads one local.  Each
-    loop is a function without parameters defined at the top of `run`,
-    sharing all of these (it declares the counters and the current values
-    `nonlocal`), so that no function nests loops (CPython allows only 20
-    nested blocks); its body runs under `for _ in range(max_rounds)`,
-    whose `else` raises.  A branch is an `if` and an exit is a `break`.
+    the trace has grown past `max_steps` steps, and keeps the value where
+    a term can read it; the counters `i` (inputs read) and `steps` are
+    locals of `run`.  So are `pending`, the factors of the writes since
+    the last read that no read closes directly, and `gaps` with its
+    `append` as `close`: the run closes the last gap itself as the tuple
+    of `pending` before it returns `gaps`.  `max_rounds` is the call's
+    limit on a loop's rounds.  Each loop is a function without parameters
+    defined at the top of `run`, sharing all of its locals (it declares
+    the counters and the current values `nonlocal`), so that no function
+    nests loops (CPython allows only 20 nested blocks); its body runs
+    under `for _ in range(max_rounds)`, whose `else` raises.  A branch is
+    an `if` and an exit is a `break`.
+
+    The code holds what a term may read and nothing more, which a pre-pass
+    over every condition and written term (`note`) decides before any
+    code is made.  A variable whose history some term reads has it as the
+    local list `h<i>`, oldest value first; one whose current value some
+    term reads has the local `c<i>`, the last value read into it, or
+    `unset` before its first read.  A read of a variable no term reads
+    keeps nothing.  A current-value use compiles to `c<i>` alone where
+    the variable is read on every path to it, and keeps the guard
+    `(c<i> if c<i> is not unset else unbound(n<i>))` everywhere else.
+    `bound` holds the variables proven read while the code is made: a
+    read adds its variable, a branch keeps what both its arms read, and a
+    loop's body and the code after the loop start from what was read
+    before the loop, as an exit may come before any of the body's reads.
 
     The source holds fixed templates and generated identifiers only: `h<i>`
-    is the local holding the history of variable number i (whose name is
-    bound as `n<i>`) and `c<i>` the local holding its current value, `u0`
-    holds the value of a one-value write, any other letter followed by a
-    number is a value bound in the namespace (a read's domain is `d<k>`),
-    `v` holds the value a read takes, and the remaining names are `run`'s
-    parameters and locals and the helpers and errors `__init__` binds.
+    and `c<i>` are as above for variable number i (whose name is bound as
+    `n<i>`), `u<j>` holds the j-th write's value or factor in a run of
+    writes a read closes (`u0` for a write appended to `pending`), any
+    other letter followed by a number is a value bound in the namespace (a
+    read's domain is `d<k>`), `v` holds the value a read takes, and the
+    remaining names are `run`'s parameters and locals and the helpers and
+    errors `__init__` binds.
     """
 
     def __init__(self, registry: FunctionRegistry) -> None:
@@ -299,16 +317,21 @@ class _Compiler:
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
+        self.currents: set = set()  # names whose current value a term reads
+        self.histories: set = set()  # names whose history a term reads
+        self.bound: frozenset = frozenset()  # names read on every path here
 
     def compile(self, spec: Spec) -> Callable:
+        self.note(spec.actions, 0)
         body = self.block(spec.actions, 0, False, "    ")
-        numbers = self.variables.values()
+        histories = [i for name, i in self.variables.items() if name in self.histories]
+        currents = [i for name, i in self.variables.items() if name in self.currents]
         parts = ["def run(values, draw, max_rounds, max_steps):",
                  "    count = len(values)", "    i = steps = 0", "    gaps = []",
                  "    close = gaps.append", "    pending = []"]
-        parts += [f"    h{i} = []" for i in numbers]
-        parts += [f"    c{i} = unset" for i in numbers]
-        shared = ", ".join(["i", "steps", *[f"c{i}" for i in numbers]])
+        parts += [f"    h{i} = []" for i in histories]
+        parts += [f"    c{i} = unset" for i in currents]
+        shared = ", ".join(["i", "steps", *[f"c{i}" for i in currents]])
         for name, loop_body in self.loops:
             parts += [f"    def {name}():", f"        nonlocal {shared}",
                       "        for _ in range(max_rounds):", *loop_body,
@@ -317,6 +340,33 @@ class _Compiler:
         source = "\n".join(parts) + "\n"
         exec(compile(source, "<iospec generated>", "exec"), self.namespace)
         return self.namespace["run"]
+
+    def note(self, actions, level: int) -> None:
+        """The pre-pass: add to `currents` and `histories` the variables
+        whose current value or history a condition or written term
+        reads.  It stops where `block` and `term` raise on nesting, so a
+        tree nested too deep still raises there, and not in this walk."""
+        if level > MAX_NESTING:
+            return
+        for action in actions:
+            if isinstance(action, WriteOutput):
+                for term in action.terms:
+                    self.note_term(term, level)
+            elif isinstance(action, Branch):
+                self.note_term(action.condition, level)
+                self.note(action.true_branch.actions, level + 1)
+                self.note(action.false_branch.actions, level + 1)
+            elif isinstance(action, TillExit):
+                self.note(action.body.actions, level + 1)
+
+    def note_term(self, term, level: int) -> None:
+        if isinstance(term, CurrentVar):
+            self.currents.add(term.name)
+        elif isinstance(term, AllVar):
+            self.histories.add(term.name)
+        elif isinstance(term, Apply) and level < MAX_NESTING:
+            for arg in term.args:
+                self.note_term(arg, level + 1)
 
     def fresh(self, prefix: str) -> str:
         return f"{prefix}{next(self._ids)}"
@@ -346,6 +396,8 @@ class _Compiler:
             return self.bind(term.value)
         if isinstance(term, CurrentVar):
             i = self.variable(term.name)
+            if term.name in self.bound:
+                return f"c{i}"
             return f"(c{i} if c{i} is not unset else unbound(n{i}))"
         if isinstance(term, AllVar):
             return f"list({self.history(term.name)})"
@@ -367,75 +419,114 @@ class _Compiler:
             return f"{self.bind(entry.fn, 'f')}({', '.join(operands)})"
         return f"fail({self.bind(f'not a term: {term!r}', 'm')})"
 
-    def read(self, read: ReadInput, pad: str) -> list[str]:
+    def read(self, read: ReadInput, factors: list[str], pad: str) -> list[str]:
         """A read: take the next given value and check its domain, or else
         call `draw`, close the gap before it, count its steps, and keep
-        the value in its history and as its variable's current value."""
+        the value in its history and as its variable's current value
+        where a term reads them.  The gap is `pending` followed by
+        `factors`, those of the writes directly before the read, which are
+        in locals of their own; with none of them it is `pending` alone,
+        and may be empty."""
         domain = self.bind(read.domain, "d")
-        i = self.variable(read.var)
         take = [f"{pad}if i < count:", f"{pad}    v = values[i]"]
         if type(read.domain) is not Integers:  # `ints` holds every value
             take.append(f"{pad}    if not {domain}.contains(v): "
                         f"raise InputRejectedError(i, v, {domain})")
+        if factors:
+            listed = ", ".join(factors)
+            close = [f"{pad}steps += 2", f"{pad}if pending:",
+                     f"{pad}    close((*pending, {listed}))", f"{pad}    pending.clear()",
+                     f"{pad}else:", f"{pad}    close(({listed},))"]
+        else:
+            # `2 if pending else 1`: `1 + bool(pending)` misses CPython's
+            # int fast path
+            close = [f"{pad}steps += 2 if pending else 1",
+                     f"{pad}close(tuple(pending))", f"{pad}pending.clear()"]
+        keep = []
+        if read.var in self.histories:
+            keep.append(f"{pad}h{self.variable(read.var)}.append(v)")
+        if read.var in self.currents:
+            keep.append(f"{pad}c{self.variable(read.var)} = v")
+        self.bound |= {read.var}
         return [
             *take,
             f"{pad}else:",
             f"{pad}    v = draw(i, {domain})",
-            # `2 if pending else 1`: `1 + bool(pending)` misses CPython's
-            # int fast path
-            f"{pad}steps += 2 if pending else 1",
-            f"{pad}close(tuple(pending))",
-            f"{pad}pending.clear()",
+            *close,
             f"{pad}if steps > max_steps: too_long(max_steps)",
-            f"{pad}h{i}.append(v)",
-            f"{pad}c{i} = v",
+            *keep,
             f"{pad}i += 1",
         ]
 
-    def write(self, write: WriteOutput, level: int, pad: str) -> list[str]:
-        """A write: its factor appended to `pending`, the one-value words
-        of its values, with the empty word when it is skippable.  A write
-        of one value, the common case, has distinct words, so its factor
-        is the tuple `((), (u0,))` or `((u0,),)`, which costs about a third
-        of a frozenset to build and which the cyclic collector stops
+    def write(self, write: WriteOutput, level: int, pad: str,
+              factors: list[str] | None) -> list[str]:
+        """A write: its factor, the one-value words of its values, with the
+        empty word when it is skippable.  It goes to `factors` when a read
+        closes it, or else is appended to `pending`.  A write of one value,
+        the common case, has distinct words, so its factor is the tuple
+        `((), (u,))` or `((u,),)` over its value `u`, which costs about a
+        third of a frozenset to build and which the cyclic collector stops
         tracking; the value is hashed first, so an unhashable one raises
         as a frozenset would.  A write of more values keeps a frozenset,
-        as two of them may be equal."""
+        as two of them may be equal.  A write in `factors` evaluates its
+        value, and builds any frozenset, where it stands, into the local
+        `u<j>` for the j-th of them, so its errors come in their order."""
         values = [self.term(t, level) for t in write.terms]
-        skippable = write.includes_epsilon
+        u = "u0" if factors is None else f"u{len(factors)}"
         if len(values) == 1:
-            factor = "((), (u0,))" if skippable else "((u0,),)"
-            return [f"{pad}u0 = {values[0]}", f"{pad}hash(u0)",
-                    f"{pad}pending.append({factor})"]
-        words = [f"({value},)" for value in values]
-        if skippable:
-            words.append("()")
-        return [f"{pad}pending.append(frozenset(({', '.join(words)},)))"]
+            lines = [f"{pad}{u} = {values[0]}", f"{pad}hash({u})"]
+            factor = f"((), ({u},))" if write.includes_epsilon else f"(({u},),)"
+        else:
+            words = [f"({value},)" for value in values]
+            if write.includes_epsilon:
+                words.append("()")
+            factor = f"frozenset(({', '.join(words)},))"
+            lines = []
+            if factors is not None:
+                lines, factor = [f"{pad}{u} = {factor}"], u
+        if factors is None:
+            return lines + [f"{pad}pending.append({factor})"]
+        factors.append(factor)
+        return lines
 
     def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
         if level > MAX_NESTING:
             raise too_deep()
+        # Which writes a read closes: those with only writes between them
+        # and a read.
+        closed, closing = [], False
+        for action in reversed(actions):
+            if not isinstance(action, WriteOutput):
+                closing = isinstance(action, ReadInput)
+            closed.append(closing)
+        closed.reverse()
         lines: list[str] = []
-        for action in actions:
-            lines += self.action(action, level, in_loop, pad)
+        factors: list[str] = []
+        for action, by_read in zip(actions, closed):
+            if isinstance(action, WriteOutput):
+                lines += self.write(action, level, pad, factors if by_read else None)
+            elif isinstance(action, ReadInput):
+                lines += self.read(action, factors, pad)
+                factors = []
+            else:
+                lines += self.action(action, level, in_loop, pad)
         return lines or [pad + "pass"]
 
     def action(self, action, level: int, in_loop: bool, pad: str) -> list[str]:
-        if isinstance(action, ReadInput):
-            return self.read(action, pad)
-        if isinstance(action, WriteOutput):
-            return self.write(action, level, pad)
         if isinstance(action, Branch):
             inner = pad + "    "
-            return [
-                f"{pad}if {self.term(action.condition, level)}:",
-                *self.block(action.true_branch.actions, level + 1, in_loop, inner),
-                f"{pad}else:",
-                *self.block(action.false_branch.actions, level + 1, in_loop, inner),
-            ]
+            condition = self.term(action.condition, level)
+            entry = self.bound
+            true = self.block(action.true_branch.actions, level + 1, in_loop, inner)
+            self.bound, after_true = entry, self.bound
+            false = self.block(action.false_branch.actions, level + 1, in_loop, inner)
+            self.bound &= after_true
+            return [f"{pad}if {condition}:", *true, f"{pad}else:", *false]
         if isinstance(action, TillExit):
+            entry = self.bound
             name = self.fresh("loop")
             body = self.block(action.body.actions, level + 1, True, " " * 12)
+            self.bound = entry
             self.loops.append((name, body))
             return [f"{pad}{name}()"]
         if isinstance(action, Exit):

@@ -4,15 +4,14 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
     h3 = []
     c1 = unset
     c3 = unset
     def loop5():
         nonlocal i, steps, c1, c3
         for _ in range(max_rounds):
-            if ((c3 if c3 is not unset else unbound(n3)) > k6):
-                u0 = (c3 if c3 is not unset else unbound(n3))
+            if (c3 > k6):
+                u0 = c3
                 hash(u0)
                 pending.append(((), (u0,)))
                 break
@@ -23,7 +22,7 @@ def run(values, draw, max_rounds, max_steps):
     def loop2():
         nonlocal i, steps, c1, c3
         for _ in range(max_rounds):
-            if (len(h3) == (c1 if c1 is not unset else unbound(n1))):
+            if (len(h3) == c1):
                 break
             else:
                 if i < count:
@@ -38,7 +37,7 @@ def run(values, draw, max_rounds, max_steps):
                 c3 = v
                 i += 1
                 loop5()
-                pending.append(frozenset((((c3 if c3 is not unset else unbound(n3)),), (sum(h3),),)))
+                pending.append(frozenset(((c3,), (sum(h3),),)))
         else:
             too_many_rounds(max_rounds)
     if i < count:
@@ -50,7 +49,6 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
     c1 = v
     i += 1
     loop2()

@@ -4,7 +4,6 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
     c1 = unset
     if i < count:
         v = values[i]
@@ -15,10 +14,9 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
     c1 = v
     i += 1
-    if ((c1 if c1 is not unset else unbound(n1)) > k2):
+    if (c1 > k2):
         raise TypeError(m3)
     else:
         pass

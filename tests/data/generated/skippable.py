@@ -4,8 +4,6 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
-    c1 = unset
     if i < count:
         v = values[i]
     else:
@@ -14,9 +12,10 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
-    c1 = v
     i += 1
+    u0 = k1
+    hash(u0)
+    pending.append(((), (u0,)))
     u0 = k2
     hash(u0)
     pending.append(((), (u0,)))
@@ -54,9 +53,6 @@ def run(values, draw, max_rounds, max_steps):
     hash(u0)
     pending.append(((), (u0,)))
     u0 = k14
-    hash(u0)
-    pending.append(((), (u0,)))
-    u0 = k15
     hash(u0)
     pending.append(((), (u0,)))
     close(tuple(pending))

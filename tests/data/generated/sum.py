@@ -4,29 +4,28 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
     h3 = []
     c1 = unset
-    c3 = unset
     def loop2():
-        nonlocal i, steps, c1, c3
+        nonlocal i, steps, c1
         for _ in range(max_rounds):
-            if (len(h3) == (c1 if c1 is not unset else unbound(n1))):
+            if (len(h3) == c1):
                 break
             else:
-                u0 = ((c1 if c1 is not unset else unbound(n1)) - len(h3))
+                u0 = (c1 - len(h3))
                 hash(u0)
-                pending.append(((), (u0,)))
                 if i < count:
                     v = values[i]
                 else:
                     v = draw(i, d4)
-                steps += 2 if pending else 1
-                close(tuple(pending))
-                pending.clear()
+                steps += 2
+                if pending:
+                    close((*pending, ((), (u0,))))
+                    pending.clear()
+                else:
+                    close((((), (u0,)),))
                 if steps > max_steps: too_long(max_steps)
                 h3.append(v)
-                c3 = v
                 i += 1
         else:
             too_many_rounds(max_rounds)
@@ -39,7 +38,6 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
     c1 = v
     i += 1
     loop2()

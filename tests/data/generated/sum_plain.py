@@ -4,14 +4,12 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
     h3 = []
     c1 = unset
-    c3 = unset
     def loop2():
-        nonlocal i, steps, c1, c3
+        nonlocal i, steps, c1
         for _ in range(max_rounds):
-            if (len(h3) == (c1 if c1 is not unset else unbound(n1))):
+            if (len(h3) == c1):
                 break
             else:
                 if i < count:
@@ -23,7 +21,6 @@ def run(values, draw, max_rounds, max_steps):
                 pending.clear()
                 if steps > max_steps: too_long(max_steps)
                 h3.append(v)
-                c3 = v
                 i += 1
         else:
             too_many_rounds(max_rounds)
@@ -36,7 +33,6 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
     c1 = v
     i += 1
     loop2()

@@ -4,7 +4,6 @@ def run(values, draw, max_rounds, max_steps):
     gaps = []
     close = gaps.append
     pending = []
-    h1 = []
     c1 = unset
     if i < count:
         v = values[i]
@@ -14,20 +13,19 @@ def run(values, draw, max_rounds, max_steps):
     close(tuple(pending))
     pending.clear()
     if steps > max_steps: too_long(max_steps)
-    h1.append(v)
     c1 = v
     i += 1
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k2),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k3),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k4),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k5),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k6),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k7),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k8),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k9),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k10),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k11),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k12),), (),)))
-    pending.append(frozenset((((c1 if c1 is not unset else unbound(n1)),), (((c1 if c1 is not unset else unbound(n1)) + k13),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k2),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k3),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k4),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k5),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k6),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k7),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k8),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k9),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k10),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k11),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k12),), (),)))
+    pending.append(frozenset(((c1,), ((c1 + k13),), (),)))
     close(tuple(pending))
     return gaps

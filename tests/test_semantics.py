@@ -25,6 +25,7 @@ from iospec import (
     EMPTY,
     ExplicitSet,
     Exit,
+    GeneralizedTrace,
     GenerationFailureError,
     GenerationLimits,
     InputRejectedError,
@@ -43,6 +44,7 @@ from iospec import (
     TillExit,
     Trace,
     UnboundCurrentError,
+    ViolationKind,
     WriteOutput,
     accept,
     covers,
@@ -60,8 +62,10 @@ from iospec import (
 from iospec import semantics
 from iospec.parser import MAX_NESTING
 from iospec.semantics import SpecStructureError
+from iospec.traces import _cover
 
 import oracle
+import smallspecs
 from conftest import DATA_DIR, STUCK_SPEC, SUM_SPEC_TEXT
 from randgen import concretization_as_trace, mutate_trace, random_spec
 
@@ -434,6 +438,23 @@ class TestCompiledWalk:
         with pytest.raises(TypeError):
             interpret(spec, [1])
 
+    @pytest.mark.parametrize("text", [
+        "read n : nats if n_C == 0 then { skip } else { read x : ints } write { x_C }",
+        "read n : nats loop { if len(x_A) == n_C then { exit } else { skip } read x : ints }"
+        " write { x_C }",
+    ], ids=["branch", "loop"])
+    def test_a_value_read_on_some_paths_only_keeps_its_guard(self, text):
+        # x is read in one arm of the branch, or at the end of a loop's
+        # body, which may exit before it in its first round: x_C after the
+        # branch or the loop checks that x was read
+        spec = parse_spec(text)
+        assert render_trace(interpret(spec, [1, 5])) == "?1 ?5 !{5} stop"
+        assert accept(spec, parse_trace("?1 ?5 !5 stop")) is True
+        with pytest.raises(UnboundCurrentError, match="^x_C has no value"):
+            interpret(spec, [0])
+        with pytest.raises(UnboundCurrentError, match="^x_C has no value"):
+            accept(spec, parse_trace("?0 !0 stop"))
+
     def test_each_registry_gets_its_own_result(self):
         spec = parse_spec("read x : ints write { len(x_A) }")
         plus_100 = DEFAULT_REGISTRY.extended(
@@ -541,14 +562,18 @@ class TestCompiledWalk:
         with pytest.raises(LimitExceededError, match="^loop ran more than 3 rounds$"):
             accept(spec, trace, limits=short)
 
-    @pytest.mark.parametrize("trace, error", [
-        ("!1 stop", InputsExhaustedError),
-        ("!1 ?-1 stop", InputRejectedError),
-        ("!1 ?1 stop", LimitExceededError),
-    ], ids=["exhausted", "rejected", "limit"])
-    def test_which_error_one_read_raises_first(self, trace, error):
-        # a read checks for an input, then its domain, then the grown trace
-        spec = parse_spec("write {1} read x : nats")
+    @pytest.mark.parametrize("write, trace, error", [
+        (IntConst(1), "!1 stop", InputsExhaustedError),
+        (IntConst(1), "!1 ?-1 stop", InputRejectedError),
+        (IntConst(1), "!1 ?1 stop", LimitExceededError),
+        (CurrentVar("y"), "!1 stop", UnboundCurrentError),
+        (CurrentVar("y"), "!1 ?-1 stop", UnboundCurrentError),
+    ], ids=["exhausted", "rejected", "limit", "write-before-exhausted",
+            "write-before-rejected"])
+    def test_which_error_one_read_raises_first(self, write, trace, error):
+        # a read checks for an input, then its domain, then the grown
+        # trace; the write the read closes raises before any of these
+        spec = Spec((WriteOutput((write,)), ReadInput("x", Naturals())))
         limits = GenerationLimits(max_trace_length=1)
         trace = parse_trace(trace)
         with pytest.raises(error):
@@ -675,7 +700,9 @@ class TestCompiledWalk:
         assert len(interpret(nested(MAX_NESTING), inputs).steps) == len(inputs) + 1
         trace = f"?1 !{MAX_NESTING + 1} stop" if kind == "term" else "?1 !1 ?2 stop"
         assert accept(nested(MAX_NESTING), parse_trace(trace)) is True
-        for levels in (MAX_NESTING + 1, MAX_NESTING + 5):
+        # 2000 levels pass CPython's recursion limit: no walk of the
+        # compiler may go deeper than its own check
+        for levels in (MAX_NESTING + 1, MAX_NESTING + 5, 2000):
             with pytest.raises(SpecStructureError, match=f"more than {MAX_NESTING} levels"):
                 interpret(nested(levels), [1])
             with pytest.raises(SpecStructureError):
@@ -705,6 +732,33 @@ loop {
 """
 
 
+# Where the compiler specializes: a write before a branch, before a loop
+# call and before an exit, each left in `pending`, not closed by a read
+# of its own block; x read in one
+# arm only, so x_C after the branch keeps its guard; y read only through
+# len(y_A), so it keeps a history and no current value, and x and n only
+# through x_C and n_C, so they keep a current value and no history.
+CARRY_SPEC_TEXT = """\
+read n : nats
+write { n_C }
+if n_C == 0 then {
+  read x : ints
+} else {
+  skip
+}
+write { eps, x_C }
+loop {
+  if len(y_A) == n_C then {
+    write { len(y_A) }
+    exit
+  } else {
+    write { eps, n_C }
+    read y : ints
+  }
+}
+"""
+
+
 # A hand-built tree no parser makes: a non-action on one path and an exit
 # outside all loops after it, so each raise the code makes itself shows.
 RAISES_SPEC = Spec((
@@ -719,6 +773,8 @@ def _generated_spec(name: str) -> Spec:
         return RAISES_SPEC
     if name == "nested":
         return parse_spec(NESTED_SPEC_TEXT)
+    if name == "carry":
+        return parse_spec(CARRY_SPEC_TEXT)
     if name in ("skippable", "wide"):
         # the spec families the benchmark runs, from bench/corpus.py by path
         corpus = runpy.run_path(str(DATA_DIR.parent.parent / "bench" / "corpus.py"))
@@ -728,14 +784,16 @@ def _generated_spec(name: str) -> Spec:
 
 class TestGeneratedSource:
     """The source `_Compiler.compile` hands to `compile`, for the two sum
-    specifications, a nested one, the benchmark's skippable and wide
-    families and a hand-built tree that raises, is the committed text
+    specifications, a nested one, one where each specialization of the
+    compiler shows, the benchmark's skippable and wide families and a
+    hand-built tree that raises, is the committed text
     under tests/data/generated/, so a change to the generated code shows
     in a diff as code.  After such a change, rewrite the files by running
     this test with IOSPEC_REGENERATE=1 in the environment, and read their
     diff."""
 
-    @pytest.mark.parametrize("name", ["sum", "sum_plain", "nested", "skippable", "wide", "raises"])
+    @pytest.mark.parametrize("name", ["sum", "sum_plain", "nested", "carry", "skippable", "wide",
+                                      "raises"])
     def test_generated_source_is_the_committed_text(self, name, monkeypatch):
         spec = _generated_spec(name)
         sources = []
@@ -958,6 +1016,15 @@ def outcome(check, *args, **kwargs):
         return type(err)
 
 
+def failure_or(check, *args, **kwargs):
+    """The value `check` returns, or the type and message of the exception
+    it raises."""
+    try:
+        return check(*args, **kwargs)
+    except Exception as err:
+        return type(err), str(err)
+
+
 class TestEquivalence:
     """Three deciders of trace acceptance agree: the backtracking oracle,
     the library `accept` (which runs the whole specification on the
@@ -1089,6 +1156,46 @@ class TestEquivalence:
         # each length of word, and both verdicts, came up
         assert {length for length, _ in seen} == {0, 1, 2, 3}
         assert {verdict for _, verdict in seen} == {True, False}
+
+    def test_every_small_spec_on_every_short_run(self):
+        # Every spec of tests/smallspecs.py up to 3 statements whose only
+        # fault, if any, is a use before a read, on every input sequence of
+        # at most one input, with every trace of words of at most two
+        # values: accept, covers∘interpret and _cover give one verdict or
+        # raise one error, and the oracle gives that verdict, or False for
+        # an error it stops short of.  Under a loop limit of 3 rounds.
+        limits = GenerationLimits(max_loop_iterations=3)
+        counts = dict.fromkeys(["specs", "ill-formed", "runs", "traces"], 0)
+        seen = set()
+        for spec in smallspecs.specs(3):
+            if any(v.kind is not ViolationKind.USE_BEFORE_READ for v in well_formed(spec)):
+                counts["ill-formed"] += 1
+                continue
+            counts["specs"] += 1
+            for inputs in smallspecs.input_sequences(1):
+                counts["runs"] += 1
+                run = failure_or(interpret, spec, inputs, limits=limits)
+                if isinstance(run, GeneralizedTrace):
+                    gaps = run.gaps
+                else:
+                    gaps = ((),) * (len(inputs) + 1)
+                for trace in smallspecs.traces(inputs, gaps, 2):
+                    counts["traces"] += 1
+                    verdict = failure_or(accept, spec, trace, limits=limits)
+                    if isinstance(run, GeneralizedTrace):
+                        covered = covers(run, normalize(trace))
+                        assert covered == _cover(run, trace.input_values, trace.gaps)
+                        expected = covered == Covered()
+                    else:
+                        expected = False if issubclass(run[0], InterpretError) else run
+                    assert verdict == expected, (render_spec(spec), render_trace(trace))
+                    reference = failure_or(oracle.accept, spec, trace, limits=limits)
+                    assert reference == verdict or (
+                        reference is False and isinstance(verdict, tuple)
+                    ), (render_spec(spec), render_trace(trace))
+                    seen.add(verdict if isinstance(verdict, bool) else verdict[0])
+        assert counts == {"specs": 2761, "ill-formed": 1932, "runs": 13805, "traces": 130611}
+        assert {True, False, UnboundCurrentError, LimitExceededError} <= seen
 
     def test_oracle_evaluates_terms_itself(self, monkeypatch):
         # a fault in the library's term compiler must not reach the oracle
