@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 
 from .syntax import (
+    MAX_NESTING,
     AllVar,
     Apply,
     Branch,
@@ -59,6 +60,7 @@ from .syntax import (
     Violation,
     WriteOutput,
     _Record,
+    too_deep,
     well_formed,
 )
 
@@ -94,15 +96,6 @@ class StaticError(Exception):
         super().__init__("; ".join(str(v) for v in violations))
         self.violations = violations
 
-
-# The parser, the static checks, the pretty-printer and the code generator
-# of the interpreters recurse over the tree, using up to about a dozen stack
-# frames a level, so this keeps every one of them well inside Python's
-# default recursion limit of 1000 frames, with room for the callers' own
-# frames.  The generated code nests an `if` or a call per level, which
-# stays inside CPython's limits of 100 indentation levels and 200 nested
-# parentheses.  The code generator holds hand-built trees to the same limit.
-MAX_NESTING = 50
 
 KEYWORDS = {
     "read", "write", "if", "then", "else", "loop", "exit", "skip",
@@ -429,10 +422,12 @@ _OPERATORS = {fn: (op, level) for op, (fn, level) in _BINARY.items()}
 
 
 def render_term(term: Term) -> str:
-    return _render_term(term, 0)
+    return _render_term(term, 0, 0)
 
 
-def _render_term(term: Term, level: int) -> str:
+def _render_term(term: Term, level: int, depth: int) -> str:
+    """`term`, `depth` nesting levels deep, parenthesized if its operator
+    binds less tightly than `level`."""
     if isinstance(term, IntConst):
         return str(term.value)
     if isinstance(term, CurrentVar):
@@ -440,19 +435,22 @@ def _render_term(term: Term, level: int) -> str:
     if isinstance(term, AllVar):
         return f"{term.name}_A"
     if isinstance(term, Apply):
+        depth += 1
+        if depth > MAX_NESTING:
+            raise too_deep()
         if term.fn == "not" and len(term.args) == 1:
             own = _NOT
-            text = f"not {_render_term(term.args[0], _NOT)}"
+            text = f"not {_render_term(term.args[0], _NOT, depth)}"
         elif term.fn in _OPERATORS and len(term.args) == 2:
             op, own = _OPERATORS[term.fn]
             # left-associative: the right operand needs one level more;
             # comparisons are non-associative, so both sides do.
             left_level = own + 1 if own == _COMPARE else own
-            left = _render_term(term.args[0], left_level)
-            right = _render_term(term.args[1], own + 1)
+            left = _render_term(term.args[0], left_level, depth)
+            right = _render_term(term.args[1], own + 1, depth)
             text = f"{left} {op} {right}"
         else:
-            inner = ", ".join(_render_term(a, 0) for a in term.args)
+            inner = ", ".join(_render_term(a, 0, depth) for a in term.args)
             return f"{term.fn}({inner})"
         return f"({text})" if own < level else text
     raise TypeError(f"not a term: {term!r}")
@@ -467,6 +465,9 @@ def render_spec(spec: Spec) -> str:
 
 
 def _render_actions(spec: Spec, indent: int) -> list[str]:
+    """The lines of `spec`, inside `indent` blocks."""
+    if indent > MAX_NESTING:
+        raise too_deep()
     pad = "  " * indent
     lines: list[str] = []
     for action in spec.actions:
@@ -474,11 +475,11 @@ def _render_actions(spec: Spec, indent: int) -> list[str]:
             lines.append(f"{pad}read {action.var} : {action.domain}")
         elif isinstance(action, WriteOutput):
             items = (["eps"] if action.includes_epsilon else []) + [
-                render_term(t) for t in action.terms
+                _render_term(t, 0, indent) for t in action.terms
             ]
             lines.append(f"{pad}write {{ {', '.join(items)} }}")
         elif isinstance(action, Branch):
-            lines.append(f"{pad}if {render_term(action.condition)} then {{")
+            lines.append(f"{pad}if {_render_term(action.condition, 0, indent)} then {{")
             lines.extend(_render_actions(action.true_branch, indent + 1))
             lines.append(f"{pad}}} else {{")
             lines.extend(_render_actions(action.false_branch, indent + 1))

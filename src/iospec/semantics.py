@@ -42,14 +42,16 @@ the source.  Every value taken from it (variable names, constants,
 registry functions, error messages) is bound in the code's namespace
 under a generated name, so a variable called ``"x; import os"`` is one
 more history.  A write becomes an expression for its bare factor: the
-distinct words it may emit, with no output set built around it.
+distinct words it may emit, with no output set built around it, as the
+tuple of its words unless two of its values are equal (see
+`_Compiler.write`).
 
 Compiling never fails on a bad term or action.  An unknown function or a
 value that is not a term becomes a call raising `EvalError`, and an exit
 outside all loops or a non-action a `raise` of `SpecStructureError` or
 `TypeError`, so a bad part on a path the inputs never take raises nothing.
 The one compile-time error is nesting: a hand-built tree nested deeper
-than `parser.MAX_NESTING` levels, counting a term's applications with the
+than `syntax.MAX_NESTING` levels, counting a term's applications with the
 blocks around it, raises `SpecStructureError`, as its code would pass
 CPython's limits on nested blocks and expressions; a parsed one never
 nests deeper.
@@ -79,8 +81,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .parser import _BINARY, MAX_NESTING
+from .parser import _BINARY
 from .syntax import (
+    MAX_NESTING,
     AllVar,
     Apply,
     Branch,
@@ -100,6 +103,8 @@ from .syntax import (
     TillExit,
     WriteOutput,
     _Record,
+    _term_variables,
+    too_deep,
 )
 from .traces import GeneralizedTrace, Trace, first_uncovered
 
@@ -249,8 +254,14 @@ def _too_long(limit):
     raise LimitExceededError(f"trace grew past {limit} steps")
 
 
-def too_deep() -> SpecStructureError:
-    return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
+def _factor(words: tuple):
+    """The factor of a write of several values, two of whose hashes are
+    equal: its `words` as a frozenset, which drops the repeat, when two of
+    them are equal, and the tuple itself otherwise.  The frozenset
+    compares only words of equal hash, and finds a word equal to itself
+    by identity."""
+    distinct = frozenset(words)
+    return distinct if len(distinct) < len(words) else words
 
 
 # A variable's current value until its first read.
@@ -296,11 +307,12 @@ class _Compiler:
     The source holds fixed templates and generated identifiers only: `h<i>`
     and `c<i>` are as above for variable number i (whose name is bound as
     `n<i>`), `u<j>` holds the j-th write's value or factor in a run of
-    writes a read closes (`u0` for a write appended to `pending`), any
-    other letter followed by a number is a value bound in the namespace (a
-    read's domain is `d<k>`), `v` holds the value a read takes, and the
-    remaining names are `run`'s parameters and locals and the helpers and
-    errors `__init__` binds.
+    writes a read closes (`u0` for a write appended to `pending`), and a
+    write of several values keeps its m-th value in `u<j>_<m>` and that
+    value's hash in `s<j>_<m>`.  Any other letter followed by a number is
+    a value bound in the namespace (a read's domain is `d<k>`), `v` holds
+    the value a read takes, and the remaining names are `run`'s parameters
+    and locals and the helpers and errors `__init__` binds.
     """
 
     def __init__(self, registry: FunctionRegistry) -> None:
@@ -311,19 +323,20 @@ class _Compiler:
             "fail": _fail,
             "too_many_rounds": _too_many_rounds,
             "too_long": _too_long,
+            "factor": _factor,
             "InputRejectedError": InputRejectedError,
             "SpecStructureError": SpecStructureError,
         }
         self.variables: dict = {}  # variable name -> its number
         self.loops: list[tuple[str, list[str]]] = []  # name, indented body
         self._ids = itertools.count()
-        self.currents: set = set()  # names whose current value a term reads
-        self.histories: set = set()  # names whose history a term reads
+        self.currents: dict = {}  # names whose current value a term reads
+        self.histories: dict = {}  # names whose history a term reads
         self.bound: frozenset = frozenset()  # names read on every path here
 
     def compile(self, spec: Spec) -> Callable:
         self.note(spec.actions, 0)
-        body = self.block(spec.actions, 0, False, "    ")
+        body = self.block(spec.actions, False, "    ")
         histories = [i for name, i in self.variables.items() if name in self.histories]
         currents = [i for name, i in self.variables.items() if name in self.currents]
         parts = ["def run(values, draw, max_rounds, max_steps):",
@@ -342,31 +355,27 @@ class _Compiler:
         return self.namespace["run"]
 
     def note(self, actions, level: int) -> None:
-        """The pre-pass: add to `currents` and `histories` the variables
-        whose current value or history a condition or written term
-        reads.  It stops where `block` and `term` raise on nesting, so a
-        tree nested too deep still raises there, and not in this walk."""
+        """The pre-pass over the actions `level` blocks deep: add to
+        `currents` and `histories` the variables whose current value or
+        history a condition or written term reads.  It is the one walk
+        that checks nesting, so it raises SpecStructureError on a tree
+        nested too deep before any code is made."""
         if level > MAX_NESTING:
-            return
+            raise too_deep()
         for action in actions:
             if isinstance(action, WriteOutput):
-                for term in action.terms:
-                    self.note_term(term, level)
+                terms, blocks = action.terms, ()
             elif isinstance(action, Branch):
-                self.note_term(action.condition, level)
-                self.note(action.true_branch.actions, level + 1)
-                self.note(action.false_branch.actions, level + 1)
+                terms, blocks = (action.condition,), (action.true_branch, action.false_branch)
             elif isinstance(action, TillExit):
-                self.note(action.body.actions, level + 1)
-
-    def note_term(self, term, level: int) -> None:
-        if isinstance(term, CurrentVar):
-            self.currents.add(term.name)
-        elif isinstance(term, AllVar):
-            self.histories.add(term.name)
-        elif isinstance(term, Apply) and level < MAX_NESTING:
-            for arg in term.args:
-                self.note_term(arg, level + 1)
+                terms, blocks = (), (action.body,)
+            else:
+                continue
+            for term in terms:
+                _term_variables(term, CurrentVar, level, self.currents)
+                _term_variables(term, AllVar, level, self.histories)
+            for block in blocks:
+                self.note(block.actions, level + 1)
 
     def fresh(self, prefix: str) -> str:
         return f"{prefix}{next(self._ids)}"
@@ -389,9 +398,9 @@ class _Compiler:
     def history(self, name) -> str:
         return f"h{self.variable(name)}"
 
-    def term(self, term: Term, level: int = 0) -> str:
+    def term(self, term: Term) -> str:
         """An expression evaluating the sort-correct term to an int, list
-        of ints or bool, for a term `level` levels deep."""
+        of ints or bool."""
         if isinstance(term, IntConst):
             return self.bind(term.value)
         if isinstance(term, CurrentVar):
@@ -402,9 +411,6 @@ class _Compiler:
         if isinstance(term, AllVar):
             return f"list({self.history(term.name)})"
         if isinstance(term, Apply):
-            level += 1
-            if level > MAX_NESTING:
-                raise too_deep()
             entry = self.registry.lookup(term.fn)
             if entry is None:
                 return f"fail({self.bind(f'unknown function {term.fn!r}', 'm')})"
@@ -412,7 +418,7 @@ class _Compiler:
             if (entry is _LEN or entry is _SUM) and len(args) == 1 and isinstance(args[0], AllVar):
                 aggregate = "len" if entry is _LEN else "sum"
                 return f"{aggregate}({self.history(args[0].name)})"
-            operands = [self.term(a, level) for a in args]
+            operands = [self.term(a) for a in args]
             default, template = _OPERATORS.get(term.fn, (None, ""))
             if entry is default and template.count("{}") == len(operands):
                 return template.format(*operands)
@@ -458,40 +464,49 @@ class _Compiler:
             f"{pad}i += 1",
         ]
 
-    def write(self, write: WriteOutput, level: int, pad: str,
-              factors: list[str] | None) -> list[str]:
+    def write(self, write: WriteOutput, pad: str, factors: list[str] | None) -> list[str]:
         """A write: its factor, the one-value words of its values, with the
         empty word when it is skippable.  It goes to `factors` when a read
-        closes it, or else is appended to `pending`.  A write of one value,
-        the common case, has distinct words, so its factor is the tuple
-        `((), (u,))` or `((u,),)` over its value `u`, which costs about a
-        third of a frozenset to build and which the cyclic collector stops
-        tracking; the value is hashed first, so an unhashable one raises
-        as a frozenset would.  A write of more values keeps a frozenset,
-        as two of them may be equal.  A write in `factors` evaluates its
-        value, and builds any frozenset, where it stands, into the local
-        `u<j>` for the j-th of them, so its errors come in their order."""
-        values = [self.term(t, level) for t in write.terms]
+        closes it, or else is appended to `pending`.  The factor is the
+        tuple of the words, `()` first, which costs about a third of a
+        frozenset to build and which the cyclic collector stops tracking:
+        `((), (u,))` or `((u,),)` over the value `u` of a write of one
+        value.  Each value is evaluated, left to right, before any is
+        hashed, and each is hashed, so the errors of its terms and the
+        TypeError of an unhashable value come in a frozenset's order.
+        Several values are compared by their hashes, pairwise up to four
+        values and as a set beyond; only when two hashes are equal does
+        `factor` build the frozenset, comparing words as it does, and it
+        keeps the frozenset, which drops the repeat, when two words are
+        equal.  A write in `factors` evaluates its values, and decides its
+        factor, where it stands, into the local `u<j>` for the j-th of
+        them, so its errors come in their order; a one-value write's `u<j>`
+        holds its value, and its factor is built where the read closes
+        it."""
+        values = [self.term(t) for t in write.terms]
         u = "u0" if factors is None else f"u{len(factors)}"
         if len(values) == 1:
             lines = [f"{pad}{u} = {values[0]}", f"{pad}hash({u})"]
             factor = f"((), ({u},))" if write.includes_epsilon else f"(({u},),)"
         else:
-            words = [f"({value},)" for value in values]
-            if write.includes_epsilon:
-                words.append("()")
-            factor = f"frozenset(({', '.join(words)},))"
-            lines = []
+            names = [f"{u}_{m}" for m in range(len(values))]
+            hashes = [f"s{name[1:]}" for name in names]
+            lines = [f"{pad}{name} = {value}" for name, value in zip(names, values)]
+            lines += [f"{pad}{s} = hash({name})" for s, name in zip(hashes, names)]
+            if len(hashes) <= 4:  # up to six comparisons cost less than a set
+                distinct = " and ".join([f"{a} != {b}" for a, b in itertools.combinations(hashes, 2)])
+            else:
+                distinct = f"len({{{', '.join(hashes)}}}) == {len(hashes)}"
+            words = ", ".join(["()"] * write.includes_epsilon + [f"({name},)" for name in names])
+            factor = f"({words}) if {distinct} else factor(({words}))"
             if factors is not None:
-                lines, factor = [f"{pad}{u} = {factor}"], u
+                lines, factor = lines + [f"{pad}{u} = {factor}"], u
         if factors is None:
             return lines + [f"{pad}pending.append({factor})"]
         factors.append(factor)
         return lines
 
-    def block(self, actions, level: int, in_loop: bool, pad: str) -> list[str]:
-        if level > MAX_NESTING:
-            raise too_deep()
+    def block(self, actions, in_loop: bool, pad: str) -> list[str]:
         # Which writes a read closes: those with only writes between them
         # and a read.
         closed, closing = [], False
@@ -504,28 +519,28 @@ class _Compiler:
         factors: list[str] = []
         for action, by_read in zip(actions, closed):
             if isinstance(action, WriteOutput):
-                lines += self.write(action, level, pad, factors if by_read else None)
+                lines += self.write(action, pad, factors if by_read else None)
             elif isinstance(action, ReadInput):
                 lines += self.read(action, factors, pad)
                 factors = []
             else:
-                lines += self.action(action, level, in_loop, pad)
+                lines += self.action(action, in_loop, pad)
         return lines or [pad + "pass"]
 
-    def action(self, action, level: int, in_loop: bool, pad: str) -> list[str]:
+    def action(self, action, in_loop: bool, pad: str) -> list[str]:
         if isinstance(action, Branch):
             inner = pad + "    "
-            condition = self.term(action.condition, level)
+            condition = self.term(action.condition)
             entry = self.bound
-            true = self.block(action.true_branch.actions, level + 1, in_loop, inner)
+            true = self.block(action.true_branch.actions, in_loop, inner)
             self.bound, after_true = entry, self.bound
-            false = self.block(action.false_branch.actions, level + 1, in_loop, inner)
+            false = self.block(action.false_branch.actions, in_loop, inner)
             self.bound &= after_true
             return [f"{pad}if {condition}:", *true, f"{pad}else:", *false]
         if isinstance(action, TillExit):
             entry = self.bound
             name = self.fresh("loop")
-            body = self.block(action.body.actions, level + 1, True, " " * 12)
+            body = self.block(action.body.actions, True, " " * 12)
             self.bound = entry
             self.loops.append((name, body))
             return [f"{pad}{name}()"]

@@ -274,8 +274,25 @@ EMPTY = Spec(())
 
 class SpecStructureError(Exception):
     """A hand-built tree the interpreters cannot run: an exit marker fired
-    with no enclosing iteration, or nesting deeper than `parser.MAX_NESTING`
+    with no enclosing iteration, or nesting deeper than `MAX_NESTING`
     levels (both statically ruled out for parsed specifications)."""
+
+
+# How deep a tree may nest: a construct's level is the number of `if` and
+# `loop` blocks and of function applications around it, itself included
+# (see `parser`, which reads no deeper text).  The parser, the static
+# checks, the pretty-printer and the code generator of the interpreters
+# recurse over the tree, using up to about a dozen stack frames a level, so
+# this keeps every one of them well inside Python's default recursion limit
+# of 1000 frames, with room for the callers' own frames; each raises
+# `too_deep()` on a hand-built tree past it.  The generated code nests an
+# `if` or a call per level, which stays inside CPython's limits of 100
+# indentation levels and 200 nested parentheses.
+MAX_NESTING = 50
+
+
+def too_deep() -> SpecStructureError:
+    return SpecStructureError(f"nested more than {MAX_NESTING} levels deep")
 
 
 def normalize_spec(spec: Spec) -> Spec:
@@ -338,11 +355,19 @@ DEFAULT_REGISTRY = FunctionRegistry(
 
 def sort_of(term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Sort:
     """Infer the sort of a term, raising SortError on any mismatch."""
+    return _sort_of(term, registry, 0)
+
+
+def _sort_of(term: Term, registry: FunctionRegistry, level: int) -> Sort:
+    """`sort_of` on a term `level` levels deep."""
     if isinstance(term, IntConst) or isinstance(term, CurrentVar):
         return Sort.INT
     if isinstance(term, AllVar):
         return Sort.INT_LIST
     if isinstance(term, Apply):
+        level += 1
+        if level > MAX_NESTING:
+            raise too_deep()
         fn = registry.lookup(term.fn)
         if fn is None:
             raise SortError(f"unknown function {term.fn!r}")
@@ -352,7 +377,7 @@ def sort_of(term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Sort:
                 f"got {len(term.args)}"
             )
         for i, (arg, want) in enumerate(zip(term.args, fn.param_sorts)):
-            got = sort_of(arg, registry)
+            got = _sort_of(arg, registry, level)
             if got != want:
                 raise SortError(
                     f"argument {i + 1} of {term.fn} has sort {got}, expected {want}"
@@ -364,29 +389,45 @@ def sort_of(term: Term, registry: FunctionRegistry = DEFAULT_REGISTRY) -> Sort:
 def term_variables(term: Term, kinds: type | tuple = (CurrentVar, AllVar)) -> tuple[str, ...]:
     """The names of the variables of the given kinds that `term` uses, each
     once, in the order they first appear, left to right."""
+    names: dict = {}
+    _term_variables(term, kinds, 0, names)
+    return tuple(names)
+
+
+def _term_variables(term: Term, kinds: type | tuple, level: int, names: dict) -> None:
+    """Add to `names` those of `term`, a term `level` levels deep."""
     if isinstance(term, kinds):
-        return (term.name,)
-    if isinstance(term, Apply):
-        return tuple(dict.fromkeys(n for a in term.args for n in term_variables(a, kinds)))
-    return ()
+        names[term.name] = None
+    elif isinstance(term, Apply):
+        level += 1
+        if level > MAX_NESTING:
+            raise too_deep()
+        for arg in term.args:
+            _term_variables(arg, kinds, level, names)
 
 
 def variables_of(spec: Spec) -> set[str]:
     """All variable names occurring in reads or terms of the specification."""
-    names: set[str] = set()
+    names: dict = {}
+    _variables_of(spec, 0, names)
+    return set(names)
+
+
+def _variables_of(spec: Spec, level: int, names: dict) -> None:
+    if level > MAX_NESTING:
+        raise too_deep()
     for action in spec.actions:
         if isinstance(action, ReadInput):
-            names.add(action.var)
+            names[action.var] = None
         elif isinstance(action, WriteOutput):
             for t in action.terms:
-                names.update(term_variables(t))
+                _term_variables(t, (CurrentVar, AllVar), level, names)
         elif isinstance(action, Branch):
-            names.update(term_variables(action.condition))
-            names |= variables_of(action.false_branch)
-            names |= variables_of(action.true_branch)
+            _term_variables(action.condition, (CurrentVar, AllVar), level, names)
+            _variables_of(action.false_branch, level + 1, names)
+            _variables_of(action.true_branch, level + 1, names)
         elif isinstance(action, TillExit):
-            names |= variables_of(action.body)
-    return names
+            _variables_of(action.body, level + 1, names)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +490,15 @@ def well_formed(
       integers, branch conditions booleans).
 
     Violations come in the order the pass meets them, a loop's missing
-    exit before what its body holds.
+    exit before what its body holds.  A tree nested deeper than
+    MAX_NESTING levels raises SpecStructureError.
     """
     violations: list[Violation] = []
     reads_seen: set[str] = set()
 
-    def check_term(term: Term, want: Sort, path: Path, where: str) -> None:
+    def check_term(term: Term, want: Sort, path: Path, where: str, level: int) -> None:
         try:
-            got = sort_of(term, registry)
+            got = _sort_of(term, registry, level)
             if got != want:
                 violations.append(
                     Violation(
@@ -467,7 +509,9 @@ def well_formed(
                 )
         except SortError as err:
             violations.append(Violation(ViolationKind.SORT_ERROR, path, str(err)))
-        for name in term_variables(term, CurrentVar):
+        names: dict = {}
+        _term_variables(term, CurrentVar, level, names)
+        for name in names:
             if name not in reads_seen:
                 violations.append(
                     Violation(
@@ -477,9 +521,12 @@ def well_formed(
                     )
                 )
 
-    def walk(s: Spec, path: Path, loop_depth: int) -> bool:
+    def walk(s: Spec, path: Path, loop_depth: int, level: int) -> bool:
         # Whether `s` holds an exit of the innermost loop around it, in
         # itself or in a branch arm; a nested loop's exits are its own.
+        # `level` counts the blocks around `s`.
+        if level > MAX_NESTING:
+            raise too_deep()
         exits = False
         for i, action in enumerate(s.actions):
             here = path + (i,)
@@ -487,14 +534,14 @@ def well_formed(
                 reads_seen.add(action.var)
             elif isinstance(action, WriteOutput):
                 for t in action.terms:
-                    check_term(t, Sort.INT, here, "output term")
+                    check_term(t, Sort.INT, here, "output term", level)
             elif isinstance(action, Branch):
-                check_term(action.condition, Sort.BOOL, here, "branch condition")
-                exits |= walk(action.false_branch, here + ("false",), loop_depth)
-                exits |= walk(action.true_branch, here + ("true",), loop_depth)
+                check_term(action.condition, Sort.BOOL, here, "branch condition", level)
+                exits |= walk(action.false_branch, here + ("false",), loop_depth, level + 1)
+                exits |= walk(action.true_branch, here + ("true",), loop_depth, level + 1)
             elif isinstance(action, TillExit):
                 at = len(violations)  # before the body's own violations
-                if not walk(action.body, here + ("body",), loop_depth + 1):
+                if not walk(action.body, here + ("body",), loop_depth + 1, level + 1):
                     violations.insert(
                         at,
                         Violation(
@@ -513,6 +560,6 @@ def well_formed(
                     )
         return exits
 
-    walk(spec, (), 0)
+    walk(spec, (), 0, 0)
     return violations
 

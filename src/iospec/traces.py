@@ -28,13 +28,16 @@ there (a compiled write yields only its factor, its distinct words), from
 which `OutputWordSet._of(gap)` makes the gap's set; either is () where
 nothing is.  A factor is any collection of distinct words that answers
 `in`, iteration and `len`: the parser and `OutputWordSet(...)` build
-frozensets, while a compiled one-value write and `normalize` build
-tuples, which are cheaper to make and which the cyclic collector stops
-tracking.  Only `words` and equality depend on the type, and both look
-at a factor as a set.  Covering then means that the inputs agree and
-that each gap can print its word (`first_uncovered`).  `covers` reads
-those words off a normalized trace; the harness hands a recorded run's
-own gaps to the same check, with no normalized trace in between.
+frozensets, while a compiled write and `normalize` build tuples, which
+are cheaper to make and which the cyclic collector stops tracking; only
+a compiled write of several values two of which are equal builds a
+frozenset, which drops the repeat.  Only `words` and equality depend on
+the type, and both look at a factor as a set; rendering hashes each
+factor once, as a tuple keeps no hash.  Covering then means that the
+inputs agree and that each gap can print its word (`first_uncovered`).
+`covers` reads those words off a normalized trace; the harness hands a
+recorded run's own gaps to the same check, with no normalized trace in
+between.
 `semantics.accept` hands it a trace's words and the gaps of its
 compiled run, with no generalized trace in between.
 
@@ -518,23 +521,25 @@ def _render_factors(factors: tuple) -> str:
     prints per factor without a word of it built."""
     if len(factors) == 1:
         return _render_group(factors[0])
-    # Repeated writes give equal factors: each distinct one is looked at once.
-    longest: dict = {}  # a factor's number of longest words
+    # Repeated writes give equal factors: each distinct one is looked at
+    # once, and each factor is hashed once, as a tuple keeps no hash.
+    numbers: dict = {}  # each distinct factor -> its number
+    order = [numbers.setdefault(factor, len(numbers)) for factor in factors]
+    longest = []  # each distinct factor's number of longest words
+    for factor in numbers:
+        lengths = list(map(len, factor))
+        longest.append(lengths.count(max(lengths)))
     bound = 1
-    for factor in factors:
-        count = longest.get(factor)
-        if count is None:
-            lengths = list(map(len, factor))
-            count = longest[factor] = lengths.count(max(lengths))
-        bound *= count
+    for k in order:
+        bound *= longest[k]
         if bound > RENDER_LIMIT:
             break
     else:
         words = _language(factors, RENDER_LIMIT)
         if words is not None:
             return _render_group(words)
-    texts = {factor: _render_group(factor) for factor in set(factors)}
-    return "".join([texts[factor] for factor in factors])
+    texts = [_render_group(factor) for factor in numbers]
+    return "".join([texts[k] for k in order])
 
 
 def render_trace(trace: Trace | GeneralizedTrace) -> str:

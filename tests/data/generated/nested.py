@@ -37,7 +37,11 @@ def run(values, draw, max_rounds, max_steps):
                 c3 = v
                 i += 1
                 loop5()
-                pending.append(frozenset(((c3,), (sum(h3),),)))
+                u0_0 = c3
+                u0_1 = sum(h3)
+                s0_0 = hash(u0_0)
+                s0_1 = hash(u0_1)
+                pending.append(((u0_0,), (u0_1,)) if s0_0 != s0_1 else factor(((u0_0,), (u0_1,))))
         else:
             too_many_rounds(max_rounds)
     if i < count:

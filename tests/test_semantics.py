@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import runpy
 import time
 import weakref
@@ -51,6 +52,7 @@ from iospec import (
     interpret,
     normalize,
     normalize_spec,
+    parse_generalized_trace,
     parse_spec,
     parse_trace,
     render_spec,
@@ -326,8 +328,9 @@ class TestInterpret:
         assert render_trace(interpret(spec, [9])) == "?9 !{eps, 9, <9 9>} stop"
 
     def test_one_value_writes_build_tuple_factors(self):
-        # a write of one value has distinct words, so a tuple holds them; a
-        # write of more keeps a frozenset, which drops equal values
+        # a write's factor is the tuple of its words while its values are
+        # distinct, and a frozenset, which drops the repeats, when two of
+        # them are equal: a write of one value always builds a tuple
         spec = parse_spec("read x : ints write { eps, x_C } write { x_C } write { x_C, 1 }")
         _, (skippable, plain, two) = interpret(spec, [1]).gaps
         assert skippable == ((), (1,)) and plain == ((1,),) and two == frozenset({(1,)})
@@ -336,6 +339,74 @@ class TestInterpret:
             spec = Spec((ReadInput("x", Integers()), WriteOutput((AllVar("x"),), includes_epsilon)))
             with pytest.raises(TypeError, match="unhashable type: 'list'"):
                 interpret(spec, [1])
+        # x = 0 makes the two values coincide, x = 3 does not; every decider
+        # agrees on both forms
+        spec = parse_spec("read x : ints write { x_C, 2 * x_C }")
+        (_, (coinciding,)), (_, (distinct,)) = interpret(spec, [0]).gaps, interpret(spec, [3]).gaps
+        assert type(coinciding) is frozenset and coinciding == frozenset({(0,)})
+        assert type(distinct) is tuple and sorted(distinct) == [(3,), (6,)]
+        # at x = -1, hash(-1) == hash(-2): the values are compared, and differ
+        for x, text in ((0, "?0 !{0} stop"), (3, "?3 !{3, 6} stop"), (-1, "?-1 !{-2, -1} stop")):
+            gt = interpret(spec, [x])
+            for words in ((), (0,), (1,), (3,), (6,), (3, 6), (0, 0), (-1,), (-2,)):
+                trace = Trace((In(x), *map(Out, words)))
+                verdict = accept(spec, trace)
+                assert verdict is (covers(gt, normalize(trace)) == Covered())
+                assert verdict is (_cover(gt, trace.input_values, trace.gaps) == Covered())
+                assert verdict is oracle.accept(spec, trace)
+                assert verdict is (len(words) == 1 and words[0] in (x, 2 * x))
+            as_sets = GeneralizedTrace._of(gt.input_values, tuple(
+                tuple(map(frozenset, gap)) for gap in gt.gaps))
+            assert render_trace(gt) == render_trace(as_sets) == text
+        parsed = parse_generalized_trace("?3 !{3, 6} stop").steps[1]
+        assert OutputWordSet._of((distinct,)) == parsed
+        assert hash(OutputWordSet._of((distinct,))) == hash(parsed)
+        # past four values the hashes are compared as a set
+        spec = parse_spec("read x : ints write { eps, x_C, x_C + 1, x_C + 2, x_C + 3, 5 * x_C }")
+        for x, kind, size in ((0, frozenset, 5), (3, tuple, 6), (-2, tuple, 6)):
+            ((), (factor,)) = interpret(spec, [x]).gaps
+            assert type(factor) is kind and len(factor) == size
+            assert frozenset(factor) == {(), *[(x + k,) for k in range(4)], (5 * x,)}
+
+        # values from registry functions: an unhashable one, first or
+        # second, raises what a frozenset raises, and only after every
+        # value is taken
+        with pytest.raises(TypeError) as unhashable:
+            frozenset([([1],)])
+
+        class Opaque:  # compared only on equal hashes
+            def __init__(self, key):
+                self.key = key
+
+            def __hash__(self):
+                return self.key
+
+            def __eq__(self, other):
+                raise AssertionError("compared")
+
+        nan = float("nan")
+        registry = DEFAULT_REGISTRY.extended(*[
+            FunctionSpec(name, (Sort.INT,), Sort.INT, fn) for name, fn in [
+                ("listed", lambda x: [x]), ("fails", lambda x: 1 // 0),
+                ("opaque", Opaque), ("nan1", lambda x: nan), ("nan2", lambda x: nan),
+            ]
+        ])
+
+        def run(text):
+            return interpret(parse_spec("read x : ints write { " + text + " }", registry), [1], registry)
+
+        for text in ("listed(x_C), x_C", "x_C, listed(x_C)"):
+            with pytest.raises(TypeError, match=f"^{re.escape(str(unhashable.value))}$"):
+                run(text)
+        with pytest.raises(ZeroDivisionError):
+            run("listed(x_C), fails(x_C)")
+        ((), (factor,)) = run("opaque(x_C), opaque(x_C + 1)").gaps
+        assert [word[0].key for word in factor] == [1, 2]
+        with pytest.raises(AssertionError, match="compared"):  # as a frozenset would
+            run("opaque(x_C), opaque(2 * x_C - 1)")
+        # one NaN object is one word: a frozenset finds it by identity
+        ((), (factor,)) = run("nan1(x_C), nan2(x_C)").gaps
+        assert len(factor) == 1 and next(iter(factor))[0] is nan
 
     def test_input_rejected(self, sum_spec):
         with pytest.raises(InputRejectedError) as exc:
@@ -707,6 +778,12 @@ class TestCompiledWalk:
                 interpret(nested(levels), [1])
             with pytest.raises(SpecStructureError):
                 accept(nested(levels), parse_trace("?1 !1 stop"))
+        if kind == "term":
+            # under an unknown function too, whose arguments are never compiled
+            (read, write) = nested(MAX_NESTING).actions
+            unknown = Spec((read, WriteOutput((Apply("nope", write.terms),))))
+            with pytest.raises(SpecStructureError, match=f"more than {MAX_NESTING} levels"):
+                interpret(unknown, [1])
 
 
 # A nested loop, a branch and a write of two values, beside the two sum

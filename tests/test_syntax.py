@@ -54,8 +54,8 @@ from iospec import (
     well_formed,
 )
 from iospec.harness import ConfigError
-from iospec.parser import SourceSpan, _scan
-from iospec.syntax import _Record, sort_of
+from iospec.parser import MAX_NESTING, SourceSpan, _scan, render_term
+from iospec.syntax import SpecStructureError, _Record, sort_of, term_variables
 
 import programs
 from conftest import SUM_SPEC_TEXT
@@ -161,6 +161,75 @@ class TestHandBuiltNesting:
     def test_render_nested_sequence_reparses_flat(self):
         nested = Spec((READ_X, Spec((WRITE_XC,))))
         assert parse_spec(render_spec(nested)) == Spec((READ_X, WRITE_XC))
+
+
+def deep_term(levels: int):
+    term = CurrentVar("x")
+    for _ in range(levels):
+        term = Apply("+", (term, IntConst(1)))
+    return term
+
+
+def deep_spec(kind: str, levels: int) -> Spec:
+    """A well-formed tree `levels` levels deep: a write term of that many
+    `+`, or that many `if` or `loop` blocks around a write."""
+    if kind == "term":
+        return Spec((READ_X, WriteOutput((deep_term(levels),))))
+    body = Spec((WRITE_XC,))
+    for _ in range(levels):
+        if kind == "if":
+            body = Spec((Branch(Apply("==", (IntConst(0), IntConst(0))), EMPTY, body),))
+        else:
+            body = Spec((TillExit(Spec((*body.actions, Exit()))),))
+    return Spec((READ_X, *body.actions))
+
+
+class TestHandBuiltDepth:
+    """Every walk over a hand-built tree raises SpecStructureError past
+    MAX_NESTING, as the interpreters do, not RecursionError; 3,000 levels
+    pass Python's recursion limit."""
+
+    PAST = (MAX_NESTING + 1, 3000)
+
+    @pytest.mark.parametrize("kind", ["term", "if", "loop"])
+    def test_well_formed(self, kind):
+        assert well_formed(deep_spec(kind, MAX_NESTING)) == []
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                well_formed(deep_spec(kind, levels))
+
+    @pytest.mark.parametrize("kind", ["term", "if", "loop"])
+    def test_render_spec(self, kind):
+        spec = deep_spec(kind, MAX_NESTING)
+        assert parse_spec(render_spec(spec)) == spec
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                render_spec(deep_spec(kind, levels))
+
+    @pytest.mark.parametrize("kind", ["term", "if", "loop"])
+    def test_variables_of(self, kind):
+        assert variables_of(deep_spec(kind, MAX_NESTING)) == {"x"}
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                variables_of(deep_spec(kind, levels))
+
+    def test_sort_of(self):
+        assert sort_of(deep_term(MAX_NESTING)) == Sort.INT
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                sort_of(deep_term(levels))
+
+    def test_term_variables(self):
+        assert term_variables(deep_term(MAX_NESTING)) == ("x",)
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                term_variables(deep_term(levels))
+
+    def test_render_term(self):
+        assert render_term(deep_term(MAX_NESTING)) == "x_C" + " + 1" * MAX_NESTING
+        for levels in self.PAST:
+            with pytest.raises(SpecStructureError, match=f"nested more than {MAX_NESTING} levels deep"):
+                render_term(deep_term(levels))
 
 
 class TestWellFormed:
