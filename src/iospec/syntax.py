@@ -390,20 +390,23 @@ def term_variables(term: Term, kinds: type | tuple = (CurrentVar, AllVar)) -> tu
     """The names of the variables of the given kinds that `term` uses, each
     once, in the order they first appear, left to right."""
     names: dict = {}
-    _term_variables(term, kinds, 0, names)
+    _term_variables(term, 0, dict.fromkeys(kinds if isinstance(kinds, tuple) else (kinds,), names))
     return tuple(names)
 
 
-def _term_variables(term: Term, kinds: type | tuple, level: int, names: dict) -> None:
-    """Add to `names` those of `term`, a term `level` levels deep."""
-    if isinstance(term, kinds):
+def _term_variables(term: Term, level: int, into: dict) -> None:
+    """Add the name of each variable of `term`, a term `level` levels deep,
+    to `into[kind]`, for its kind CurrentVar or AllVar, where `into` has
+    that kind."""
+    names = into.get(type(term))
+    if names is not None:
         names[term.name] = None
     elif isinstance(term, Apply):
         level += 1
         if level > MAX_NESTING:
             raise too_deep()
         for arg in term.args:
-            _term_variables(arg, kinds, level, names)
+            _term_variables(arg, level, into)
 
 
 def variables_of(spec: Spec) -> set[str]:
@@ -421,9 +424,9 @@ def _variables_of(spec: Spec, level: int, names: dict) -> None:
             names[action.var] = None
         elif isinstance(action, WriteOutput):
             for t in action.terms:
-                _term_variables(t, (CurrentVar, AllVar), level, names)
+                _term_variables(t, level, {CurrentVar: names, AllVar: names})
         elif isinstance(action, Branch):
-            _term_variables(action.condition, (CurrentVar, AllVar), level, names)
+            _term_variables(action.condition, level, {CurrentVar: names, AllVar: names})
             _variables_of(action.false_branch, level + 1, names)
             _variables_of(action.true_branch, level + 1, names)
         elif isinstance(action, TillExit):
@@ -510,7 +513,7 @@ def well_formed(
         except SortError as err:
             violations.append(Violation(ViolationKind.SORT_ERROR, path, str(err)))
         names: dict = {}
-        _term_variables(term, CurrentVar, level, names)
+        _term_variables(term, level, {CurrentVar: names})
         for name in names:
             if name not in reads_seen:
                 violations.append(

@@ -361,7 +361,7 @@ class TestInterpret:
         parsed = parse_generalized_trace("?3 !{3, 6} stop").steps[1]
         assert OutputWordSet._of((distinct,)) == parsed
         assert hash(OutputWordSet._of((distinct,))) == hash(parsed)
-        # past four values the hashes are compared as a set
+        # three or more values have their hashes compared as a set
         spec = parse_spec("read x : ints write { eps, x_C, x_C + 1, x_C + 2, x_C + 3, 5 * x_C }")
         for x, kind, size in ((0, frozenset, 5), (3, tuple, 6), (-2, tuple, 6)):
             ((), (factor,)) = interpret(spec, [x]).gaps
